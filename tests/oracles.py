@@ -9,6 +9,10 @@ with C the componentwise binomial.  Realizing basis symbols as p^n x p^n
 matrices over GF(p) gives a faithful representation, so brackets must match
 matrix commutators and the restricted p-power map must match p-th matrix
 powers.  None of this code shares logic with the bracket implementation.
+
+``rewrite_normalize`` is the reference PBW straightener: it rewrites whole
+words one adjacent swap at a time, which shares no subproblems and no code
+with the memoized left insertion of :mod:`wittquant.uea`.
 """
 from __future__ import annotations
 
@@ -16,6 +20,46 @@ import itertools
 
 from wittquant.liealg import WITT, BasisDeriv, JacobsonWitt, LieElement
 from wittquant.rings import binom_int
+
+
+def mono_of_sorted_word(uea, word):
+    """Group a sorted word into a PBW monomial; None when it dies in u."""
+    mono = []
+    for bd, grp in itertools.groupby(word):
+        e = len(tuple(grp))
+        if uea.restricted:
+            p = uea.alg.p
+            while e >= p:
+                if uea.alg.p_power(bd) is None:
+                    return None
+                e -= p - 1  # H^p -> H
+        if e:
+            mono.append((bd, e))
+    return tuple(mono)
+
+
+def rewrite_normalize(uea, word) -> dict:
+    """Normal form of a word by leftmost swaps y x -> x y + [y, x]: dict mono -> int."""
+    out: dict = {}
+    work = {tuple(word): 1}
+    while work:
+        w, c = work.popitem()
+        idx = next((t for t in range(len(w) - 1) if w[t] > w[t + 1]), -1)
+        if idx < 0:
+            m = mono_of_sorted_word(uea, w)
+            if m is not None:
+                out[m] = out.get(m, 0) + c
+            continue
+        swapped = w[:idx] + (w[idx + 1], w[idx]) + w[idx + 2 :]
+        work[swapped] = work.get(swapped, 0) + c
+        if not work[swapped]:
+            del work[swapped]
+        for bd, k in uea.alg.bracket_basis(w[idx], w[idx + 1]).items():
+            w2 = w[:idx] + (bd,) + w[idx + 2 :]
+            work[w2] = work.get(w2, 0) + c * k
+            if not work[w2]:
+                del work[w2]
+    return {m: c for m, c in out.items() if c}
 
 
 def o_basis(p: int, n: int):

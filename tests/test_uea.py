@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import mat_mul, mono_of_sorted_word, op_matrix, rewrite_normalize
 
 from wittquant.liealg import (
     JacobsonWitt,
@@ -98,7 +99,7 @@ def _random_normalize(uea, word, rng):
                         redexes.append(("cap", i - run))
                     run = 1
         if not redexes:
-            m = uea._mono_of_sorted_word(w)
+            m = mono_of_sorted_word(uea, w)
             if m is not None:
                 result[m] = result.get(m, 0) + c
             continue
@@ -145,6 +146,86 @@ def test_confluence_random_strategies(make, pool_kind, seed):
         want = _fold(U, U.normalize_word(word))
         got = _fold(U, _random_normalize(U, word, rng))
         assert got == want, word
+
+
+def _pool_uea(kind):
+    """A context and its symbol pool for the normal-form property tests."""
+    if kind == "u(W(2;1)) p=3":
+        U = EnvelopingAlgebra(JacobsonWitt(2, 3), gf(3), restricted=True)
+    elif kind in ("u(W(1;1)) p=5", "u(W(1;1)) p=7"):
+        p = int(kind[-1])
+        U = EnvelopingAlgebra(JacobsonWitt(1, p), gf(p), restricted=True)
+    elif kind == "U(W(2;1)) GF(3)":
+        U = EnvelopingAlgebra(JacobsonWitt(2, 3), gf(3))
+    elif kind == "U(W(1)) QQ":
+        U = uwitt()
+        return U, [U.alg.basis_symbol((a,), 1) for a in range(-2, 3)]
+    else:
+        U = uw_plus(2)
+        alphas = [a for a in itertools.product(range(3), repeat=2) if sum(a) <= 2]
+        return U, [U.alg.basis_symbol(a, i) for a in alphas for i in (1, 2)]
+    return U, U.alg.basis()
+
+
+def _random_mono(U, rng, pool, degree=5):
+    """A random normal monomial of total degree at most ``degree``."""
+    top = U.alg.p - 1 if U.restricted else degree
+    mono = []
+    for g in sorted(rng.sample(pool, rng.randint(0, 3))):
+        if degree:
+            e = rng.randint(1, min(top, degree))
+            mono.append((g, e))
+            degree -= e
+    return tuple(mono)
+
+
+def _expand(mono):
+    return tuple(b for b, e in mono for _ in range(e))
+
+
+@pytest.mark.parametrize(
+    "kind,seed",
+    [
+        ("u(W(2;1)) p=3", 61),
+        ("u(W(1;1)) p=5", 62),
+        ("u(W(1;1)) p=7", 63),
+        ("U(W(2;1)) GF(3)", 64),
+        ("U(W(1)) QQ", 65),
+        ("U(W+(2)) QQ", 66),
+    ],
+)
+def test_left_insertion_matches_rewriting_oracle(kind, seed):
+    U, pool = _pool_uea(kind)
+    rng = random.Random(seed)
+    for _ in range(60):
+        word = _random_word(rng, pool, max_len=6)
+        assert _fold(U, U.normalize_word(word)) == _fold(U, rewrite_normalize(U, word)), word
+        m1, m2 = _random_mono(U, rng, pool), _random_mono(U, rng, pool)
+        want = _fold(U, rewrite_normalize(U, _expand(m1) + _expand(m2)))
+        assert _fold(U, U.mono_mul(m1, m2)) == want, (m1, m2)
+
+
+def test_left_insertion_long_reversed_words():
+    U, pool = _pool_uea("u(W(1;1)) p=5")
+    p = U.alg.p
+    word = tuple(reversed(pool)) * 2
+    assert _fold(U, U.normalize_word(word)) == _fold(U, rewrite_normalize(U, word))
+
+    # (p-1) copies take the rewriting oracle minutes; the action on O(1;1), a
+    # restricted representation, checks the normal form independently
+    N = p ** U.alg.n
+
+    def rho(w):
+        out = [[int(i == j) for j in range(N)] for i in range(N)]
+        for b in w:
+            out = mat_mul(out, op_matrix(U.alg, b), p)
+        return out
+
+    word = tuple(reversed(pool)) * (p - 1)
+    got = [[0] * N for _ in range(N)]
+    for m, c in U.normalize_word(word).items():
+        got = [[(g + c * x) % p for g, x in zip(rg, rx)] for rg, rx in zip(got, rho(_expand(m)))]
+    assert got == rho(word)
 
 
 # -- standard Hopf structure ----------------------------------------------------------
@@ -397,6 +478,30 @@ def test_uea_reduction_is_a_hopf_algebra_map(p, n, seed):
         assert reduce_element_mod_p(x * y, MU) == rx * ry
         assert reduce_tensor_mod_p(WU.coproduct0(x), MU) == MU.coproduct0(rx)
         assert reduce_element_mod_p(WU.antipode0(x), MU) == MU.antipode0(rx)
+
+
+def test_reduce_tensor_of_arity_zero():
+    from wittquant.uea import reduce_tensor_mod_p
+
+    WU = uw_plus(1)
+    MU = EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3))
+    scalar = TensorElement(WU, 0, {(): Fraction(5, 2)})
+    assert reduce_tensor_mod_p(scalar, MU) == TensorElement(MU, 0, {(): gf(3).from_int(1)})
+    assert not reduce_tensor_mod_p(TensorElement(WU, 0, {}), MU)
+
+
+def test_lift_rejects_foreign_algebra_or_ring():
+    U = EnvelopingAlgebra(JacobsonWitt(2, 5), gf(5))
+    small = JacobsonWitt(1, 3)
+    h, _ = basic_pair_jw(small, gf(3), 1)
+    with pytest.raises(ValueError):
+        U.lift(h)
+    for alg, ring in ((JacobsonWitt(1, 5), gf(5)), (JacobsonWitt(2, 3), gf(3)), (U.alg, gf(3))):
+        with pytest.raises(ValueError):
+            U.lift(basic_pair_jw(alg, ring, 1)[0])
+    same = JacobsonWitt(2, 5)  # an equal algebra built separately
+    h, _ = basic_pair_jw(same, gf(5), 1)
+    assert U.lift(h) == U.gen(next(iter(h.terms)))
 
 
 def test_restricted_dimension_counts():

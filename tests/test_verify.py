@@ -50,6 +50,27 @@ def test_restricted_structure_passes():
     assert check_restricted_structure(ModularConfig(3, 1, (1,), q=1)).passed
 
 
+RESTRICTED_CHECK_NAMES = {
+    "line-p-th-power-is-one",
+    "truncated-geometric-inverse",
+    "rising-factorial-vanishes-at-p",
+    "composed-divided-ad-powers",
+    "divided-power-on-unit-exponent",
+    "divided-power-on-p-th-power",
+    "p-th-power-vanishes-off-torus",
+    "power-formula-coproduct",
+    "power-formula-antipode",
+    "coproduct-p-power-descent",
+    "antipode-p-power-descent",
+}
+
+
+def test_restricted_structure_p5_runs_every_check():
+    rep = check_restricted_structure(ModularConfig(5, 1, (1,), q=1))
+    assert rep.passed
+    assert {c.name for c in rep.checks} == RESTRICTED_CHECK_NAMES
+
+
 def test_dimensions_small_and_structural():
     rep = check_dimensions_radford(ModularConfig(3, 1, (1,)))
     assert rep.passed
