@@ -20,35 +20,21 @@ from .liealg import (
     pairing,
     reduce_wplus_to_jw,
 )
-from .rings import QQ, TPoly, binom_int, gf, multi_binom_mod_p, t_quotient, t_series, tpoly_mul
+from .rings import QQ, binom_int, gf, t_quotient, t_series
 from .twist import (
+    BasicDirection,
     QuantizedHopf,
+    RMatrixDirection,
     TwistCoefficients,
     TwistElement,
     TwistorPair,
-    build_twist,
     char0_general,
-    conjugation_oracle,
     integral_basic,
     integral_eta,
     modular,
     modular_unrestricted,
-    one_minus_et_power,
-    quantized_antipode,
-    quantized_coproduct,
 )
-from .uea import (
-    EnvelopingAlgebra,
-    TensorElement,
-    UEAElement,
-    ad_divided_power,
-    antipode0_counit0,
-    coproduct0,
-    factorial_element,
-    pbw_normalize,
-    tensor_mul,
-    uea_mul,
-)
+from .uea import EnvelopingAlgebra, TensorElement, UEAElement
 from .grammar import ElementSyntaxError, format_element, parse_element
 from .verify import (
     Char0Config,

@@ -13,13 +13,14 @@ element ordering); wall-clock timing appears only in the JSON report file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
 from .grammar import format_element
-from .liealg import RMatrixData
+from .liealg import JacobsonWitt, RMatrixData
 from .twist import char0_general, modular
-from .verify import Char0Config, ModularConfig, run_suites
+from .verify import Char0Config, ModularConfig, run_suites, suite_names
 
 
 class UsageError(ValueError):
@@ -43,6 +44,16 @@ def _eta_from_directions(text: str, n: int):
             raise UsageError(f"twist direction {k} out of range 1..{n}")
         eta[k - 1] = 1
     return tuple(eta)
+
+
+def _open_report(path):
+    """Open the JSON report file up front, so that a bad path fails before any suite runs."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w")
+    except OSError as ex:
+        raise UsageError(f"cannot write the JSON report: {ex}") from None
 
 
 def _default_char0(n: int) -> Char0Config:
@@ -111,8 +122,7 @@ def run_command(args: argparse.Namespace) -> int:
 
     if args.verb == "dims":
         p, n = args.p, args.n
-        if p < 3:
-            raise UsageError("p must be an odd prime >= 3")
+        JacobsonWitt(n, p)  # rejects a p that is not an odd prime, and n < 1
         dim_u = p ** (n * p**n)
         dim_t = p ** (1 + n * p**n)
         status = "enumerable" if dim_u <= 5000 else "structural (enumeration skipped)"
@@ -125,7 +135,12 @@ def run_command(args: argparse.Namespace) -> int:
         mcfg = ModularConfig(args.p, args.n, eta, args.q, seed=args.seed)
         ccfg = _default_char0(args.n)
         ccfg = Char0Config(ccfg.d0, ccfg.d0p, ccfg.gamma, cap=args.trunc, seed=args.seed)
-        reports = run_suites(args.suite, modular_cfg=mcfg, char0_cfg=ccfg)
+        suites = suite_names(args.suite)
+        with _open_report(args.json_path) as report:
+            reports = run_suites(suites, modular_cfg=mcfg, char0_cfg=ccfg)
+            if report is not None:
+                json.dump([rep.to_json_dict() for rep in reports], report, indent=2)
+                report.write("\n")
         failed = 0
         for rep in reports:
             cfg_bits = " ".join(
@@ -139,11 +154,6 @@ def run_command(args: argparse.Namespace) -> int:
                 print(line)
                 failed += c.status == "fail"
         print(f"RESULT: {'pass' if not failed else f'fail ({failed} checks)'}")
-        if args.json_path:
-            payload = [rep.to_json_dict() for rep in reports]
-            with open(args.json_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
         return 0 if not failed else 1
 
     raise UsageError(f"unknown verb {args.verb!r}")

@@ -15,11 +15,12 @@ are computed as plain integers and scaled into the ring at the element level.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .rings import QQ, binom_int, gf, multi_factorial
+from .rings import QQ, SparseElement, accumulate, binom_int, gf, multi_factorial
 
 WITT = "witt"
 WPLUS = "wplus"
@@ -119,16 +120,8 @@ class WittAlgebra(LieAlgebra):
     def _bracket_impl(self, a, b):
         # [x^a d_i, x^b d_j] = b_i x^(a+b) d_j - a_j x^(a+b) d_i
         s = _vec_add(a.alpha, b.alpha)
-        out: dict = {}
-        ci = b.alpha[a.i - 1]
-        if ci:
-            k = BasisDeriv(WITT, s, b.i)
-            out[k] = out.get(k, 0) + ci
-        cj = a.alpha[b.i - 1]
-        if cj:
-            k = BasisDeriv(WITT, s, a.i)
-            out[k] = out.get(k, 0) - cj
-        return {k: v for k, v in out.items() if v}
+        pairs = ((BasisDeriv(WITT, s, b.i), b.alpha[a.i - 1]), (BasisDeriv(WITT, s, a.i), -a.alpha[b.i - 1]))
+        return accumulate(operator.add, {}, pairs)
 
 
 class WPlusAlgebra(LieAlgebra):
@@ -147,20 +140,12 @@ class WPlusAlgebra(LieAlgebra):
     def _bracket_impl(self, a, b):
         # [x^a D_i, x^b D_j] = b_i x^(a+b-e_i) D_j - a_j x^(a+b-e_j) D_i
         s = _vec_add(a.alpha, b.alpha)
-        out: dict = {}
-        ci = b.alpha[a.i - 1]
-        if ci:
-            e = _vec_sub_unit(s, a.i)
-            if self.in_range(e):
-                k = BasisDeriv(WPLUS, e, b.i)
-                out[k] = out.get(k, 0) + ci
-        cj = a.alpha[b.i - 1]
-        if cj:
-            e = _vec_sub_unit(s, b.i)
-            if self.in_range(e):
-                k = BasisDeriv(WPLUS, e, a.i)
-                out[k] = out.get(k, 0) - cj
-        return {k: v for k, v in out.items() if v}
+        terms = (
+            (_vec_sub_unit(s, a.i), b.i, b.alpha[a.i - 1]),
+            (_vec_sub_unit(s, b.i), a.i, -a.alpha[b.i - 1]),
+        )
+        pairs = ((BasisDeriv(WPLUS, e, j), c) for e, j, c in terms if self.in_range(e))
+        return accumulate(operator.add, {}, pairs)
 
 
 class JacobsonWitt(LieAlgebra):
@@ -193,22 +178,17 @@ class JacobsonWitt(LieAlgebra):
         # [x^(a) D_i, x^(b) D_j]
         #   = C(a+b-e_i, a) x^(a+b-e_i) D_j - C(a+b-e_j, b) x^(a+b-e_j) D_i
         # with C the componentwise binomial; out-of-range targets are dropped.
-        p = self.p
         s = _vec_add(a.alpha, b.alpha)
-        out: dict = {}
-        e = _vec_sub_unit(s, a.i)
-        if self.in_range(e):
-            c = _choose_multi(e, a.alpha) % p
-            if c:
-                k = BasisDeriv(JW, e, b.i)
-                out[k] = (out.get(k, 0) + c) % p
-        e = _vec_sub_unit(s, b.i)
-        if self.in_range(e):
-            c = _choose_multi(e, b.alpha) % p
-            if c:
-                k = BasisDeriv(JW, e, a.i)
-                out[k] = (out.get(k, 0) - c) % p
-        return {k: v for k, v in out.items() if v}
+        terms = (
+            (_vec_sub_unit(s, a.i), b.i, a.alpha, 1),
+            (_vec_sub_unit(s, b.i), a.i, b.alpha, -1),
+        )
+        pairs = (
+            (BasisDeriv(JW, e, j), sign * _choose_multi(e, bottom) % self.p)
+            for e, j, bottom, sign in terms
+            if self.in_range(e)
+        )
+        return accumulate(gf(self.p).add, {}, pairs)
 
     def p_power(self, b: BasisDeriv) -> Optional[BasisDeriv]:
         """The restricted p-th power of a basis symbol: H_i for H_i, else 0."""
@@ -217,15 +197,18 @@ class JacobsonWitt(LieAlgebra):
         return b if b.alpha == eps else None
 
 
-class LieElement:
+class LieElement(SparseElement):
     """A sparse linear combination of one flavor's basis derivations."""
 
-    __slots__ = ("alg", "ring", "terms")
+    __slots__ = ("alg", "ring")
 
     def __init__(self, alg: LieAlgebra, ring, terms: dict):
         self.alg = alg
         self.ring = ring
         self.terms = terms
+
+    def _context(self) -> tuple:
+        return (self.alg, self.ring)
 
     @classmethod
     def zero(cls, alg, ring):
@@ -237,67 +220,17 @@ class LieElement:
         c = ring.one if coeff is None else coeff
         return cls(alg, ring, {b: c} if c else {})
 
-    def _same(self, other):
-        if other.alg is not self.alg or other.ring is not self.ring:
-            raise ValueError("elements from different algebras or rings")
-
-    def __add__(self, other):
-        self._same(other)
-        radd = self.ring.add
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = radd(out.get(k, self.ring.zero), c)
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return LieElement(self.alg, self.ring, out)
-
-    def __sub__(self, other):
-        return self + other.scale(self.ring.from_int(-1))
-
-    def scale(self, c):
-        if not c:
-            return LieElement(self.alg, self.ring, {})
-        rmul = self.ring.mul
-        out = {}
-        for k, v in self.terms.items():
-            nv = rmul(v, c)
-            if nv:  # the quotient t-ring has zero divisors
-                out[k] = nv
-        return LieElement(self.alg, self.ring, out)
-
-    def scale_int(self, n: int):
-        return self.scale(self.ring.from_int(n))
-
     def bracket(self, other) -> "LieElement":
         self._same(other)
-        ring = self.ring
-        out: dict = {}
-        radd, rmul, rint = ring.add, ring.mul, ring.from_int
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                cab = rmul(ca, cb)
-                if not cab:
-                    continue
-                for k, m in self.alg.bracket_basis(a, b).items():
-                    v = radd(out.get(k, ring.zero), rmul(cab, rint(m)))
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-        return LieElement(self.alg, self.ring, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and other.alg is self.alg
-            and other.ring is self.ring
-            and other.terms == self.terms
+        rmul, rint = self.ring.mul, self.ring.from_int
+        pairs = (
+            (k, rmul(cab, rint(m)))
+            for a, ca in self.terms.items()
+            for b, cb in other.terms.items()
+            if (cab := rmul(ca, cb))
+            for k, m in self.alg.bracket_basis(a, b).items()
         )
-
-    def __bool__(self):
-        return bool(self.terms)
+        return self._like(accumulate(self.ring.add, {}, pairs))
 
     def __repr__(self):
         if not self.terms:
@@ -369,22 +302,12 @@ def reduce_wplus_to_jw(x: LieElement, p: int, target: JacobsonWitt = None, ring=
         raise ValueError("reduction applies to W+ elements")
     alg = target if target is not None else JacobsonWitt(x.alg.n, p)
     ring = ring if ring is not None else gf(p)
-    out: dict = {}
-    radd = ring.add
-    for b, c in x.terms.items():
-        if not all(a <= p - 1 for a in b.alpha):
-            continue
-        fr = c * multi_factorial(b.alpha) if isinstance(c, Fraction) else Fraction(c) * multi_factorial(b.alpha)
-        v = from_fraction(ring, fr)
-        if not v:
-            continue
-        k = BasisDeriv(JW, b.alpha, b.i)
-        nv = radd(out.get(k, ring.zero), v)
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return LieElement(alg, ring, out)
+    pairs = (
+        (BasisDeriv(JW, b.alpha, b.i), from_fraction(ring, Fraction(c) * multi_factorial(b.alpha)))
+        for b, c in x.terms.items()
+        if all(a <= p - 1 for a in b.alpha)
+    )
+    return LieElement(alg, ring, accumulate(ring.add, {}, pairs))
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,16 @@ an int in ``[0, p)`` for GF(p), and a zero-trimmed tuple of base scalars
 (index = t-degree) for the t-rings.  Structural equality of values is
 mathematical equality, and the zero of every ring is falsy.  Descriptors
 are cached so identity comparison detects ring mismatches.
+
+``SparseElement`` is the one sparse-combination core (dict key -> nonzero ring
+value) under Lie, enveloping-algebra and tensor elements, and ``accumulate``
+the one place such a dict is summed into.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-
-class RingMismatchError(ValueError):
-    """Raised when two operands do not share a coefficient ring."""
 
 
 def binom_int(a: int, r: int) -> int:
@@ -42,38 +42,6 @@ def multi_factorial(alpha) -> int:
     out = 1
     for a in alpha:
         out *= math.factorial(a)
-    return out
-
-
-def multi_binom(alpha, beta) -> int:
-    """prod_i binom(alpha_i + beta_i, alpha_i) over the integers."""
-    out = 1
-    for a, b in zip(alpha, beta):
-        out *= binom_int(a + b, a)
-    return out
-
-
-def _binom_mod_p_lucas(n: int, k: int, p: int) -> int:
-    # per-digit base-p binomials (Lucas); n, k >= 0
-    out = 1
-    while n or k:
-        n, nd = divmod(n, p)
-        k, kd = divmod(k, p)
-        if kd > nd:
-            return 0
-        out = out * (binom_int(nd, kd) % p) % p
-    return out
-
-
-def multi_binom_mod_p(alpha, beta, p: int) -> int:
-    """prod_i binom(alpha_i + beta_i, alpha_i) mod p, via Lucas' theorem."""
-    if any(a < 0 for a in alpha) or any(b < 0 for b in beta):
-        raise ValueError("multi-indices must be componentwise nonnegative")
-    out = 1
-    for a, b in zip(alpha, beta):
-        out = out * _binom_mod_p_lucas(a + b, a, p) % p
-        if out == 0:
-            return 0
     return out
 
 
@@ -319,67 +287,65 @@ def t_quotient(p: int, q: int) -> TQuotientRing:
     return TQuotientRing(p, q % p)
 
 
-class TPoly:
-    """A truncated t-polynomial: a raw value paired with its ring descriptor.
+# -- sparse combinations over a ring ----------------------------------------------------
 
-    Thin operator wrapper over the descriptor arithmetic; mixing values
-    from distinct rings raises ``RingMismatchError``.
+
+def accumulate(radd, out: dict, pairs) -> dict:
+    """Add each (key, value) pair into out with radd, keeping only nonzero sums."""
+    get = out.get
+    for k, v in pairs:
+        c = get(k)
+        if c is not None:
+            v = radd(c, v)
+        if v:
+            out[k] = v
+        elif c is not None:
+            del out[k]
+    return out
+
+
+class SparseElement:
+    """A sparse linear combination: ``terms`` maps keys to nonzero ring values.
+
+    Subclasses name their context (``_context``: the objects two operands must
+    share, compared by identity) and a constructor taking the context followed
+    by the terms; everything linear lives here.
     """
 
-    __slots__ = ("ring", "value")
+    __slots__ = ("terms",)
 
-    def __init__(self, ring, value=()):
-        self.ring = ring
-        self.value = value
+    def _context(self) -> tuple:
+        raise NotImplementedError
 
-    @classmethod
-    def from_terms(cls, ring, terms: dict) -> "TPoly":
-        out = ring.zero
-        for deg, c in terms.items():
-            out = ring.add(out, ring.mul(ring.t_power(deg), ring.scalar(c)))
-        return cls(ring, out)
+    def _like(self, terms: dict):
+        return type(self)(*self._context(), terms)
 
-    @property
-    def coefficients(self) -> dict:
-        return dict(self.ring.t_terms(self.value))
-
-    def _same(self, other):
-        if not isinstance(other, TPoly) or other.ring is not self.ring:
-            raise RingMismatchError(f"mixed t-rings: {self.ring} vs {getattr(other, 'ring', type(other))}")
-        return other
+    def _same(self, other) -> None:
+        if type(other) is not type(self) or other._context() != self._context():
+            raise ValueError(f"{type(self).__name__} operands from different contexts")
 
     def __add__(self, other):
-        other = self._same(other)
-        return TPoly(self.ring, self.ring.add(self.value, other.value))
+        self._same(other)
+        return self._like(accumulate(self.ring.add, dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        other = self._same(other)
-        return TPoly(self.ring, self.ring.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        other = self._same(other)
-        return TPoly(self.ring, self.ring.mul(self.value, other.value))
+        return self + -other
 
     def __neg__(self):
-        return TPoly(self.ring, self.ring.neg(self.value))
+        return self.scale_int(-1)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TPoly)
-            and other.ring is self.ring
-            and other.value == self.value
-        )
+    def scale(self, c):
+        if not c:
+            return self._like({})
+        rmul = self.ring.mul
+        # the quotient t-ring has zero divisors
+        return self._like({k: v for k, w in self.terms.items() if (v := rmul(w, c))})
 
-    def __hash__(self):
-        return hash((id(self.ring), self.value))
+    def scale_int(self, n: int):
+        return self.scale(self.ring.from_int(n))
 
     def __bool__(self):
-        return bool(self.value)
+        return bool(self.terms)
 
-    def __repr__(self):
-        return f"TPoly({self.ring}, {dict(self.ring.t_terms(self.value))})"
-
-
-def tpoly_mul(f: TPoly, g: TPoly) -> TPoly:
-    """Exact product of two t-polynomials followed by the mode reduction."""
-    return f * g
+    def __eq__(self, other):
+        return type(other) is type(self) and other._context() == self._context() and other.terms == self.terms

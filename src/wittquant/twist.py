@@ -1,18 +1,27 @@
 """Drinfeld twists and the deformed coproduct/antipode/counit they induce.
 
-Four settings share one code path, differing only in the ambient enveloping
-algebra and in the coefficient sequence attached to each twist direction:
+A quantization is an ambient enveloping algebra plus a list of twist
+directions.  Each direction is one Jordanian twist on a pair [h, e] = e
+(Giaquinto-Zhang, JPAA 128, 1998) and carries the two rules the closed forms
+need: its exponent rule, the power of (1 - e t) that a basis symbol picks up
+in the right tensor slot, and its l-fold raising, the image of a basis symbol
+under the divided power (ad e)^l / l!, with its coefficient family.
 
-* ``char0``    -- U(W)[[t]] over the rationals, one direction built from
-  triangular r-matrix data (d0, d0p, gamma); coefficients (A_l, B_l).
-* ``integral`` -- the integral form U(W+)[[t]] with the basic direction
-  h(k) = x^{e_k} D_k, e(k) = x^{2e_k} D_k; integer coefficients
-  C_l = A_l - B_l.
-* ``modular``  -- the restricted algebra u(W(n;1)) over GF(p)[t]/(t^p - q t),
-  directions selected by eta in {0,1}^n with h(k) = x^(e_k) D_k and
-  e(k) = 2 x^(2e_k) D_k; mod-p coefficients Cbar_l.
-* ``modular-u`` -- the same coefficients over the unrestricted U(W(n;1)) with
-  a truncated series ring, used to exercise the reduction chain.
+* ``RMatrixDirection`` -- triangular r-matrix data (d0, d0p, gamma) on U(W):
+  x^alpha d_i has exponent <d0,alpha>/<d0,gamma> and is raised to
+  x^{alpha + l gamma} (A_l d_i - B_l d0p) with the rational (A_l, B_l).
+* ``BasicDirection`` -- the basic direction k, h(k) = x^{e_k} D_k with
+  e(k) = x^{2e_k} D_k on W+ and e(k) = 2 x^(2e_k) D_k on W(n;1):
+  x^alpha D_i has exponent alpha_k - delta_ik and is raised to
+  x^{alpha + l e_k} D_i with the integer C_l = A_l - B_l over a ring of
+  characteristic 0 and with Cbar_l mod p over one of characteristic p.
+
+The factories choose the ambient algebra, the ring and the directions:
+``char0_general`` (U(W)[[t]] over the rationals, one r-matrix direction),
+``integral_eta`` (the integral form U(W+)[[t]]), ``modular`` (the restricted
+u(W(n;1)) over GF(p)[t]/(t^p - q t)) and ``modular_unrestricted`` (U(W(n;1))
+with a truncated series ring, for the reduction chain); the last three take
+the basic directions selected by eta in {0,1}^n.
 
 Every twist is a product of basic one-direction twists
 
@@ -27,11 +36,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .liealg import (
-    WITT,
     BasisDeriv,
     JacobsonWitt,
     RMatrixData,
@@ -42,7 +52,7 @@ from .liealg import (
     from_fraction,
     pairing,
 )
-from .rings import QQ, binom_int, gf, t_quotient, t_series
+from .rings import QQ, accumulate, binom_int, gf, t_quotient, t_series
 from .uea import EnvelopingAlgebra, TensorElement, UEAElement
 
 
@@ -104,11 +114,65 @@ class TwistCoefficients:
         return cls(A, B, A - B, p, Abar, Bbar, (Abar - Bbar) % p)
 
 
+class RMatrixDirection(NamedTuple):
+    """The twist direction of triangular r-matrix data on U(W) over the rationals."""
+
+    k: None
+    h: UEAElement
+    e: UEAElement
+    rmatrix: RMatrixData
+
+    def exponent(self, bd: BasisDeriv) -> int:
+        """<d0, alpha>/<d0, gamma>, which must be an integer."""
+        val = pairing(self.rmatrix.d0, bd.alpha) / self.rmatrix.pairing_value
+        if val.denominator != 1:
+            raise NonIntegralExponentError(f"<d0,{bd.alpha}>/<d0,gamma> = {val} is not an integer")
+        return int(val)
+
+    def _A(self, alpha, ell: int) -> Fraction:
+        """A_l = <d0,gamma>^l / l! * prod_{j<l} <d0p, alpha + j gamma>."""
+        rm = self.rmatrix
+        prod = Fraction(1)
+        for j in range(ell):
+            prod *= pairing(rm.d0p, tuple(a + j * g for a, g in zip(alpha, rm.gamma)))
+        return rm.pairing_value**ell / math.factorial(ell) * prod
+
+    def raised(self, bd: BasisDeriv, ell: int) -> dict:
+        """x^{alpha + l gamma} (A_l d_i - B_l d0p) as a dict BasisDeriv -> Fraction."""
+        rm = self.rmatrix
+        alpha = tuple(a + ell * g for a, g in zip(bd.alpha, rm.gamma))
+        B = rm.pairing_value * rm.gamma[bd.i - 1] * self._A(bd.alpha, ell - 1) if ell else 0
+        pairs = [(bd._replace(alpha=alpha), self._A(bd.alpha, ell))]
+        pairs += [(BasisDeriv(bd.flavor, alpha, j), -B * c) for j, c in enumerate(rm.d0p, start=1)]
+        return accumulate(operator.add, {}, pairs)
+
+
+class BasicDirection(NamedTuple):
+    """The basic twist direction k; its coefficients are C_l, or Cbar_l in characteristic p."""
+
+    k: int
+    h: UEAElement
+    e: UEAElement
+
+    def exponent(self, bd: BasisDeriv) -> int:
+        """alpha_k - delta_ik."""
+        return bd.alpha[self.k - 1] - (bd.i == self.k)
+
+    def raised(self, bd: BasisDeriv, ell: int) -> dict:
+        """x^{alpha + l e_k} D_i with its coefficient; empty when the exponent leaves the algebra."""
+        k, uea = self.k, self.h.uea
+        alpha = bd.alpha[: k - 1] + (bd.alpha[k - 1] + ell,) + bd.alpha[k:]
+        if not uea.alg.in_range(alpha):
+            return {}
+        p = uea.ring.char or None
+        tc = TwistCoefficients.basic(bd.alpha[k - 1], int(bd.i == k), ell, p)
+        return {bd._replace(alpha=alpha): tc.C if p is None else tc.Cbar}
+
+
 @dataclass(frozen=True)
 class TwistElement:
     """A Drinfeld twist with its inverse, both truncated tensor elements."""
 
-    selector: object  # RMatrixData or eta tuple
     shift: object
     forward: TensorElement
     inverse: TensorElement
@@ -147,14 +211,13 @@ class QuantizedHopf:
     conjugation oracle the closed forms are tested against.
     """
 
-    def __init__(self, kind: str, uea: EnvelopingAlgebra, directions, cap: int, *, rmatrix=None, eta=None, q=None):
-        self.kind = kind
+    def __init__(self, uea: EnvelopingAlgebra, directions, cap: int, name: str, eta=None):
         self.uea = uea
-        self.directions = list(directions)  # list of (k, h, e); k None for char0
+        self.directions = list(directions)  # RMatrixDirection / BasicDirection entries
         self.cap = cap
-        self.rmatrix = rmatrix
+        self.name = name  # how reports refer to the twist
         self.eta = eta
-        self.q = q
+        self.q = getattr(uea.ring, "q", None)
         self._f_pow_cache: dict = {}
         self._h_fact_cache: dict = {}
         self._e_pow_cache: dict = {}
@@ -171,7 +234,7 @@ class QuantizedHopf:
         key = (d, a, ell, kind)
         hit = self._h_fact_cache.get(key)
         if hit is None:
-            hit = self.uea.factorial_element(self.directions[d][1], a, ell, kind)
+            hit = self.uea.factorial_element(self.directions[d].h, a, ell, kind)
             self._h_fact_cache[key] = hit
         return hit
 
@@ -179,7 +242,7 @@ class QuantizedHopf:
         key = (d, j)
         hit = self._e_pow_cache.get(key)
         if hit is None:
-            hit = self.uea.power(self.directions[d][2], j)
+            hit = self.uea.power(self.directions[d].e, j)
             self._e_pow_cache[key] = hit
         return hit
 
@@ -204,93 +267,14 @@ class QuantizedHopf:
         self._f_pow_cache[key] = out
         return out
 
-    # -- per-setting coefficient machinery ---------------------------------------------
-
-    def _ell_cap(self) -> int:
-        if self.kind in ("modular", "modular-u"):
-            return self.uea.alg.p
-        return self.cap
-
-    def _exponent(self, d: int, bd: BasisDeriv):
-        """The (1 - e_d t)-exponent of the undeformed tensor factor for bd."""
-        if self.kind == "char0":
-            r = self.rmatrix.pairing_value
-            val = pairing(self.rmatrix.d0, bd.alpha) / r
-            if val.denominator != 1:
-                raise NonIntegralExponentError(
-                    f"<d0,{bd.alpha}>/<d0,gamma> = {val} is not an integer"
-                )
-            return int(val)
-        k = self.directions[d][0]
-        return bd.alpha[k - 1] - (1 if bd.i == k else 0)
-
-    def _char0_A(self, alpha, ell: int) -> Fraction:
-        r = self.rmatrix.pairing_value
-        prod = Fraction(1)
-        for j in range(ell):
-            shifted = tuple(a + j * g for a, g in zip(alpha, self.rmatrix.gamma))
-            prod *= pairing(self.rmatrix.d0p, shifted)
-        return r**ell / math.factorial(ell) * prod
-
-    def _integral_C(self, ak: int, dik: int, ell: int) -> Fraction:
-        return TwistCoefficients.basic(ak, dik, ell).C
-
-    def _modular_C(self, ak: int, dik: int, ell: int) -> int:
-        return TwistCoefficients.basic(ak, dik, ell, self.uea.alg.p).Cbar
-
-    def _raised(self, bd: BasisDeriv, ell) -> UEAElement | None:
-        """The ell-fold raised element with its coefficient sequence folded in."""
-        uea, ring = self.uea, self.uea.ring
-        if self.kind == "char0":
-            # x^{alpha + l*gamma} (A_l d - B_l d0p) with d the derivation of bd
-            (l,) = ell
-            alpha = tuple(a + l * g for a, g in zip(bd.alpha, self.rmatrix.gamma))
-            A = self._char0_A(bd.alpha, l)
-            if l:
-                gamma_i = self.rmatrix.gamma[bd.i - 1]
-                B = self.rmatrix.pairing_value * gamma_i * self._char0_A(bd.alpha, l - 1)
-            else:
-                B = Fraction(0)
-            terms: dict = {}
-            if A:
-                key = ((BasisDeriv(WITT, alpha, bd.i), 1),)
-                terms[key] = from_fraction(ring, A)
-            if B:
-                for j, c in enumerate(self.rmatrix.d0p, start=1):
-                    if c:
-                        key = ((BasisDeriv(WITT, alpha, j), 1),)
-                        cur = terms.get(key, ring.zero)
-                        v = ring.sub(cur, from_fraction(ring, B * c))
-                        if v:
-                            terms[key] = v
-                        else:
-                            terms.pop(key, None)
-            return UEAElement(uea, terms)
-        # basic directions: scalar coefficient, shifted exponent
-        alpha = list(bd.alpha)
-        coeff_q = Fraction(1)
-        coeff_int = 1
-        for d, l in zip(range(len(self.directions)), ell):
-            if not l:
-                continue
-            k = self.directions[d][0]
-            ak, dik = bd.alpha[k - 1], 1 if bd.i == k else 0
-            if self.kind == "integral":
-                coeff_q *= self._integral_C(ak, dik, l)
-            else:
-                coeff_int = coeff_int * self._modular_C(ak, dik, l)
-            alpha[k - 1] += l
-        alpha = tuple(alpha)
-        if not self.uea.alg.in_range(alpha):
-            return None
-        if self.kind == "integral":
-            if not coeff_q:
-                return None
-            return uea.gen(BasisDeriv(bd.flavor, alpha, bd.i), from_fraction(ring, coeff_q))
-        c = ring.from_int(coeff_int)
-        if not c:
-            return None
-        return uea.gen(BasisDeriv(bd.flavor, alpha, bd.i), c)
+    def _raised(self, bd: BasisDeriv, ell) -> UEAElement:
+        """bd raised ell[d] times along each direction d, with the directions' coefficients."""
+        terms = {bd: Fraction(1)}
+        for direction, l in zip(self.directions, ell):
+            pairs = ((b2, c * c2) for b, c in terms.items() for b2, c2 in direction.raised(b, l).items())
+            terms = accumulate(operator.add, {}, pairs)
+        ring = self.uea.ring
+        return self.uea.element({((b, 1),): from_fraction(ring, c) for b, c in terms.items()})
 
     # -- closed-form deformed structure maps ---------------------------------------------
 
@@ -302,17 +286,16 @@ class QuantizedHopf:
         uea, ring = self.uea, self.uea.ring
         X = uea.gen(bd)
         right = uea.one()
-        for d in range(len(self.directions)):
-            right = right * self.one_minus_et_power(d, self._exponent(d, bd))
+        for d, direction in enumerate(self.directions):
+            right = right * self.one_minus_et_power(d, direction.exponent(bd))
         out = TensorElement.of(X, right)
-        lcap = self._ell_cap()
-        for ell in itertools.product(range(lcap), repeat=len(self.directions)):
+        for ell in itertools.product(range(ring.char or self.cap), repeat=len(self.directions)):
             tot = sum(ell)
             tpow = ring.t_power(tot)
             if not tpow:
                 continue  # truncated away in series mode
             raised = self._raised(bd, ell)
-            if raised is None or not raised:
+            if not raised:
                 continue
             left = uea.one()
             invpow = uea.one()
@@ -333,17 +316,16 @@ class QuantizedHopf:
             return hit
         uea, ring = self.uea, self.uea.ring
         pre = uea.one()
-        for d in range(len(self.directions)):
-            pre = pre * self.one_minus_et_power(d, -self._exponent(d, bd))
+        for d, direction in enumerate(self.directions):
+            pre = pre * self.one_minus_et_power(d, -direction.exponent(bd))
         acc = uea.zero()
-        lcap = self._ell_cap()
-        for ell in itertools.product(range(lcap), repeat=len(self.directions)):
+        for ell in itertools.product(range(ring.char or self.cap), repeat=len(self.directions)):
             tot = sum(ell)
             tpow = ring.t_power(tot)
             if not tpow:
                 continue
             raised = self._raised(bd, ell)
-            if raised is None or not raised:
+            if not raised:
                 continue
             piece = raised
             for d, l in zip(range(len(self.directions)), ell):
@@ -353,9 +335,6 @@ class QuantizedHopf:
         out = (pre * acc).scale_int(-1)
         self._antipode_basis_cache[bd] = out
         return out
-
-    def counit_basis(self, bd: BasisDeriv):
-        return self.uea.ring.zero
 
     # -- extensions to arbitrary elements ---------------------------------------------
 
@@ -438,7 +417,7 @@ class QuantizedHopf:
         for d in range(len(self.directions)):
             fwd = fwd * self._basic_twist_slot(d, a, forward=True)
             inv = inv * self._basic_twist_slot(d, a, forward=False)
-        tw = TwistElement(self.rmatrix if self.kind == "char0" else self.eta, a, fwd, inv, self.cap)
+        tw = TwistElement(a, fwd, inv, self.cap)
         tw.validate()
         hit[a] = tw
         return tw
@@ -495,23 +474,26 @@ def char0_general(rmatrix: RMatrixData, cap: int = 5) -> QuantizedHopf:
     uea = EnvelopingAlgebra(alg, ring)
     h = uea.lift(rmatrix.h_element(alg, ring))
     e = uea.lift(rmatrix.e_element(alg, ring))
-    return QuantizedHopf("char0", uea, [(None, h, e)], cap, rmatrix=rmatrix)
+    return QuantizedHopf(uea, [RMatrixDirection(None, h, e, rmatrix)], cap, "r-matrix twist")
+
+
+def _eta_hopf(eta, n: int, make_uea, basic_pair, cap: int) -> QuantizedHopf:
+    """The quantization of make_uea() along the basic directions k with eta_k = 1."""
+    eta = tuple(int(bool(x)) for x in eta)
+    if len(eta) != n or not any(eta):
+        raise ValueError("eta must be a nonzero 0/1 vector of length n")
+    uea = make_uea()
+    dirs = []
+    for k in range(1, n + 1):
+        if eta[k - 1]:
+            h, e = basic_pair(uea.alg, uea.ring, k)
+            dirs.append(BasicDirection(k, uea.lift(h), uea.lift(e)))
+    return QuantizedHopf(uea, dirs, cap, f"eta={''.join(str(x) for x in eta)}", eta)
 
 
 def integral_eta(eta, n: int, cap: int = 5) -> QuantizedHopf:
     """The integral form of U(W+)[[t]] deformed along the directions selected by eta."""
-    eta = tuple(int(bool(x)) for x in eta)
-    if len(eta) != n or not any(eta):
-        raise ValueError("eta must be a nonzero 0/1 vector of length n")
-    alg = WPlusAlgebra(n)
-    ring = t_series(QQ, cap)
-    uea = EnvelopingAlgebra(alg, ring)
-    dirs = []
-    for k in range(1, n + 1):
-        if eta[k - 1]:
-            h, e = basic_pair_wplus(alg, ring, k)
-            dirs.append((k, uea.lift(h), uea.lift(e)))
-    return QuantizedHopf("integral", uea, dirs, cap, eta=eta)
+    return _eta_hopf(eta, n, lambda: EnvelopingAlgebra(WPlusAlgebra(n), t_series(QQ, cap)), basic_pair_wplus, cap)
 
 
 def integral_basic(k: int, n: int, cap: int = 5) -> QuantizedHopf:
@@ -521,59 +503,13 @@ def integral_basic(k: int, n: int, cap: int = 5) -> QuantizedHopf:
 
 def modular(p: int, n: int, eta, q: int = 0) -> QuantizedHopf:
     """The restricted quantization u_{t,q}(W(n;1)) for a direction selector eta."""
-    eta = tuple(int(bool(x)) for x in eta)
-    if len(eta) != n or not any(eta):
-        raise ValueError("eta must be a nonzero 0/1 vector of length n")
-    alg = JacobsonWitt(n, p)
-    ring = t_quotient(p, q)
-    uea = EnvelopingAlgebra(alg, ring, restricted=True)
-    dirs = []
-    for k in range(1, n + 1):
-        if eta[k - 1]:
-            h, e = basic_pair_jw(alg, ring, k)
-            dirs.append((k, uea.lift(h), uea.lift(e)))
-    return QuantizedHopf("modular", uea, dirs, p, eta=eta, q=q % p)
+    return _eta_hopf(
+        eta, n, lambda: EnvelopingAlgebra(JacobsonWitt(n, p), t_quotient(p, q), restricted=True), basic_pair_jw, p
+    )
 
 
 def modular_unrestricted(p: int, n: int, eta, cap: int) -> QuantizedHopf:
     """Same coefficients over the unrestricted U(W(n;1)) with a series ring."""
-    eta = tuple(int(bool(x)) for x in eta)
-    if len(eta) != n or not any(eta):
-        raise ValueError("eta must be a nonzero 0/1 vector of length n")
-    alg = JacobsonWitt(n, p)
-    ring = t_series(gf(p), cap)
-    uea = EnvelopingAlgebra(alg, ring, restricted=False)
-    dirs = []
-    for k in range(1, n + 1):
-        if eta[k - 1]:
-            h, e = basic_pair_jw(alg, ring, k)
-            dirs.append((k, uea.lift(h), uea.lift(e)))
-    return QuantizedHopf("modular-u", uea, dirs, cap, eta=eta)
-
-
-# -- module-level operation wrappers ----------------------------------------------------------
-
-
-def build_twist(hopf: QuantizedHopf, a=0) -> TwistElement:
-    return hopf.build_twist(a)
-
-
-def antipode_twistors(hopf: QuantizedHopf, a=0) -> TwistorPair:
-    return hopf.antipode_twistors(a)
-
-
-def one_minus_et_power(hopf: QuantizedHopf, k: int, m: int) -> UEAElement:
-    """(1 - e(k) t)^m in hopf's ambient algebra (k indexes hopf.directions)."""
-    return hopf.one_minus_et_power(k, m)
-
-
-def quantized_coproduct(hopf: QuantizedHopf, bd: BasisDeriv) -> TensorElement:
-    return hopf.delta_basis(bd)
-
-
-def quantized_antipode(hopf: QuantizedHopf, bd: BasisDeriv) -> UEAElement:
-    return hopf.antipode_basis(bd)
-
-
-def conjugation_oracle(hopf: QuantizedHopf, x: UEAElement):
-    return hopf.conjugation_oracle(x)
+    return _eta_hopf(
+        eta, n, lambda: EnvelopingAlgebra(JacobsonWitt(n, p), t_series(gf(p), cap)), basic_pair_jw, cap
+    )

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .liealg import JW, BasisDeriv, LieAlgebra, LieElement, from_fraction
-from .rings import binom_int, multi_factorial
+from .rings import SparseElement, accumulate, binom_int, multi_factorial
 
 
 class EnvelopingAlgebra:
@@ -116,25 +117,19 @@ class EnvelopingAlgebra:
         else:
             # b b1 rest = b1 (b rest) + [b, b1] rest
             rest = ((b1, e1 - 1),) + mono[1:] if e1 > 1 else mono[1:]
-            acc: dict = {}
-            for m, c in self._insert(b, rest).items():
-                for m2, k in self._insert(b1, m).items():
-                    acc[m2] = acc.get(m2, 0) + c * k
-            for s, k in self.alg.bracket_basis(b, b1).items():
-                for m, c in self._insert(s, rest).items():
-                    acc[m] = acc.get(m, 0) + k * c
-            out = {m: c for m, c in acc.items() if c}
+            out = self._left_multiply((b1,), self._insert(b, rest))
+            brackets = (
+                (m, k * c) for s, k in self.alg.bracket_basis(b, b1).items() for m, c in self._insert(s, rest).items()
+            )
+            accumulate(operator.add, out, brackets)
         self._insert_cache[key] = out
         return out
 
     def _left_multiply(self, symbols, terms: dict) -> dict:
         """Multiply normal terms on the left by each symbol in turn."""
         for b in symbols:
-            acc: dict = {}
-            for m, c in terms.items():
-                for m2, k in self._insert(b, m).items():
-                    acc[m2] = acc.get(m2, 0) + c * k
-            terms = {m: c for m, c in acc.items() if c}
+            products = ((m2, c * k) for m, c in terms.items() for m2, k in self._insert(b, m).items())
+            terms = accumulate(operator.add, {}, products)
         return terms
 
     def normalize_word(self, word) -> dict:
@@ -167,24 +162,15 @@ class EnvelopingAlgebra:
     def mul(self, x: "UEAElement", y: "UEAElement") -> "UEAElement":
         self._check(x)
         self._check(y)
-        ring = self.ring
-        radd, rmul, rint, zero = ring.add, ring.mul, ring.from_int, ring.zero
-        out: dict = {}
-        for m1, c1 in x.terms.items():
-            for m2, c2 in y.terms.items():
-                c = rmul(c1, c2)
-                if not c:
-                    continue
-                for m, k in self.mono_mul(m1, m2).items():
-                    v = c if k == 1 else rmul(c, rint(k))
-                    if not v:
-                        continue
-                    nv = radd(out.get(m, zero), v)
-                    if nv:
-                        out[m] = nv
-                    else:
-                        del out[m]
-        return UEAElement(self, out)
+        rmul, rint, mono_mul = self.ring.mul, self.ring.from_int, self.mono_mul
+        pairs = (
+            (m, c if k == 1 else rmul(c, rint(k)))
+            for m1, c1 in x.terms.items()
+            for m2, c2 in y.terms.items()
+            if (c := rmul(c1, c2))
+            for m, k in mono_mul(m1, m2).items()
+        )
+        return UEAElement(self, accumulate(self.ring.add, {}, pairs))
 
     def power(self, x: "UEAElement", k: int) -> "UEAElement":
         if k < 0:
@@ -201,8 +187,8 @@ class EnvelopingAlgebra:
         return out
 
     def _check(self, x):
-        if x.uea is not self:
-            raise ValueError("element belongs to a different enveloping algebra")
+        if type(x) is not UEAElement or x.uea is not self:
+            raise ValueError("operand is not an element of this enveloping algebra")
 
     # -- standard Hopf structure ---------------------------------------------------
 
@@ -212,34 +198,29 @@ class EnvelopingAlgebra:
             return hit
         result = {((), ()): 1}
         for bd, e in mono:
-            new: dict = {}
-            for (a, b), c in result.items():
-                for j in range(e + 1):
-                    co = c * binom_int(e, j)
-                    ka = a + ((bd, j),) if j else a
-                    kb = b + ((bd, e - j),) if e - j else b
-                    new[(ka, kb)] = new.get((ka, kb), 0) + co
-            result = new
+            # every split (j, e - j) of bd^e extends each key differently: no collisions
+            result = {
+                (a + ((bd, j),) if j else a, b + ((bd, e - j),) if e - j else b): c * binom_int(e, j)
+                for (a, b), c in result.items()
+                for j in range(e + 1)
+            }
         self._delta0_cache[mono] = result
         return result
 
+    def _extend(self, x: "UEAElement", images) -> dict:
+        """Extend a map mono -> {key: int} linearly over the terms of x."""
+        self._check(x)
+        rmul, rint = self.ring.mul, self.ring.from_int
+        pairs = (
+            (key, c if k == 1 else rmul(c, rint(k)))
+            for mono, c in x.terms.items()
+            for key, k in images(mono).items()
+        )
+        return accumulate(self.ring.add, {}, pairs)
+
     def coproduct0(self, x: "UEAElement") -> "TensorElement":
         """The undeformed coproduct, each generator primitive."""
-        self._check(x)
-        ring = self.ring
-        radd, rmul, rint, zero = ring.add, ring.mul, ring.from_int, ring.zero
-        out: dict = {}
-        for mono, c in x.terms.items():
-            for key, k in self._delta0_mono(mono).items():
-                v = c if k == 1 else rmul(c, rint(k))
-                if not v:
-                    continue
-                nv = radd(out.get(key, zero), v)
-                if nv:
-                    out[key] = nv
-                else:
-                    del out[key]
-        return TensorElement(self, 2, out)
+        return TensorElement(self, 2, self._extend(x, self._delta0_mono))
 
     def _antipode0_mono(self, mono) -> dict:
         hit = self._antipode0_cache.get(mono)
@@ -253,21 +234,7 @@ class EnvelopingAlgebra:
 
     def antipode0(self, x: "UEAElement") -> "UEAElement":
         """The undeformed antipode: reverse, negate each generator, renormalize."""
-        self._check(x)
-        ring = self.ring
-        radd, rmul, rint, zero = ring.add, ring.mul, ring.from_int, ring.zero
-        out: dict = {}
-        for mono, c in x.terms.items():
-            for m, k in self._antipode0_mono(mono).items():
-                v = c if k == 1 else rmul(c, rint(k))
-                if not v:
-                    continue
-                nv = radd(out.get(m, zero), v)
-                if nv:
-                    out[m] = nv
-                else:
-                    del out[m]
-        return UEAElement(self, out)
+        return UEAElement(self, self._extend(x, self._antipode0_mono))
 
     def counit0(self, x: "UEAElement"):
         """The undeformed counit: the unit-monomial coefficient."""
@@ -326,29 +293,21 @@ class EnvelopingAlgebra:
             yield tuple((b, e) for b, e in zip(gens, exps) if e)
 
 
-class UEAElement:
+class UEAElement(SparseElement):
     """A sparse combination of PBW monomials over the context's ring."""
 
-    __slots__ = ("uea", "terms")
+    __slots__ = ("uea",)
 
     def __init__(self, uea: EnvelopingAlgebra, terms: dict):
         self.uea = uea
         self.terms = terms
 
-    def __add__(self, other):
-        self.uea._check(other)
-        radd, zero = self.uea.ring.add, self.uea.ring.zero
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = radd(out.get(m, zero), c)
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return UEAElement(self.uea, out)
+    def _context(self) -> tuple:
+        return (self.uea,)
 
-    def __sub__(self, other):
-        return self + other.scale_int(-1)
+    @property
+    def ring(self):
+        return self.uea.ring
 
     def __mul__(self, other):
         return self.uea.mul(self, other)
@@ -356,38 +315,8 @@ class UEAElement:
     def __pow__(self, k: int):
         return self.uea.power(self, k)
 
-    def scale(self, c):
-        if not c:
-            return UEAElement(self.uea, {})
-        rmul = self.uea.ring.mul
-        out = {}
-        for m, v in self.terms.items():
-            nv = rmul(v, c)
-            if nv:
-                out[m] = nv
-        return UEAElement(self.uea, out)
-
-    def scale_int(self, n: int):
-        return self.scale(self.uea.ring.from_int(n))
-
-    def __neg__(self):
-        return self.scale_int(-1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UEAElement)
-            and other.uea is self.uea
-            and other.terms == self.terms
-        )
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def __repr__(self):
         try:
@@ -398,19 +327,26 @@ class UEAElement:
             return f"UEAElement({self.terms!r})"
 
 
-class TensorElement:
+class TensorElement(SparseElement):
     """A sparse element of the arity-fold tensor power of the algebra.
 
     Keys are tuples of PBW monomials, one per slot; coefficients live in the
     shared ring (so truncated t-polynomials multiply across slots correctly).
     """
 
-    __slots__ = ("uea", "arity", "terms")
+    __slots__ = ("uea", "arity")
 
     def __init__(self, uea: EnvelopingAlgebra, arity: int, terms: dict):
         self.uea = uea
         self.arity = arity
         self.terms = terms
+
+    def _context(self) -> tuple:
+        return (self.uea, self.arity)
+
+    @property
+    def ring(self):
+        return self.uea.ring
 
     @classmethod
     def unit(cls, uea, arity=2):
@@ -424,92 +360,28 @@ class TensorElement:
         rmul = ring.mul
         keys = [((), ring.one)]
         for f in factors:
-            new = []
-            for key, c in keys:
-                for m, cf in f.terms.items():
-                    v = rmul(c, cf)
-                    if v:
-                        new.append((key + (m,), v))
-            keys = new
-        agg: dict = {}
-        radd, zero = ring.add, ring.zero
-        for key, c in keys:
-            nv = radd(agg.get(key, zero), c)
-            if nv:
-                agg[key] = nv
-            else:
-                agg.pop(key, None)
-        return cls(uea, len(factors), agg)
-
-    def _same(self, other):
-        if other.uea is not self.uea or other.arity != self.arity:
-            raise ValueError("tensor elements from different contexts")
-
-    def __add__(self, other):
-        self._same(other)
-        radd, zero = self.uea.ring.add, self.uea.ring.zero
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = radd(out.get(k, zero), c)
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return TensorElement(self.uea, self.arity, out)
-
-    def __sub__(self, other):
-        return self + other.scale_int(-1)
-
-    def scale(self, c):
-        if not c:
-            return TensorElement(self.uea, self.arity, {})
-        rmul = self.uea.ring.mul
-        out = {}
-        for k, v in self.terms.items():
-            nv = rmul(v, c)
-            if nv:
-                out[k] = nv
-        return TensorElement(self.uea, self.arity, out)
-
-    def scale_int(self, n: int):
-        return self.scale(self.uea.ring.from_int(n))
+            keys = [(key + (m,), v) for key, c in keys for m, cf in f.terms.items() if (v := rmul(c, cf))]
+        return cls(uea, len(factors), accumulate(ring.add, {}, keys))
 
     def __mul__(self, other):
         self._same(other)
         uea = self.uea
-        ring = uea.ring
-        radd, rmul, rint, zero = ring.add, ring.mul, ring.from_int, ring.zero
-        mono_mul = uea.mono_mul
-        out: dict = {}
-        arity = self.arity
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = rmul(c1, c2)
-                if not c:
-                    continue
-                slot_prods = [mono_mul(k1[s], k2[s]) for s in range(arity)]
-                for combo in itertools.product(*(d.items() for d in slot_prods)):
-                    k = 1
-                    for _, ki in combo:
-                        k *= ki
-                    v = c if k == 1 else rmul(c, rint(k))
-                    if not v:
-                        continue
-                    key = tuple(m for m, _ in combo)
-                    nv = radd(out.get(key, zero), v)
-                    if nv:
-                        out[key] = nv
-                    else:
-                        del out[key]
-        return TensorElement(self.uea, self.arity, out)
+        rmul, rint, mono_mul = uea.ring.mul, uea.ring.from_int, uea.mono_mul
+        slots = range(self.arity)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and other.uea is self.uea
-            and other.arity == self.arity
-            and other.terms == self.terms
-        )
+        def products():
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    c = rmul(c1, c2)
+                    if not c:
+                        continue
+                    for combo in itertools.product(*[mono_mul(k1[s], k2[s]).items() for s in slots]):
+                        k = 1
+                        for _, ki in combo:
+                            k *= ki
+                        yield tuple(m for m, _ in combo), c if k == 1 else rmul(c, rint(k))
+
+        return self._like(accumulate(uea.ring.add, {}, products()))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -524,46 +396,25 @@ class TensorElement:
                 base = base * base
         return out
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def map_slot(self, slot: int, f) -> "TensorElement":
         """Apply a linear map (mono -> UEAElement) to one slot."""
-        ring = self.uea.ring
-        radd, rmul, zero = ring.add, ring.mul, ring.zero
-        out: dict = {}
-        for key, c in self.terms.items():
-            img = f(key[slot])
-            for m, cf in img.terms.items():
-                v = rmul(c, cf)
-                if not v:
-                    continue
-                nk = key[:slot] + (m,) + key[slot + 1 :]
-                nv = radd(out.get(nk, zero), v)
-                if nv:
-                    out[nk] = nv
-                else:
-                    del out[nk]
-        return TensorElement(self.uea, self.arity, out)
+        rmul = self.ring.mul
+        pairs = (
+            (key[:slot] + (m,) + key[slot + 1 :], rmul(c, cf))
+            for key, c in self.terms.items()
+            for m, cf in f(key[slot]).terms.items()
+        )
+        return self._like(accumulate(self.ring.add, {}, pairs))
 
     def expand_slot(self, slot: int, f) -> "TensorElement":
         """Replace one slot through a map (mono -> TensorElement of arity 2)."""
-        ring = self.uea.ring
-        radd, rmul, zero = ring.add, ring.mul, ring.zero
-        out: dict = {}
-        for key, c in self.terms.items():
-            img = f(key[slot])
-            for kk, cf in img.terms.items():
-                v = rmul(c, cf)
-                if not v:
-                    continue
-                nk = key[:slot] + kk + key[slot + 1 :]
-                nv = radd(out.get(nk, zero), v)
-                if nv:
-                    out[nk] = nv
-                else:
-                    del out[nk]
-        return TensorElement(self.uea, self.arity + 1, out)
+        rmul = self.ring.mul
+        pairs = (
+            (key[:slot] + kk + key[slot + 1 :], rmul(c, cf))
+            for key, c in self.terms.items()
+            for kk, cf in f(key[slot]).terms.items()
+        )
+        return TensorElement(self.uea, self.arity + 1, accumulate(self.ring.add, {}, pairs))
 
     def pad(self, left: int = 0, right: int = 0) -> "TensorElement":
         """Tensor with unit slots added on the left/right (e.g. F (x) 1)."""
@@ -574,48 +425,29 @@ class TensorElement:
 
     def contract(self, slot: int, functional) -> "TensorElement":
         """Apply a ring-valued functional (mono -> coeff) to one slot."""
-        ring = self.uea.ring
-        radd, rmul, zero = ring.add, ring.mul, ring.zero
-        out: dict = {}
-        for key, c in self.terms.items():
-            s = functional(key[slot])
-            if not s:
-                continue
-            v = rmul(c, s)
-            nk = key[:slot] + key[slot + 1 :]
-            nv = radd(out.get(nk, zero), v)
-            if nv:
-                out[nk] = nv
-            else:
-                out.pop(nk, None)
-        return TensorElement(self.uea, self.arity - 1, out)
+        rmul = self.ring.mul
+        pairs = (
+            (key[:slot] + key[slot + 1 :], rmul(c, s))
+            for key, c in self.terms.items()
+            if (s := functional(key[slot]))
+        )
+        return TensorElement(self.uea, self.arity - 1, accumulate(self.ring.add, {}, pairs))
 
     def multiply_out(self) -> UEAElement:
         """The image under slotwise multiplication m: A⊗...⊗A -> A."""
         uea = self.uea
-        ring = uea.ring
-        radd, rmul, rint, zero = ring.add, ring.mul, ring.from_int, ring.zero
-        out: dict = {}
-        for key, c in self.terms.items():
-            acc = {(): 1}
-            for m in key:
-                new: dict = {}
-                for cur, k in acc.items():
-                    for mm, k2 in uea.mono_mul(cur, m).items():
-                        new[mm] = new.get(mm, 0) + k * k2
-                acc = new
-            for m, k in acc.items():
-                if not k:
-                    continue
-                v = c if k == 1 else rmul(c, rint(k))
-                if not v:
-                    continue
-                nv = radd(out.get(m, zero), v)
-                if nv:
-                    out[m] = nv
-                else:
-                    del out[m]
-        return UEAElement(uea, out)
+        rmul, rint = uea.ring.mul, uea.ring.from_int
+
+        def products():
+            for key, c in self.terms.items():
+                acc = {(): 1}
+                for m in key:
+                    products = ((mm, k * k2) for cur, k in acc.items() for mm, k2 in uea.mono_mul(cur, m).items())
+                    acc = accumulate(operator.add, {}, products)
+                for m, k in acc.items():
+                    yield m, c if k == 1 else rmul(c, rint(k))
+
+        return UEAElement(uea, accumulate(uea.ring.add, {}, products()))
 
     def to_element(self) -> UEAElement:
         if self.arity != 1:
@@ -629,39 +461,6 @@ class TensorElement:
             return f"<Tensor {format_element(self)}>"
         except Exception:
             return f"TensorElement({self.terms!r})"
-
-
-# -- module-level operation wrappers -------------------------------------------------
-
-
-def pbw_normalize(uea: EnvelopingAlgebra, word) -> UEAElement:
-    """Normal form of a word of basis symbols."""
-    return uea.pbw_normalize(word)
-
-
-def uea_mul(x: UEAElement, y: UEAElement) -> UEAElement:
-    return x * y
-
-
-def coproduct0(x: UEAElement) -> TensorElement:
-    return x.uea.coproduct0(x)
-
-
-def antipode0_counit0(x: UEAElement):
-    """The pair (S0(x), eps0(x)) of the undeformed Hopf structure."""
-    return x.uea.antipode0(x), x.uea.counit0(x)
-
-
-def factorial_element(base: UEAElement, a, r: int, kind: str) -> UEAElement:
-    return base.uea.factorial_element(base, a, r, kind)
-
-
-def ad_divided_power(e, ell: int, x: UEAElement) -> UEAElement:
-    return x.uea.ad_divided_power(e, ell, x)
-
-
-def tensor_mul(x: TensorElement, y: TensorElement) -> TensorElement:
-    return x * y
 
 
 # -- reduction of integral-form elements mod p ----------------------------------------

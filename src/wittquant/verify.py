@@ -14,22 +14,17 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liealg import RMatrixData, WittAlgebra
-from .rings import QQ, binom_int, multi_factorial
+from .liealg import RMatrixData, WittAlgebra, from_fraction
+from .rings import QQ, binom_int, multi_factorial, t_series
 from .twist import (
     QuantizedHopf,
+    TwistCoefficients,
     char0_general,
     integral_eta,
     modular,
     modular_unrestricted,
 )
-from .uea import (
-    EnvelopingAlgebra,
-    TensorElement,
-    ad_divided_power,
-    reduce_element_mod_p,
-    reduce_tensor_mod_p,
-)
+from .uea import EnvelopingAlgebra, TensorElement, reduce_element_mod_p, reduce_tensor_mod_p
 
 
 @dataclass
@@ -149,36 +144,6 @@ class Char0Config:
 # -- shifted factorial identities over a polynomial ring -----------------------------------------
 
 
-def _pmul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] += a * b
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _padd(f, g, scale=Fraction(1)):
-    out = list(f) + [Fraction(0)] * max(0, len(g) - len(f))
-    for j, b in enumerate(g):
-        out[j] += scale * b
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _pfact(a: Fraction, r: int, kind: str):
-    """Shifted factorial of the indeterminate: prod_j (x + a +/- j)."""
-    step = 1 if kind == "rising" else -1
-    out = (Fraction(1),)
-    for j in range(r):
-        out = _pmul(out, (a + step * j, Fraction(1)))
-    return out
-
-
 def _binom_frac(z: Fraction, r: int) -> Fraction:
     out = Fraction(1)
     for j in range(r):
@@ -191,40 +156,49 @@ def check_factorial_identities(max_order: int = 8, shifts=None) -> CheckReport:
     t0 = time.monotonic()
     col = _Collector()
     A = shifts if shifts is not None else [Fraction(v) for v in (-2, -1, 0, 1, 2)] + [Fraction(1, 2)]
+    # polynomials in the indeterminate t; no degree here exceeds max_order
+    R = t_series(QQ, max_order + 1)
+
+    def fact(a: Fraction, r: int, kind: str):
+        """Shifted factorial of t: prod_j (t + a +/- j)."""
+        step = 1 if kind == "rising" else -1
+        out = R.one
+        for j in range(r):
+            out = R.mul(out, R.add(R.scalar(a + step * j), R.t_power(1)))
+        return out
+
     for a in A:
         for s in range(max_order + 1):
             for t in range(max_order + 1 - s):
-                lhs = _pfact(a, s + t, "rising")
-                rhs = _pmul(_pfact(a, s, "rising"), _pfact(a + s, t, "rising"))
+                lhs = fact(a, s + t, "rising")
+                rhs = R.mul(fact(a, s, "rising"), fact(a + s, t, "rising"))
                 col.record("rising-split", lhs == rhs, f"a={a} s={s} t={t}")
-                lhs = _pfact(a, s + t, "falling")
-                rhs = _pmul(_pfact(a, s, "falling"), _pfact(a - s, t, "falling"))
+                lhs = fact(a, s + t, "falling")
+                rhs = R.mul(fact(a, s, "falling"), fact(a - s, t, "falling"))
                 col.record("falling-split", lhs == rhs, f"a={a} s={s} t={t}")
         for s in range(max_order + 1):
             col.record(
                 "falling-to-rising",
-                _pfact(a, s, "falling") == _pfact(a - s + 1, s, "rising"),
+                fact(a, s, "falling") == fact(a - s + 1, s, "rising"),
                 f"a={a} s={s}",
             )
     for a in A:
         for b in A:
             for r in range(max_order + 1):
-                acc = ()
+                acc = R.zero
                 for s in range(r + 1):
                     t = r - s
-                    c = Fraction((-1) ** t, math.factorial(s) * math.factorial(t))
-                    acc = _padd(acc, _pmul(_pfact(a, s, "falling"), _pfact(b, t, "rising")), c)
-                want = _binom_frac(a - b, r)
-                ok = acc == ((want,) if want else ())
+                    c = R.scalar(Fraction((-1) ** t, math.factorial(s) * math.factorial(t)))
+                    acc = R.add(acc, R.mul(c, R.mul(fact(a, s, "falling"), fact(b, t, "rising"))))
+                ok = acc == R.scalar(_binom_frac(a - b, r))
                 col.record("mixed-collapse-to-binomial", ok, f"a={a} b={b} r={r}")
 
-                acc = ()
+                acc = R.zero
                 for s in range(r + 1):
                     t = r - s
-                    c = Fraction((-1) ** t, math.factorial(s) * math.factorial(t))
-                    acc = _padd(acc, _pmul(_pfact(a, s, "falling"), _pfact(b - s, t, "falling")), c)
-                want = _binom_frac(a - b + r - 1, r)
-                ok = acc == ((want,) if want else ())
+                    c = R.scalar(Fraction((-1) ** t, math.factorial(s) * math.factorial(t)))
+                    acc = R.add(acc, R.mul(c, R.mul(fact(a, s, "falling"), fact(b - s, t, "falling"))))
+                ok = acc == R.scalar(_binom_frac(a - b + r - 1, r))
                 col.record("falling-collapse-to-binomial", ok, f"a={a} b={b} r={r}")
     return _finish("factorial", {"cap": max_order}, col, t0)
 
@@ -348,7 +322,7 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
                 rhs = TensorElement(Ut, 2, {})
                 for ell in range(cap):
                     raised = hopf._raised(bd, (ell,))
-                    if raised is None or not raised:
+                    if not raised:
                         continue
                     ha = Ut.factorial_element(hopf.directions[0][1], a, ell, "rising")
                     piece = TensorElement.of(ha, raised.scale(Ut.ring.t_power(ell)))
@@ -359,7 +333,7 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
                 rhs_sum = Ut.zero()
                 for ell in range(cap):
                     raised = hopf._raised(bd, (ell,))
-                    if raised is None or not raised:
+                    if not raised:
                         continue
                     h1a = Ut.factorial_element(hopf.directions[0][1], 1 - Fraction(a), ell, "rising")
                     rhs_sum = rhs_sum + (raised * h1a).scale(Ut.ring.t_power(ell))
@@ -373,7 +347,7 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
                     rhs_sum = Ut.zero()
                     rhs_tensor = TensorElement(Ut, 2, {})
                     for ell in range(cap):
-                        dl = ad_divided_power(e_t, ell, xs)
+                        dl = Ut.ad_divided_power(e_t, ell, xs)
                         if not dl:
                             continue
                         h1a = Ut.factorial_element(hopf.directions[0][1], 1 - Fraction(a), ell, "rising")
@@ -404,7 +378,7 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
                     xj = Ut.power(x, j)
                     xrest = Ut.power(x, s - j)
                     for ell in range(cap):
-                        dl = ad_divided_power(e_t, ell, xrest)
+                        dl = Ut.ad_divided_power(e_t, ell, xrest)
                         if not dl:
                             continue
                         hl = Ut.factorial_element(h_t, 0, ell, "rising")
@@ -416,7 +390,7 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
                 col.record("coproduct-of-powers", dc == rhs, xs)
                 rhs_sum = Ut.zero()
                 for ell in range(cap):
-                    dl = ad_divided_power(e_t, ell, xs)
+                    dl = Ut.ad_divided_power(e_t, ell, xs)
                     if not dl:
                         continue
                     h1 = Ut.factorial_element(h_t, 1, ell, "rising")
@@ -475,19 +449,19 @@ def check_twist_laws(cfg) -> CheckReport:
     for hopf in hopfs:
         label = "single" if len(hopf.directions) == 1 else "product"
         tw = hopf.build_twist(0)
-        col.record(f"cocycle-{label}-twist", _cocycle_ok(hopf, tw.forward), _name_of(hopf))
-        col.record(f"counit-{label}-twist", _counit_ok(hopf, tw.forward), _name_of(hopf))
+        col.record(f"cocycle-{label}-twist", _cocycle_ok(hopf, tw.forward), hopf.name)
+        col.record(f"counit-{label}-twist", _counit_ok(hopf, tw.forward), hopf.name)
         unit = TensorElement.unit(hopf.uea)
         for a in shifts:
             twa = hopf.build_twist(a)
-            col.record("twist-inverse-law", twa.forward * twa.inverse == unit, _name_of(hopf))
+            col.record("twist-inverse-law", twa.forward * twa.inverse == unit, hopf.name)
             pair = hopf.antipode_twistors(a)
             pair_m = hopf.antipode_twistors(-a)
             col.record(
                 "twistor-inverse-law",
                 pair.u_elem * pair_m.v_elem == hopf.uea.one()
                 and pair_m.v_elem * pair.u_elem == hopf.uea.one(),
-                _name_of(hopf),
+                hopf.name,
             )
         if len(hopf.directions) == 1:
             for a in shifts:
@@ -495,13 +469,13 @@ def check_twist_laws(cfg) -> CheckReport:
                     fa = hopf.build_twist(a).forward
                     ib = hopf.build_twist(b).inverse
                     want = TensorElement.of(hopf.uea.one(), hopf.one_minus_et_power(0, a - b))
-                    col.record("shifted-product-law", fa * ib == want, f"{_name_of(hopf)} a={a} b={b}")
+                    col.record("shifted-product-law", fa * ib == want, f"{hopf.name} a={a} b={b}")
                     va = hopf.antipode_twistors(a).v_elem
                     ub = hopf.antipode_twistors(b).u_elem
                     col.record(
                         "twistor-product-law",
                         va * ub == hopf.one_minus_et_power(0, -(a + b)),
-                        f"{_name_of(hopf)} a={a} b={b}",
+                        f"{hopf.name} a={a} b={b}",
                     )
 
     multi = [h for h in hopfs if len(h.directions) >= 2]
@@ -512,17 +486,11 @@ def check_twist_laws(cfg) -> CheckReport:
             Fj = hopf.basic_twist_factor(dj)
             lhs = Fj.pad(right=1) * Fi.expand_slot(0, d0)
             rhs = Fi.expand_slot(0, d0) * Fj.pad(right=1)
-            col.record("cross-direction-commutation-left", lhs == rhs, _name_of(hopf))
+            col.record("cross-direction-commutation-left", lhs == rhs, hopf.name)
             lhs = Fj.pad(left=1) * Fi.expand_slot(1, d0)
             rhs = Fi.expand_slot(1, d0) * Fj.pad(left=1)
-            col.record("cross-direction-commutation-right", lhs == rhs, _name_of(hopf))
+            col.record("cross-direction-commutation-right", lhs == rhs, hopf.name)
     return _finish("twist", suite_cfg, col, t0)
-
-
-def _name_of(hopf) -> str:
-    if hopf.kind == "char0":
-        return "r-matrix twist"
-    return f"eta={''.join(str(x) for x in hopf.eta)}"
 
 
 # -- Hopf axioms ---------------------------------------------------------------------------------
@@ -613,10 +581,10 @@ def check_modular_reduction(p: int, n: int, k: int, seed: int = 0) -> CheckRepor
         for i in range(1, n + 1):
             dik = 1 if i == k else 0
             for ell in range(2 * p + 1):
-                C = int_hopf._integral_C(ak, dik, ell)
+                C = TwistCoefficients.basic(ak, dik, ell).C
                 col.record("twist-coefficient-integrality", C.denominator == 1, f"alpha={alpha} i={i} l={ell}")
                 if ell < p:
-                    Cbar = mod_hopf._modular_C(ak, dik, ell)
+                    Cbar = TwistCoefficients.basic(ak, dik, ell, p).Cbar
                     lifted = math.factorial(ell) * binom_int(ak + ell, ell) * C
                     col.record(
                         "coefficient-reduction-match",
@@ -630,8 +598,6 @@ def check_modular_reduction(p: int, n: int, k: int, seed: int = 0) -> CheckRepor
         for i in range(1, n + 1):
             bd = WU.alg.basis_symbol(alpha, i)
             scale = Fraction(1, multi_factorial(alpha))
-            from .liealg import from_fraction
-
             dx = int_hopf.delta_basis(bd).scale(from_fraction(WU.ring, scale))
             sx = int_hopf.antipode_basis(bd).scale(from_fraction(WU.ring, scale))
             target_bd = MU.alg.basis_symbol(alpha, i)
@@ -690,10 +656,9 @@ def check_restricted_structure(cfg: ModularConfig) -> CheckReport:
         x = U.gen(bd)
         for ell_vec in itertools.product(range(p), repeat=len(hopf.directions)):
             want = hopf._raised(bd, ell_vec)
-            want = U.zero() if want is None else want
             got = x
             for d, l in zip(dirs, ell_vec):
-                got = ad_divided_power(hopf.directions[d][2], l, got)
+                got = U.ad_divided_power(hopf.directions[d].e, l, got)
             col.record("composed-divided-ad-powers", got == want, x)
 
     # divided powers on unit-exponent generators and on p-th powers
@@ -705,14 +670,14 @@ def check_restricted_structure(cfg: ModularConfig) -> CheckReport:
         for d in dirs:
             k = hopf.directions[d][0]
             for ell in range(p):
-                got = ad_divided_power(hopf.directions[d][2], ell, x)
+                got = U.ad_divided_power(hopf.directions[d].e, ell, x)
                 want = x if ell == 0 else (-e_i if (ell == 1 and i == k) else U.zero())
                 col.record("divided-power-on-unit-exponent", got == want, x)
         xp = U.power(x, p)
         for d in dirs:
             k = hopf.directions[d][0]
             for ell in range(p):
-                got = ad_divided_power(hopf.directions[d][2], ell, xp)
+                got = U.ad_divided_power(hopf.directions[d].e, ell, xp)
                 want = xp if ell == 0 else (-e_i if (ell == 1 and i == k) else U.zero())
                 col.record("divided-power-on-p-th-power", got == want, xp)
     for bd in gens:
@@ -735,7 +700,7 @@ def check_restricted_structure(cfg: ModularConfig) -> CheckReport:
                 for ell_vec in itertools.product(range(p), repeat=len(hopf.directions)):
                     dl = xrest
                     for d, l in zip(dirs, ell_vec):
-                        dl = ad_divided_power(hopf.directions[d][2], l, dl)
+                        dl = U.ad_divided_power(hopf.directions[d].e, l, dl)
                     if not dl:
                         continue
                     left = xj
@@ -756,7 +721,7 @@ def check_restricted_structure(cfg: ModularConfig) -> CheckReport:
             for ell_vec in itertools.product(range(p), repeat=len(hopf.directions)):
                 dl = xs
                 for d, l in zip(dirs, ell_vec):
-                    dl = ad_divided_power(hopf.directions[d][2], l, dl)
+                    dl = U.ad_divided_power(hopf.directions[d].e, l, dl)
                 if not dl:
                     continue
                 piece = dl
@@ -835,10 +800,19 @@ def check_dimensions_radford(cfg: ModularConfig, enumeration_limit: int = 5000) 
 SUITES = ("factorial", "commutation", "twist", "hopf", "reduction", "restricted", "dims")
 
 
-def run_suites(names, modular_cfg: ModularConfig | None = None, char0_cfg: Char0Config | None = None):
-    """Run the selected named suites; returns reports sorted by suite name."""
+def suite_names(names) -> tuple:
+    """The suites that 'all', a comma list or a sequence of names selects; rejects unknown names."""
     if isinstance(names, str):
         names = SUITES if names == "all" else tuple(names.split(","))
+    for name in names:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)} or 'all')")
+    return tuple(names)
+
+
+def run_suites(names, modular_cfg: ModularConfig | None = None, char0_cfg: Char0Config | None = None):
+    """Run the selected named suites; returns reports sorted by suite name."""
+    names = suite_names(names)
     reports = []
     for name in names:
         if name == "factorial":
@@ -864,6 +838,4 @@ def run_suites(names, modular_cfg: ModularConfig | None = None, char0_cfg: Char0
             reports.append(check_restricted_structure(modular_cfg or ModularConfig(3, 1, (1,))))
         elif name == "dims":
             reports.append(check_dimensions_radford(modular_cfg or ModularConfig(3, 1, (1,))))
-        else:
-            raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)} or 'all')")
     return reports

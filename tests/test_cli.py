@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import wittquant.cli
 from wittquant.cli import main
 from wittquant.grammar import parse_element
 from wittquant.twist import modular
@@ -94,3 +97,38 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run(capsys, "verify", "--p", "3", "--n", "1", "--eta", "1", "--suite", "bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize("p,n", [(4, 1), (9, 1), (3, -1)])
+def test_dims_rejects_bad_p_or_n(capsys, p, n):
+    code, out, err = run(capsys, "dims", "--p", str(p), "--n", str(n))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_unwritable_json_path_exits_2_before_any_suite(tmp_path, capsys, monkeypatch):
+    def no_suites(*args, **kwargs):
+        raise AssertionError("a suite ran before the report path was checked")
+
+    monkeypatch.setattr(wittquant.cli, "run_suites", no_suites)
+    path = tmp_path / "missing" / "r.json"
+    code, out, err = run(
+        capsys, "verify", "--p", "3", "--n", "1", "--eta", "1", "--suite", "dims", "--json-path", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "r.json" in err
+    assert not path.parent.exists()
+
+
+def test_verify_unknown_suite_exits_2_before_any_suite_or_report(tmp_path, capsys, monkeypatch):
+    def no_suites(*args, **kwargs):
+        raise AssertionError("a suite ran although a suite name is unknown")
+
+    monkeypatch.setattr(wittquant.cli, "run_suites", no_suites)
+    path = tmp_path / "r.json"
+    code, out, err = run(
+        capsys, "verify", "--p", "3", "--n", "1", "--eta", "1", "--suite", "dims,bogus", "--json-path", str(path)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "bogus" in err
+    assert not path.exists()

@@ -7,24 +7,14 @@ from oracles import mat_mul, mono_of_sorted_word, op_matrix, rewrite_normalize
 
 from wittquant.liealg import (
     JacobsonWitt,
+    LieElement,
     WittAlgebra,
     WPlusAlgebra,
     basic_pair_jw,
     basic_pair_wplus,
 )
-from wittquant.rings import QQ, binom_int, gf
-from wittquant.uea import (
-    EnvelopingAlgebra,
-    TensorElement,
-    UEAElement,
-    ad_divided_power,
-    antipode0_counit0,
-    coproduct0,
-    factorial_element,
-    pbw_normalize,
-    tensor_mul,
-    uea_mul,
-)
+from wittquant.rings import QQ, binom_int, gf, t_series
+from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement
 
 
 # -- fixtures ---------------------------------------------------------------------
@@ -51,25 +41,25 @@ def test_pbw_normalize_examples_char0():
     h, e = basic_pair_wplus(U.alg, QQ, 1)
     hg, eg = next(iter(h.terms)), next(iter(e.terms))
     # e then h rewrites to h*e - e since [e, h] = -e
-    got = pbw_normalize(U, [eg, hg])
+    got = U.pbw_normalize([eg, hg])
     assert got == U.gen(hg) * U.gen(eg) - U.gen(eg)
-    assert pbw_normalize(U, [hg]) == U.gen(hg)
+    assert U.pbw_normalize([hg]) == U.gen(hg)
 
 
 def test_pbw_normalize_restricted_cube():
     U = u31()
     H = U.alg.basis_symbol((1,), 1)
-    assert pbw_normalize(U, [H, H, H]) == U.gen(H)
+    assert U.pbw_normalize([H, H, H]) == U.gen(H)
     D = U.alg.basis_symbol((0,), 1)
-    assert not pbw_normalize(U, [D, D, D])
+    assert not U.pbw_normalize([D, D, D])
 
 
 def test_uea_mul_examples():
     U = uw_plus()
     h, e = basic_pair_wplus(U.alg, QQ, 1)
     H, E = U.lift(h), U.lift(e)
-    assert uea_mul(H, U.one()) == H
-    assert uea_mul(E, H) == H * E - E
+    assert U.mul(H, U.one()) == H
+    assert U.mul(E, H) == H * E - E
     assert (H * E).terms  # already ordered, single monomial
     assert len((H * E).terms) == 1
 
@@ -235,31 +225,31 @@ def test_coproduct0_examples():
     U = uw_plus()
     h, _ = basic_pair_wplus(U.alg, QQ, 1)
     H = U.lift(h)
-    assert coproduct0(H) == TensorElement.of(H, U.one()) + TensorElement.of(U.one(), H)
-    assert coproduct0(U.one()) == TensorElement.unit(U)
+    assert U.coproduct0(H) == TensorElement.of(H, U.one()) + TensorElement.of(U.one(), H)
+    assert U.coproduct0(U.one()) == TensorElement.unit(U)
 
-    h2 = factorial_element(H, 0, 2, "falling")  # h(h-1)
+    h2 = U.factorial_element(H, 0, 2, "falling")  # h(h-1)
     want = (
         TensorElement.of(h2, U.one())
         + TensorElement.of(H, H).scale_int(2)
         + TensorElement.of(U.one(), h2)
     )
-    assert coproduct0(h2) == want
+    assert U.coproduct0(h2) == want
 
 
 def test_antipode0_counit0_examples():
     U = u31()
     g = U.gen(U.alg.basis_symbol((2,), 1))
-    s, eps = antipode0_counit0(g)
+    s, eps = U.antipode0(g), U.counit0(g)
     assert s == -g and not eps
 
     UW = uw_plus()
     h, e = basic_pair_wplus(UW.alg, QQ, 1)
     H, E = UW.lift(h), UW.lift(e)
-    s, eps = antipode0_counit0(H * E)
+    s, eps = UW.antipode0(H * E), UW.counit0(H * E)
     assert s == E * H and s == H * E - E and not eps
 
-    s, eps = antipode0_counit0(UW.one())
+    s, eps = UW.antipode0(UW.one()), UW.counit0(UW.one())
     assert s == UW.one() and eps == Fraction(1)
 
 
@@ -323,11 +313,11 @@ def test_falling_factorial_coproduct_binomial_expansion(which):
         H = U.gen(U.alg.basis_symbol((0,), 1))
     for r in range(0, 7):
         for s in (-2, -1, 0, 1, 2):
-            lhs = coproduct0(factorial_element(H, 0, r, "falling"))
+            lhs = U.coproduct0(U.factorial_element(H, 0, r, "falling"))
             rhs = TensorElement(U, 2, {})
             for i in range(r + 1):
-                a = factorial_element(H, -s, i, "falling")
-                b = factorial_element(H, s, r - i, "falling")
+                a = U.factorial_element(H, -s, i, "falling")
+                b = U.factorial_element(H, s, r - i, "falling")
                 rhs = rhs + TensorElement.of(a, b).scale_int(binom_int(r, i))
             assert lhs == rhs, (r, s)
 
@@ -336,21 +326,21 @@ def test_factorial_element_examples():
     U = uw_plus()
     h, _ = basic_pair_wplus(U.alg, QQ, 1)
     H = U.lift(h)
-    assert factorial_element(H, 0, 2, "falling") == H * H - H
-    assert factorial_element(H, 1, 1, "rising") == H + U.one()
-    assert factorial_element(H, Fraction(7, 2), 0, "rising") == U.one()
-    assert factorial_element(H, Fraction(7, 2), 0, "falling") == U.one()
+    assert U.factorial_element(H, 0, 2, "falling") == H * H - H
+    assert U.factorial_element(H, 1, 1, "rising") == H + U.one()
+    assert U.factorial_element(H, Fraction(7, 2), 0, "rising") == U.one()
+    assert U.factorial_element(H, Fraction(7, 2), 0, "falling") == U.one()
 
 
 def test_ad_divided_power_basics():
     U = u31()
     h, e = basic_pair_jw(U.alg, gf(3), 1)
     x = U.gen(U.alg.basis_symbol((2,), 1))
-    assert ad_divided_power(e, 0, x) == x
+    assert U.ad_divided_power(e, 0, x) == x
     # d^(1)(h) = [e, h] = -e
-    assert ad_divided_power(e, 1, U.lift(h)) == -U.lift(e)
+    assert U.ad_divided_power(e, 1, U.lift(h)) == -U.lift(e)
     with pytest.raises(ValueError):
-        ad_divided_power(e, 3, x)  # 1/3! missing in char 3
+        U.ad_divided_power(e, 3, x)  # 1/3! missing in char 3
 
 
 def test_ad_divided_power_off_direction_vanishes():
@@ -358,7 +348,7 @@ def test_ad_divided_power_off_direction_vanishes():
     U = EnvelopingAlgebra(alg, gf(3), restricted=True)
     _, e1 = basic_pair_jw(alg, gf(3), 1)
     h2 = U.gen(alg.basis_symbol((0, 1), 2))
-    assert not ad_divided_power(e1, 1, h2)  # i != k kills the correction
+    assert not U.ad_divided_power(e1, 1, h2)  # i != k kills the correction
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -370,24 +360,24 @@ def test_leibniz_expansion_of_divided_ad_powers(p):
     pairs = [(a, b) for a in gens for b in gens][:9]
     for ell in range(p):
         for a, b in pairs:
-            lhs = ad_divided_power(e, ell, a * b)
+            lhs = U.ad_divided_power(e, ell, a * b)
             rhs = U.zero()
             for l1 in range(ell + 1):
-                rhs = rhs + ad_divided_power(e, l1, a) * ad_divided_power(e, ell - l1, b)
+                rhs = rhs + U.ad_divided_power(e, l1, a) * U.ad_divided_power(e, ell - l1, b)
             assert lhs == rhs, (ell,)
     # triples, smaller sweep
     trip = gens[:3]
     for ell in range(p):
         for a, b, c in itertools.product(trip, repeat=3):
-            lhs = ad_divided_power(e, ell, a * b * c)
+            lhs = U.ad_divided_power(e, ell, a * b * c)
             rhs = U.zero()
             for l1 in range(ell + 1):
                 for l2 in range(ell - l1 + 1):
                     l3 = ell - l1 - l2
                     rhs = rhs + (
-                        ad_divided_power(e, l1, a)
-                        * ad_divided_power(e, l2, b)
-                        * ad_divided_power(e, l3, c)
+                        U.ad_divided_power(e, l1, a)
+                        * U.ad_divided_power(e, l2, b)
+                        * U.ad_divided_power(e, l3, c)
                     )
             assert lhs == rhs
 
@@ -448,6 +438,46 @@ def test_cross_context_operations_rejected():
         x + y
     with pytest.raises(ValueError):
         TensorElement.of(x, x) * TensorElement.of(y, y)
+    with pytest.raises(ValueError):
+        U1.one() * TensorElement.of(x, x)  # a tensor is no operand of the algebra's product
+
+
+def _mixed_pair(cls, change):
+    """Two elements of cls whose contexts differ in their ring, algebra or tensor arity."""
+    alg = WPlusAlgebra(1)
+    b = alg.basis_symbol((1,), 1)
+    ring_b = t_series(QQ, 2) if change == "ring" else QQ
+    alg_b = WPlusAlgebra(1) if change == "algebra" else alg
+    if cls is LieElement:
+        return LieElement.from_basis(alg, QQ, b), LieElement.from_basis(alg_b, ring_b, b), LieElement.bracket
+    U = EnvelopingAlgebra(alg, QQ)
+    Ub = U if change == "arity" else EnvelopingAlgebra(alg_b, ring_b)
+    x, y = U.gen(b), Ub.gen(b)
+    if cls is UEAElement:
+        return x, y, UEAElement.__mul__
+    return TensorElement.of(x, x), TensorElement.of(*[y] * (3 if change == "arity" else 2)), TensorElement.__mul__
+
+
+@pytest.mark.parametrize(
+    "cls,change",
+    [
+        (LieElement, "ring"),
+        (LieElement, "algebra"),
+        (UEAElement, "ring"),
+        (UEAElement, "algebra"),
+        (TensorElement, "ring"),
+        (TensorElement, "algebra"),
+        (TensorElement, "arity"),
+    ],
+)
+def test_context_check_rejects_mixed_operands(cls, change):
+    x, y, product = _mixed_pair(cls, change)
+    assert x + x == x.scale_int(2) and x == x
+    with pytest.raises(ValueError):
+        x + y
+    with pytest.raises(ValueError):
+        product(x, y)
+    assert (x == y) is False and (y == x) is False
 
 
 def test_tensor_mul_examples():
@@ -455,9 +485,9 @@ def test_tensor_mul_examples():
     h, e = basic_pair_wplus(U.alg, QQ, 1)
     H, E = U.lift(h), U.lift(e)
     X = TensorElement.of(H, E)
-    assert tensor_mul(TensorElement.unit(U), X) == X
-    assert tensor_mul(TensorElement.of(H, U.one()), TensorElement.of(U.one(), E)) == X
-    assert tensor_mul(TensorElement.of(U.one(), E), TensorElement.of(H, U.one())) == X
+    assert TensorElement.unit(U) * X == X
+    assert TensorElement.of(H, U.one()) * TensorElement.of(U.one(), E) == X
+    assert TensorElement.of(U.one(), E) * TensorElement.of(H, U.one()) == X
 
 
 @pytest.mark.parametrize("p,n,seed", [(3, 1, 51), (3, 2, 52), (5, 1, 53)])
