@@ -8,6 +8,12 @@
     factor  := 'x(' int (',' int)* ')D' int ['^' exp]
     tpow    := 't' ['^' int]
 
+Exponents never expand into words of that length.  In a restricted algebra
+each factor's exponent is first folded by the relations b^p = b^[p] (so
+``x(1)D1^1000000000`` is ``x(1)D1^2`` at p = 3); elsewhere a chunk whose
+factor exponents sum past ``MAX_DEGREE`` = 1000 is a syntax error.  A t-power
+is reduced by the ring, so any t-degree is accepted.
+
 The canonical form produced by :func:`format_element` sorts terms by monomial
 key and then t-degree, prints coefficients minimally (1 omitted, signs pulled
 into the separators), and attaches the coefficient to the first tensor slot,
@@ -21,6 +27,9 @@ from fractions import Fraction
 
 from .liealg import from_fraction
 from .uea import EnvelopingAlgebra, TensorElement, UEAElement
+
+
+MAX_DEGREE = 1000  # largest total factor degree of one chunk outside restricted mode
 
 
 class ElementSyntaxError(ValueError):
@@ -165,20 +174,24 @@ class _Parser:
                 return coeff, factors, tdeg
 
     def _chunk_element(self, sign: int) -> UEAElement:
+        pos = self._peek()[2]
         coeff, factors, tdeg = self._chunk()
-        return self._build(sign * coeff, factors, tdeg)
+        return self._build(sign * coeff, factors, tdeg, pos)
 
-    def _build(self, coeff: Fraction, factors, tdeg: int) -> UEAElement:
+    def _build(self, coeff: Fraction, factors, tdeg: int, pos: int) -> UEAElement:
         uea, ring = self.uea, self.uea.ring
-        word = []
-        for bd, e in factors:
-            word.extend([bd] * e)
         c = from_fraction(ring, coeff)
         if tdeg:
             if not hasattr(ring, "t_power"):
                 raise ElementSyntaxError("t-powers need a t-polynomial ring", 0)
             c = ring.mul(c, ring.t_power(tdeg))
-        return uea.pbw_normalize(word).scale(c)
+        if uea.restricted:
+            factors = [(bd, uea.fold_exponent(bd, e)) for bd, e in factors]
+            if not all(e for _, e in factors):
+                return uea.zero()
+        elif sum(e for _, e in factors) > MAX_DEGREE:
+            raise ElementSyntaxError(f"total degree above {MAX_DEGREE}", pos)
+        return uea.pbw_normalize(bd for bd, e in factors for _ in range(e)).scale(c)
 
     def parse(self):
         terms = []

@@ -16,6 +16,13 @@ an int in ``[0, p)`` for GF(p), and a zero-trimmed tuple of base scalars
 mathematical equality, and the zero of every ring is falsy.  Descriptors
 are cached so identity comparison detects ring mismatches.
 
+The quotient ring GF(p)[t]/(t^p - q t) is finite, with p^p values, so each
+descriptor memoizes ``mul`` and ``add`` in two plain dicts keyed by the operand
+pair; a miss computes through the shared t-ring arithmetic.  Values are
+immutable, so sharing a cached result is safe and fill order changes nothing.
+Series rings are not memoized: over QQ they are infinite, and a memo would
+grow with every new value, costing more memory than it saves time.
+
 ``SparseElement`` is the one sparse-combination core (dict key -> nonzero ring
 value) under Lie, enveloping-algebra and tensor elements, and ``accumulate``
 the one place such a dict is summed into.
@@ -257,11 +264,26 @@ class TQuotientRing(_TRingBase):
         self.char = p
         self.zero = ()
         self.one = (1,)
+        self._mul_memo: dict = {}
+        self._add_memo: dict = {}
+
+    def mul(self, a, b):
+        try:
+            return self._mul_memo[a, b]
+        except KeyError:
+            return self._mul_memo.setdefault((a, b), _TRingBase.mul(self, a, b))
+
+    def add(self, a, b):
+        try:
+            return self._add_memo[a, b]
+        except KeyError:
+            return self._add_memo.setdefault((a, b), _TRingBase.add(self, a, b))
 
     def t_power(self, r: int):
-        coeffs = [0] * (r + 1)
-        coeffs[r] = 1
-        return self._reduce(coeffs)
+        # t^r = q^k t^(r - k(p-1)) with k = (r-1)//(p-1) for r >= 1, by t^p = q t
+        k = max(r - 1, 0) // (self.p - 1)
+        c = pow(self.q, k, self.p)
+        return (0,) * (r - k * (self.p - 1)) + (c,) if c else ()
 
     def _reduce(self, coeffs: list) -> tuple:
         # fold t^(p+k) -> q * t^(1+k), highest degree first

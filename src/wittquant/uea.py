@@ -95,7 +95,7 @@ class EnvelopingAlgebra:
 
     # -- normalization core ----------------------------------------------------
 
-    def _fold_exponent(self, b: BasisDeriv, e: int) -> int:
+    def fold_exponent(self, b: BasisDeriv, e: int) -> int:
         """Exponent of b^e under the restricted relations b^p = b^[p]; 0 when b^e dies."""
         p = self.alg.p if self.restricted else 0
         if not p or e < p:
@@ -112,7 +112,7 @@ class EnvelopingAlgebra:
             return hit
         b1, e1 = mono[0]
         if b == b1:
-            e = self._fold_exponent(b, e1 + 1)
+            e = self.fold_exponent(b, e1 + 1)
             out = {((b, e),) + mono[1:]: 1} if e else {}
         else:
             # b b1 rest = b1 (b rest) + [b, b1] rest

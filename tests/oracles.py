@@ -13,6 +13,10 @@ powers.  None of this code shares logic with the bracket implementation.
 ``rewrite_normalize`` is the reference PBW straightener: it rewrites whole
 words one adjacent swap at a time, which shares no subproblems and no code
 with the memoized left insertion of :mod:`wittquant.uea`.
+
+``quotient_mul`` and ``quotient_add`` are the reference arithmetic of
+GF(p)[t]/(t^p - q t): a dense schoolbook product followed by long division
+by the monic modulus, sharing no code with :mod:`wittquant.rings`.
 """
 from __future__ import annotations
 
@@ -60,6 +64,33 @@ def rewrite_normalize(uea, word) -> dict:
             if not work[w2]:
                 del work[w2]
     return {m: c for m, c in out.items() if c}
+
+
+def _trimmed(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def quotient_add(p: int, a, b) -> tuple:
+    """a + b for coefficient sequences (index = t-degree) over GF(p)."""
+    return _trimmed((x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+
+def quotient_mul(p: int, q: int, a, b) -> tuple:
+    """a * b in GF(p)[t]/(t^p - q t): dense product, then the remainder mod t^p - q t."""
+    prod = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    modulus = [0] * (p + 1)  # t^p - q t, low degree first
+    modulus[1], modulus[p] = -q % p, 1
+    for top in range(len(prod) - 1, p - 1, -1):
+        c = prod[top]
+        for k, m in enumerate(modulus):
+            prod[top - p + k] = (prod[top - p + k] - c * m) % p
+    return _trimmed(prod[:p])
 
 
 def o_basis(p: int, n: int):

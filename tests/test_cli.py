@@ -132,3 +132,26 @@ def test_verify_unknown_suite_exits_2_before_any_suite_or_report(tmp_path, capsy
     assert code == 2 and out == ""
     assert err.startswith("error:") and "bogus" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "p,n,want",
+    [
+        (3, 1, "dim u(W(1;1)) = 3^(1*3^1) = 27 [enumerable]\ndim over K[t]_3^(q) = 3^(1+1*3^1) = 81\n"),
+        (5, 1, "dim u(W(1;1)) = 5^(1*5^1) = 3125 [enumerable]\ndim over K[t]_5^(q) = 5^(1+1*5^1) = 15625\n"),
+        (
+            3, 2,
+            "dim u(W(2;1)) = 3^(2*3^2) = 387420489 [structural (enumeration skipped)]\n"
+            "dim over K[t]_3^(q) = 3^(1+2*3^2) = 1162261467\n",
+        ),
+        (
+            3, 7,
+            "dim u(W(7;1)) = 3^(7*3^7) = 3^15309 (7305 digits) [structural (enumeration skipped)]\n"
+            "dim over K[t]_3^(q) = 3^(1+7*3^7) = 3^15310 (7305 digits)\n",
+        ),
+    ],
+)
+def test_dims_output(capsys, p, n, want):
+    # past Python's 4300-digit int-to-str limit the power is given as p^e and its digit count
+    code, out, err = run(capsys, "dims", "--p", str(p), "--n", str(n))
+    assert (code, out, err) == (0, want, "")

@@ -1,12 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from wittquant.grammar import ElementSyntaxError, format_element, parse_element
-from wittquant.liealg import JacobsonWitt, WPlusAlgebra
-from wittquant.rings import QQ, gf, t_series
-from wittquant.twist import integral_basic, modular
+from wittquant.grammar import MAX_DEGREE, ElementSyntaxError, format_element, parse_element
+from wittquant.liealg import WPlusAlgebra
+from wittquant.rings import QQ
+from wittquant.twist import integral_basic, modular, modular_unrestricted
 from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement
 
 
@@ -133,3 +134,26 @@ def test_round_trip_char0_series():
                 terms[mono] = c
         x = UEAElement(U, terms)
         assert parse_element(format_element(x), U) == x
+
+
+def test_huge_exponents_are_folded_not_expanded():
+    U = u31()
+    h = U.gen(U.alg.basis_symbol((1,), 1))
+    start = time.perf_counter()
+    assert parse_element("x(1)D1^1000000000", U) == h * h  # H^3 = H, so H^(2k) = H^2
+    assert parse_element("x(2)D1^1000000000", U) == U.zero()  # E^3 = 0
+    assert parse_element("t^1000000000", U) == U.zero()  # t^3 = 0 at q = 0
+    U1 = modular(3, 1, (1,), 1).uea
+    assert parse_element("t^1000000000", U1) == U1.scalar(U1.ring.t_power(2))  # t^3 = t at q = 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_unrestricted_degree_cap():
+    U = modular_unrestricted(3, 1, (1,), 4).uea
+    with pytest.raises(ElementSyntaxError) as ex:
+        parse_element("1 + x(1)D1^1000000000", U)
+    assert ex.value.offset == 4
+    with pytest.raises(ElementSyntaxError):
+        parse_element(f"x(1)D1^{MAX_DEGREE // 2}.x(2)D1^{MAX_DEGREE // 2 + 1}", U)
+    h = U.gen(U.alg.basis_symbol((1,), 1))
+    assert parse_element(f"x(1)D1^{MAX_DEGREE}", U) == U.power(h, MAX_DEGREE)

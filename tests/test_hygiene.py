@@ -1,0 +1,68 @@
+"""Source hygiene: every imported name is used by the module that imports it.
+
+No linter ships with the project, so this scan is the check.  It parses each
+module of the package (except ``__init__.py``, whose imports are its exports)
+and of the test suite, and reports an imported name that the module never
+references.  A quoted annotation counts as a reference to the names in it.
+"""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    [p for p in (ROOT / "src" / "wittquant").glob("*.py") if p.name != "__init__.py"]
+    + list((ROOT / "tests").glob("*.py")),
+)
+
+
+def imported_names(tree: ast.Module) -> dict:
+    """Name bound by each import -> line number, skipping ``__future__`` and ``*``."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def annotations(tree: ast.Module):
+    """Annotation expressions of arguments, annotated assignments and returns."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg | ast.AnnAssign) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef) and node.returns is not None:
+            yield node.returns
+
+
+def referenced_names(tree: ast.Module) -> set:
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for ann in annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= referenced_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = referenced_names(tree)
+    return sorted((line, name) for name, line in imported_names(tree).items() if name not in used)
+
+
+def test_scan_finds_an_unused_import():
+    source = "import os\nfrom math import pi, tau as t\nimport a.b\nprint(pi, a)\n"
+    assert unused_imports(source) == [(1, "os"), (2, "t")]
+    assert unused_imports("from x import Y\ndef f(v: 'Y'): pass\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

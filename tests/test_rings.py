@@ -1,7 +1,11 @@
-import pytest
+import itertools
+import random
 from fractions import Fraction
+
+import pytest
 from hypothesis import given, strategies as st
 
+from oracles import quotient_add, quotient_mul
 from wittquant.rings import QQ, binom_int, gf, t_quotient, t_series
 
 
@@ -113,8 +117,6 @@ def test_quotient_reduction_is_ring_hom_from_series(p, q):
     def reduce(v):
         return Rq._reduce([c for c in v])
 
-    import random
-
     rnd = random.Random(7)
     for _ in range(60):
         f = tuple(rnd.randrange(p) for _ in range(p))
@@ -138,3 +140,36 @@ def test_tpoly_coefficients_view():
     R = t_series(QQ, 5)
     f = _tp(R, {0: Fraction(1, 2), 3: Fraction(-2)})
     assert dict(R.t_terms(f)) == {0: Fraction(1, 2), 3: Fraction(-2)}
+
+
+def _check_against_oracle(R, pairs):
+    p, q = R.p, R.q
+    for a, b in pairs:
+        want_mul, want_add = quotient_mul(p, q, a, b), quotient_add(p, a, b)
+        for _ in range(2):  # the second round is answered by the memo
+            assert R.mul(a, b) == want_mul, (p, q, a, b)
+            assert R.add(a, b) == want_add, (p, q, a, b)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_quotient_ring_matches_oracle_on_all_pairs_p3(q):
+    R = t_quotient(3, q)
+    values = [quotient_add(3, v, ()) for v in itertools.product(range(3), repeat=3)]
+    _check_against_oracle(R, itertools.product(values, values))
+
+
+@pytest.mark.parametrize("p,q", [(5, 0), (5, 1), (7, 0), (7, 1)])
+def test_quotient_ring_matches_oracle_on_random_pairs(p, q):
+    rnd = random.Random(1000 * p + q)
+    values = [quotient_add(p, [rnd.randrange(p) for _ in range(rnd.randint(0, p))], ()) for _ in range(1000)]
+    _check_against_oracle(t_quotient(p, q), zip(values[::2], values[1::2]))
+
+
+def test_t_power_of_huge_exponent_is_reduced_arithmetically():
+    assert t_quotient(3, 1).t_power(10**9) == (0, 0, 1)  # t^(2k) = t^2 when t^3 = t
+    assert t_quotient(5, 2).t_power(10**9 + 1) == (0, 1)  # t^(4k+1) = 2^k t and 2^4 = 1
+    assert t_quotient(3, 0).t_power(10**9) == ()
+    for p, q in [(3, 1), (5, 2), (7, 0)]:
+        R = t_quotient(p, q)
+        for r in range(4 * p):
+            assert R.t_power(r) == quotient_mul(p, q, (0,) * r + (1,), (1,)), (p, q, r)

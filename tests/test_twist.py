@@ -1,10 +1,8 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 
 from wittquant.liealg import RMatrixData
-from wittquant.rings import QQ, t_series
 from wittquant.twist import (
     NonIntegralExponentError,
     char0_general,
