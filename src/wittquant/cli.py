@@ -16,10 +16,12 @@ import argparse
 import contextlib
 import decimal
 import json
+import math
 import sys
 
 from .grammar import format_element
 from .liealg import JacobsonWitt, RMatrixData
+from .rings import gf
 from .twist import char0_general, modular
 from .verify import Char0Config, ModularConfig, run_suites, suite_names
 
@@ -55,6 +57,20 @@ def _open_report(path):
         return open(path, "w")
     except OSError as ex:
         raise UsageError(f"cannot write the JSON report: {ex}") from None
+
+
+_MAX_EXPONENT_DIGITS = 1000  # largest digit count of the exponent n*p^n that dims accepts
+
+
+def _dims_exponent(p: int, n: int) -> int:
+    """n*p^n, the exponent of dim u(W(n;1)), for a shape whose exponent has at most
+    _MAX_EXPONENT_DIGITS digits; larger shapes are rejected before p^n is formed."""
+    gf(p)  # rejects a p that is not an odd prime
+    # n*log10(p) >= _MAX_EXPONENT_DIGITS already puts n*p^n past the limit
+    if n >= 1 and (n * math.log10(p) >= _MAX_EXPONENT_DIGITS or n * p**n >= 10**_MAX_EXPONENT_DIGITS):
+        raise UsageError(f"dims --p {p} --n {n}: the exponent n*p^n has more than {_MAX_EXPONENT_DIGITS} digits")
+    JacobsonWitt(n, p)  # rejects n < 1
+    return n * p**n
 
 
 def _power_text(p: int, e: int) -> str:
@@ -133,8 +149,7 @@ def run_command(args: argparse.Namespace) -> int:
 
     if args.verb == "dims":
         p, n = args.p, args.n
-        JacobsonWitt(n, p)  # rejects a p that is not an odd prime, and n < 1
-        e = n * p**n
+        e = _dims_exponent(p, n)
         # p >= 3, so p**e <= 5000 needs e < 8; the test never builds a large power
         status = "enumerable" if e < 8 and p**e <= 5000 else "structural (enumeration skipped)"
         print(f"dim u(W({n};1)) = {p}^({n}*{p}^{n}) = {_power_text(p, e)} [{status}]")

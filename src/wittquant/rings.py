@@ -5,8 +5,8 @@ Three kinds of coefficient rings are supported, all exact:
 * the rationals (stdlib ``Fraction``),
 * prime fields GF(p) for odd primes p >= 3 (residues as plain ints),
 * truncated t-polynomial rings over either, in two modes:
-  ``series`` (degrees >= N are discarded) and ``quotient``
-  (t^p is rewritten to q*t, so every value has t-degree < p).
+  ``series`` (degrees >= N are discarded; a product never forms them) and
+  ``quotient`` (t^p is rewritten to q*t, so every value has t-degree < p).
 
 Each ring is a descriptor object with a uniform method API
 (``add``, ``mul``, ``neg``, ``sub``, ``inv``, ``from_int``, ...) and the
@@ -154,15 +154,25 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs[:k])
 
 
+def _check_t_exponent(r: int) -> None:
+    if r < 0:
+        raise ValueError(f"t^{r}: the exponent of t must be nonnegative")
+
+
 class _TRingBase:
     """Shared arithmetic for truncated t-polynomial rings.
 
     Values are zero-trimmed tuples of base-ring scalars indexed by t-degree.
-    Subclasses fix the reduction rule applied after each product.
+    Subclasses fix ``keep``, the number of low degrees a product forms (None:
+    every degree), and ``_reduce``, which maps the coefficients of those
+    degrees to a value.  The series ring keeps only degrees below its cap, so
+    a product never forms a term its truncation would drop; the quotient ring
+    keeps every degree, since its fold t^p = q t moves high degrees down.
     """
 
     base = None
     cap = 0  # all stored degrees are < cap
+    keep = None
 
     def from_int(self, n: int):
         c = self.base.from_int(n)
@@ -173,7 +183,7 @@ class _TRingBase:
         return (c,) if c else ()
 
     def t_power(self, r: int):
-        """The value t^r, reduced."""
+        """The value t^r, reduced; a negative r raises ValueError."""
         raise NotImplementedError
 
     def t_terms(self, v) -> list:
@@ -202,14 +212,15 @@ class _TRingBase:
         if not a or not b:
             return ()
         badd, bmul = self.base.add, self.base.mul
-        zero = self.base.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = badd(out[i + j], bmul(ca, cb))
+        n = len(a) + len(b) - 1
+        if self.keep is not None and self.keep < n:
+            n = self.keep
+        out = [self.base.zero] * n
+        for i, ca in enumerate(a[:n]):
+            if ca:
+                for k, cb in enumerate(b[: n - i], i):
+                    if cb:
+                        out[k] = badd(out[k], bmul(ca, cb))
         return self._reduce(out)
 
     def scale_int(self, a, n: int):
@@ -236,18 +247,19 @@ class TSeriesRing(_TRingBase):
         if cap < 1:
             raise ValueError("series cap must be >= 1")
         self.base = base
-        self.cap = cap
+        self.cap = self.keep = cap
         self.char = base.char
         self.zero = ()
         self.one = (base.one,)
 
     def t_power(self, r: int):
+        _check_t_exponent(r)
         if r >= self.cap:
             return ()
         return (self.base.zero,) * r + (self.base.one,)
 
     def _reduce(self, coeffs: list) -> tuple:
-        return _trim(coeffs[: self.cap])
+        return _trim(coeffs)  # mul formed no degree >= cap
 
     def __repr__(self):
         return f"{self.base}[t]/t^{self.cap}"
@@ -280,6 +292,7 @@ class TQuotientRing(_TRingBase):
             return self._add_memo.setdefault((a, b), _TRingBase.add(self, a, b))
 
     def t_power(self, r: int):
+        _check_t_exponent(r)
         # t^r = q^k t^(r - k(p-1)) with k = (r-1)//(p-1) for r >= 1, by t^p = q t
         k = max(r - 1, 0) // (self.p - 1)
         c = pow(self.q, k, self.p)

@@ -223,8 +223,8 @@ class QuantizedHopf:
         self._e_pow_cache: dict = {}
         self._delta_basis_cache: dict = {}
         self._antipode_basis_cache: dict = {}
-        self._delta_mono_cache: dict = {}
-        self._antipode_mono_cache: dict = {}
+        self._delta_mono_cache: dict = {(): TensorElement.unit(uea)}
+        self._antipode_mono_cache: dict = {(): uea.one()}
         self._twist_cache: dict = {}
         self._twistor_cache: dict = {}
 
@@ -338,16 +338,31 @@ class QuantizedHopf:
 
     # -- extensions to arbitrary elements ---------------------------------------------
 
-    def delta_mono(self, mono) -> TensorElement:
-        hit = self._delta_mono_cache.get(mono)
-        if hit is None:
-            hit = TensorElement.unit(self.uea)
-            for bd, e in mono:
-                db = self.delta_basis(bd)
-                for _ in range(e):
-                    hit = hit * db
-            self._delta_mono_cache[mono] = hit
+    @staticmethod
+    def _from_prefix(cache: dict, mono, step):
+        """cache[mono], built forward from its longest cached prefix.
+
+        A prefix drops one factor of the last symbol, and the cache holds the
+        empty monomial; ``step(value, bd)`` turns the value of a prefix into
+        that of the prefix times bd.  Every step is cached, so each miss costs
+        one product.  The walk back is a loop because a monomial's degree can
+        pass the recursion limit.
+        """
+        hit = cache.get(mono)
+        missing = []
+        while hit is None:
+            missing.append(mono)
+            bd, e = mono[-1]
+            mono = mono[:-1] + ((bd, e - 1),) if e > 1 else mono[:-1]
+            hit = cache.get(mono)
+        for mono in reversed(missing):
+            hit = cache[mono] = step(hit, mono[-1][0])
         return hit
+
+    def delta_mono(self, mono) -> TensorElement:
+        """Delta(m) = Delta(prefix) * delta_basis(last symbol), the prefix being m
+        without one factor of its last symbol; Delta(1) = 1 (x) 1."""
+        return self._from_prefix(self._delta_mono_cache, mono, lambda d, bd: d * self.delta_basis(bd))
 
     def delta(self, x: UEAElement) -> TensorElement:
         """Multiplicative extension of the deformed coproduct."""
@@ -357,15 +372,11 @@ class QuantizedHopf:
         return out
 
     def antipode_mono(self, mono) -> UEAElement:
-        hit = self._antipode_mono_cache.get(mono)
-        if hit is None:
-            hit = self.uea.one()
-            for bd, e in mono:
-                sb = self.antipode_basis(bd)
-                for _ in range(e):
-                    hit = self.uea.mul(sb, hit)  # anti-homomorphism: reverse order
-            self._antipode_mono_cache[mono] = hit
-        return hit
+        """S(m) = antipode_basis(last symbol) * S(prefix), reversing the order
+        since S is an anti-homomorphism; the prefix is as in delta_mono."""
+        return self._from_prefix(
+            self._antipode_mono_cache, mono, lambda s, bd: self.uea.mul(self.antipode_basis(bd), s)
+        )
 
     def antipode(self, x: UEAElement) -> UEAElement:
         """Anti-multiplicative extension of the deformed antipode."""

@@ -472,7 +472,7 @@ def _coeff_mod_p(src_ring, dst_ring, c):
         return from_fraction(dst_ring, c)
     # zero-trimmed tuple over the rationals -> same shape over GF(p)
     base = dst_ring.base
-    out = [from_fraction(base, x) for x in c]
+    out = [from_fraction(base, x) for x in c[: dst_ring.keep]]
     return dst_ring._reduce(out)
 
 

@@ -17,6 +17,8 @@ with the memoized left insertion of :mod:`wittquant.uea`.
 ``quotient_mul`` and ``quotient_add`` are the reference arithmetic of
 GF(p)[t]/(t^p - q t): a dense schoolbook product followed by long division
 by the monic modulus, sharing no code with :mod:`wittquant.rings`.
+``series_mul`` is the reference product of K[t]/(t^N): the full convolution,
+cut at degree N afterwards.
 """
 from __future__ import annotations
 
@@ -91,6 +93,15 @@ def quotient_mul(p: int, q: int, a, b) -> tuple:
         for k, m in enumerate(modulus):
             prod[top - p + k] = (prod[top - p + k] - c * m) % p
     return _trimmed(prod[:p])
+
+
+def series_mul(cap: int, a, b, p: int | None = None) -> tuple:
+    """a * b in K[t]/(t^cap), K = GF(p) or, for p None, the rationals: every
+    degree of the product is formed, then those >= cap are cut."""
+    prod = [sum(a[i] * b[d - i] for i in range(len(a)) if 0 <= d - i < len(b)) for d in range(len(a) + len(b) - 1)]
+    if p is not None:
+        prod = [c % p for c in prod]
+    return _trimmed(prod[:cap])
 
 
 def o_basis(p: int, n: int):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -155,3 +156,24 @@ def test_dims_output(capsys, p, n, want):
     # past Python's 4300-digit int-to-str limit the power is given as p^e and its digit count
     code, out, err = run(capsys, "dims", "--p", str(p), "--n", str(n))
     assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("n", [9100, 9000, 2089, 10**9])
+def test_dims_rejects_an_exponent_past_the_digit_limit_quickly(capsys, n):
+    # n*3^n has more than 1000 digits from n = 2089 on; n = 10**9 must not build 3^n
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dims", "--p", "3", "--n", str(n))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: dims --p 3 --n {n}: the exponent n*p^n has more than 1000 digits\n"
+
+
+def test_dims_at_the_digit_limit_answers_quickly(capsys):
+    e = 2088 * 3**2088  # 1000 digits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "dims", "--p", "3", "--n", "2088")
+    assert time.perf_counter() - start < 0.5
+    assert (code, err) == (0, "")
+    first, second = out.splitlines()
+    assert first.startswith(f"dim u(W(2088;1)) = 3^(2088*3^2088) = 3^{e} (")
+    assert second.startswith(f"dim over K[t]_3^(q) = 3^(1+2088*3^2088) = 3^{e + 1} (")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import quotient_add, quotient_mul
+from oracles import quotient_add, quotient_mul, series_mul
 from wittquant.rings import QQ, binom_int, gf, t_quotient, t_series
 
 
@@ -173,3 +173,42 @@ def test_t_power_of_huge_exponent_is_reduced_arithmetically():
         R = t_quotient(p, q)
         for r in range(4 * p):
             assert R.t_power(r) == quotient_mul(p, q, (0,) * r + (1,), (1,)), (p, q, r)
+
+
+@pytest.mark.parametrize("R", [t_series(QQ, 3), t_series(gf(5), 1), t_quotient(3, 1), t_quotient(5, 0)], ids=repr)
+def test_t_power_rejects_negative_exponent(R):
+    for r in (-1, -7):
+        with pytest.raises(ValueError, match="nonnegative"):
+            R.t_power(r)
+    assert R.t_power(0) == R.one
+
+
+def test_series_product_matches_oracle_on_all_pairs_gf3():
+    R = t_series(gf(3), 3)
+    values = [quotient_add(3, v, ()) for v in itertools.product(range(3), repeat=3)]
+    for a, b in itertools.product(values, values):
+        assert R.mul(a, b) == series_mul(3, a, b, 3), (a, b)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5])
+def test_series_product_matches_oracle_on_random_pairs_qq(cap):
+    R = t_series(QQ, cap)
+    rnd = random.Random(cap)
+    coeffs = [Fraction(0)] * 4 + [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 7)]
+
+    def value(length):
+        v = [rnd.choice(coeffs) for _ in range(length)]
+        return tuple(v[:-1]) + (v[-1] or Fraction(1),) if v else ()
+
+    full = value(cap)
+    pairs = [((), full), (full, ()), (full, full), (full, R.one)]
+    if cap >= 2:
+        # t^(cap-2) (1 + t) (1 - t): the degree cap-1 terms cancel, so the product is trimmed
+        a, b = (0,) * (cap - 2) + (1, 1), (1, -1)
+        assert R.mul(a, b) == (0,) * (cap - 2) + (1,)
+        pairs.append((a, b))
+    pairs += [(value(rnd.randint(0, cap)), value(rnd.randint(0, cap))) for _ in range(300)]
+    assert len(full) == cap  # a length-cap operand
+    assert cap == 1 or any(0 in a[:-1] for a, _ in pairs)  # zeros below the top degree
+    for a, b in pairs:
+        assert R.mul(a, b) == series_mul(cap, a, b), (cap, a, b)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -267,6 +268,66 @@ def test_quantized_antipode_modular_examples():
             want = want + (e * h1).scale(ring.t_power(1))
         assert H.antipode_basis(bd) == want, i
     assert not H.counit(U.gen(alg.basis_symbol((1, 0), 1)))
+
+
+# -- extensions to monomials ------------------------------------------------------------
+
+_EXTENSION_SHAPES = [lambda: modular(3, 1, (1,), 1), lambda: integral_eta((1,), 1)]
+
+
+def _monomials(H, degree: int) -> list:
+    """(monomial, word) for the normal monomials of degree <= degree in x^0 D1, x^1 D1, x^2 D1."""
+    U = H.uea
+    symbols = sorted(U.alg.basis_symbol((a,), 1) for a in range(3))
+    out = []
+    for d in range(degree + 1):
+        for word in itertools.combinations_with_replacement(symbols, d):
+            mono = tuple((bd, len(list(run))) for bd, run in itertools.groupby(word))
+            if U.restricted and any(e >= U.alg.p for _, e in mono):
+                continue
+            assert U.normalize_word(word) == {mono: 1}
+            out.append((mono, word))
+    return out
+
+
+@pytest.mark.parametrize("make", _EXTENSION_SHAPES)
+def test_monomial_extensions_are_ordered_products_of_closed_forms(make):
+    H = make()
+    U = H.uea
+    cases = _monomials(H, 3)
+    assert len(cases) == (17 if U.restricted else 20)
+    for mono, word in reversed(cases):
+        delta, antipode = TensorElement.unit(U), U.one()
+        for bd in word:
+            delta = delta * H.delta_basis(bd)
+        for bd in reversed(word):
+            antipode = antipode * H.antipode_basis(bd)
+        assert H.delta_mono(mono) == delta, mono
+        assert H.antipode_mono(mono) == antipode, mono
+
+
+@pytest.mark.parametrize("make", _EXTENSION_SHAPES)
+def test_monomial_extensions_do_not_depend_on_fill_order(make):
+    H1, H2 = make(), make()
+    monos = [mono for mono, _ in _monomials(H1, 3)]
+    rising = {m: (H1.delta_mono(m).terms, H1.antipode_mono(m).terms) for m in monos}
+    falling = {m: (H2.delta_mono(m).terms, H2.antipode_mono(m).terms) for m in reversed(monos)}
+    assert rising == falling
+
+
+def test_monomial_extensions_of_degree_1000():
+    # over U(W(1;1)) with t = 0 the symbol D = x(0)D1 is primitive with S(D) = -D, so
+    # Delta(D^1000) = sum_k C(1000, k) D^k (x) D^(1000-k) and S(D^1000) = D^1000;
+    # the walk back from D^1000 to the empty monomial is 1000 steps deep
+    H = modular_unrestricted(3, 1, (1,), cap=1)
+    D = H.uea.alg.basis_symbol((0,), 1)
+
+    def power(k):
+        return ((D, k),) if k else ()
+
+    want = {(power(k), power(1000 - k)): (c,) for k in range(1001) if (c := math.comb(1000, k) % 3)}
+    assert H.delta_mono(power(1000)).terms == want
+    assert H.antipode_mono(power(1000)).terms == {power(1000): (1,)}
 
 
 def test_radford_generator_forms():
