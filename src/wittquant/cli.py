@@ -59,16 +59,17 @@ def _open_report(path):
         raise UsageError(f"cannot write the JSON report: {ex}") from None
 
 
-_MAX_EXPONENT_DIGITS = 1000  # largest digit count of the exponent n*p^n that dims accepts
+_MAX_EXPONENT_DIGITS = 1000  # largest digit count of the exponent n*p^n that the modular verbs accept
 
 
-def _dims_exponent(p: int, n: int) -> int:
+def _dims_exponent(p: int, n: int, verb: str = "dims") -> int:
     """n*p^n, the exponent of dim u(W(n;1)), for a shape whose exponent has at most
-    _MAX_EXPONENT_DIGITS digits; larger shapes are rejected before p^n is formed."""
+    _MAX_EXPONENT_DIGITS digits; larger shapes are rejected before p^n, or any
+    sequence of n entries, is formed.  verb names the command in the message."""
     gf(p)  # rejects a p that is not an odd prime
     # n*log10(p) >= _MAX_EXPONENT_DIGITS already puts n*p^n past the limit
     if n >= 1 and (n * math.log10(p) >= _MAX_EXPONENT_DIGITS or n * p**n >= 10**_MAX_EXPONENT_DIGITS):
-        raise UsageError(f"dims --p {p} --n {n}: the exponent n*p^n has more than {_MAX_EXPONENT_DIGITS} digits")
+        raise UsageError(f"{verb} --p {p} --n {n}: the exponent n*p^n has more than {_MAX_EXPONENT_DIGITS} digits")
     JacobsonWitt(n, p)  # rejects n < 1
     return n * p**n
 
@@ -129,6 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(args: argparse.Namespace) -> int:
+    if args.verb in ("delta", "antipode", "verify"):
+        _dims_exponent(args.p, args.n, args.verb)
+
     if args.verb in ("delta", "antipode"):
         eta = _eta_from_directions(args.eta, args.n)
         hopf = modular(args.p, args.n, eta, args.q)

@@ -157,7 +157,6 @@ class JacobsonWitt(LieAlgebra):
         gf(p)  # validates the prime
         super().__init__(n)
         self.p = p
-        self.tau = (p - 1,) * n
 
     def validate(self, b):
         super().validate(b)
@@ -292,6 +291,14 @@ def from_fraction(ring, fr: Fraction):
     return ring.scalar(c)
 
 
+def _divided_power_image(b: BasisDeriv, p: int):
+    """x^alpha D_i = alpha! x^(alpha) D_i: the W(n;1) symbol and alpha!, or None when
+    some alpha_j >= p, where x^alpha dies in the divided-power algebra O(n;1)."""
+    if any(a >= p for a in b.alpha):
+        return None
+    return BasisDeriv(JW, b.alpha, b.i), multi_factorial(b.alpha)
+
+
 def reduce_wplus_to_jw(x: LieElement, p: int, target: JacobsonWitt = None, ring=None) -> LieElement:
     """Two-step reduction W+_Q -> W(n;1): c*x^a D_i -> (c * a! mod p) x^(a) D_i.
 
@@ -303,9 +310,9 @@ def reduce_wplus_to_jw(x: LieElement, p: int, target: JacobsonWitt = None, ring=
     alg = target if target is not None else JacobsonWitt(x.alg.n, p)
     ring = ring if ring is not None else gf(p)
     pairs = (
-        (BasisDeriv(JW, b.alpha, b.i), from_fraction(ring, Fraction(c) * multi_factorial(b.alpha)))
+        (image[0], from_fraction(ring, Fraction(c) * image[1]))
         for b, c in x.terms.items()
-        if all(a <= p - 1 for a in b.alpha)
+        if (image := _divided_power_image(b, p))
     )
     return LieElement(alg, ring, accumulate(ring.add, {}, pairs))
 
@@ -350,19 +357,14 @@ class RMatrixData:
         return witt_deriv(alg, ring, self.gamma, tuple(self.pairing_value * c for c in self.d0p))
 
 
-def basic_pair_wplus(alg: WPlusAlgebra, ring, k: int):
-    """The distinguished pair h(k) = x^{e_k} D_k, e(k) = x^{2e_k} D_k in W+."""
-    eps = tuple(1 if j == k - 1 else 0 for j in range(alg.n))
-    two = tuple(2 if j == k - 1 else 0 for j in range(alg.n))
-    h = LieElement.from_basis(alg, ring, BasisDeriv(WPLUS, eps, k))
-    e = LieElement.from_basis(alg, ring, BasisDeriv(WPLUS, two, k))
-    return h, e
+def basic_pair(alg: LieAlgebra, ring, k: int):
+    """The distinguished pair h(k) = x_k D_k, e(k) = x_k^2 D_k in W+ or W(n;1).
 
-
-def basic_pair_jw(alg: JacobsonWitt, ring, k: int):
-    """The distinguished pair h(k) = x^(e_k) D_k, e(k) = 2 x^(2e_k) D_k in W(n;1)."""
+    In the divided-power basis of W(n;1) these are x^(e_k) D_k and 2 x^(2e_k) D_k.
+    """
+    if alg.flavor not in (WPLUS, JW):
+        raise ValueError("the basic pair lives in W+ or W(n;1)")
     eps = tuple(1 if j == k - 1 else 0 for j in range(alg.n))
-    two = tuple(2 if j == k - 1 else 0 for j in range(alg.n))
-    h = LieElement.from_basis(alg, ring, BasisDeriv(JW, eps, k))
-    e = LieElement.from_basis(alg, ring, BasisDeriv(JW, two, k)).scale_int(2)
-    return h, e
+    h = LieElement.from_basis(alg, ring, BasisDeriv(alg.flavor, eps, k))
+    e = LieElement.from_basis(alg, ring, BasisDeriv(alg.flavor, tuple(2 * v for v in eps), k))
+    return h, e.scale_int(2) if alg.flavor == JW else e

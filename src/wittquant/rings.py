@@ -58,8 +58,32 @@ def _check_odd_prime(p: int) -> None:
             "p = 2 is not supported: the distinguished element 2*x^(2e_k)D_k "
             "vanishes and x^(2e_k) does not exist when tau = (1,...,1); use p >= 3"
         )
-    if p < 3 or any(p % d == 0 for d in range(2, int(math.isqrt(p)) + 1)):
+    if p >= 2**64:
+        raise ValueError(f"p must be below 2^64, got {p}")
+    if p < 3 or not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime >= 3, got {p}")
+
+
+def _is_odd_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for p >= 3.  The prime bases up to 37 decide every p
+    below 318665857834031151167461 (about 3.2 * 10^23), the least strong pseudoprime to all."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p in bases:
+        return True
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, p)  # a base dividing p never reaches 1 or p - 1
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class RationalField:

@@ -29,8 +29,11 @@ Every twist is a product of basic one-direction twists
     inverse_a = sum_r  1/r!    h_a^<r> (x) e^r t^r,
 
 taken in ascending direction order (basic twists in distinct directions
-commute).  The closed-form deformed maps are checked against conjugation by
-the twist itself via :meth:`QuantizedHopf.conjugation_oracle`.
+commute).  The closed-form coproduct and antipode of a basis symbol are sums
+over vectors ell of raising orders, one entry per direction;
+``QuantizedHopf._raised_terms`` iterates the surviving terms for both.  The
+closed forms are checked against conjugation by the twist itself via
+:meth:`QuantizedHopf.conjugation_oracle`.
 """
 from __future__ import annotations
 
@@ -47,8 +50,7 @@ from .liealg import (
     RMatrixData,
     WittAlgebra,
     WPlusAlgebra,
-    basic_pair_jw,
-    basic_pair_wplus,
+    basic_pair,
     from_fraction,
     pairing,
 )
@@ -93,17 +95,11 @@ class TwistCoefficients:
 
     @classmethod
     def basic(cls, ak: int, dik: int, ell: int, p: int | None = None) -> "TwistCoefficients":
-        A = Fraction(1)
-        for j in range(ell):
-            A *= ak - dik + j
-        A /= math.factorial(ell)
-        if ell:
-            B = Fraction(dik)
-            for j in range(ell - 1):
-                B *= ak - dik + j
-            B /= math.factorial(ell - 1)
-        else:
-            B = Fraction(0)
+        def A_of(m):  # (1/m!) prod_{j<m} (ak - dik + j)
+            return Fraction(math.prod(range(ak - dik, ak - dik + m)), math.factorial(m))
+
+        A = A_of(ell)
+        B = dik * A_of(ell - 1) if ell else Fraction(0)
         if p is None:
             return cls(A, B, A - B)
         lift = math.factorial(ell) * binom_int(ak + ell, ell)
@@ -218,40 +214,31 @@ class QuantizedHopf:
         self.name = name  # how reports refer to the twist
         self.eta = eta
         self.q = getattr(uea.ring, "q", None)
-        self._f_pow_cache: dict = {}
-        self._h_fact_cache: dict = {}
-        self._e_pow_cache: dict = {}
-        self._delta_basis_cache: dict = {}
-        self._antipode_basis_cache: dict = {}
+        self._memos: dict = {}  # (method name, *arguments) -> value
         self._delta_mono_cache: dict = {(): TensorElement.unit(uea)}
         self._antipode_mono_cache: dict = {(): uea.one()}
-        self._twist_cache: dict = {}
-        self._twistor_cache: dict = {}
 
     # -- direction data -------------------------------------------------------------
 
-    def _h_factorial(self, d: int, a, ell: int, kind: str) -> UEAElement:
-        key = (d, a, ell, kind)
-        hit = self._h_fact_cache.get(key)
+    def _memo(self, key: tuple, compute):
+        """The memo entry for key, filled by compute() on a miss."""
+        hit = self._memos.get(key)
         if hit is None:
-            hit = self.uea.factorial_element(self.directions[d].h, a, ell, kind)
-            self._h_fact_cache[key] = hit
+            hit = self._memos[key] = compute()
         return hit
 
+    def _h_factorial(self, d: int, a, ell: int, kind: str) -> UEAElement:
+        compute = lambda: self.uea.factorial_element(self.directions[d].h, a, ell, kind)
+        return self._memo(("h_factorial", d, a, ell, kind), compute)
+
     def _e_power(self, d: int, j: int) -> UEAElement:
-        key = (d, j)
-        hit = self._e_pow_cache.get(key)
-        if hit is None:
-            hit = self.uea.power(self.directions[d].e, j)
-            self._e_pow_cache[key] = hit
-        return hit
+        return self._memo(("e_power", d, j), lambda: self.uea.power(self.directions[d].e, j))
 
     def one_minus_et_power(self, d: int, m: int) -> UEAElement:
         """(1 - e_d t)^m, via binomials for m >= 0, geometric powers for m < 0."""
-        key = (d, m)
-        hit = self._f_pow_cache.get(key)
-        if hit is not None:
-            return hit
+        return self._memo(("one_minus_et_power", d, m), lambda: self._one_minus_et_power(d, m))
+
+    def _one_minus_et_power(self, d: int, m: int) -> UEAElement:
         uea, ring = self.uea, self.uea.ring
         jmax = self.cap - 1
         if m >= 0:
@@ -259,13 +246,11 @@ class QuantizedHopf:
             for j in range(0, min(m, jmax) + 1):
                 c = binom_int(m, j) * (-1) ** j
                 out = out + self._e_power(d, j).scale(ring.mul(ring.from_int(c), ring.t_power(j)))
-        else:
-            geo = uea.zero()
-            for j in range(0, jmax + 1):
-                geo = geo + self._e_power(d, j).scale(ring.t_power(j))
-            out = uea.power(geo, -m)
-        self._f_pow_cache[key] = out
-        return out
+            return out
+        geo = uea.zero()
+        for j in range(0, jmax + 1):
+            geo = geo + self._e_power(d, j).scale(ring.t_power(j))
+        return uea.power(geo, -m)
 
     def _raised(self, bd: BasisDeriv, ell) -> UEAElement:
         """bd raised ell[d] times along each direction d, with the directions' coefficients."""
@@ -278,63 +263,55 @@ class QuantizedHopf:
 
     # -- closed-form deformed structure maps ---------------------------------------------
 
+    def _raised_terms(self, bd: BasisDeriv):
+        """(ell, t^|ell|, raised) for each ell vector whose term survives: t^|ell|
+        is not truncated away and bd raised along ell is nonzero."""
+        ring = self.uea.ring
+        for ell in itertools.product(range(ring.char or self.cap), repeat=len(self.directions)):
+            tpow = ring.t_power(sum(ell))
+            if tpow:
+                raised = self._raised(bd, ell)
+                if raised:
+                    yield ell, tpow, raised
+
     def delta_basis(self, bd: BasisDeriv) -> TensorElement:
         """The deformed coproduct of a basis symbol, in closed form."""
-        hit = self._delta_basis_cache.get(bd)
-        if hit is not None:
-            return hit
-        uea, ring = self.uea, self.uea.ring
-        X = uea.gen(bd)
+        return self._memo(("delta_basis", bd), lambda: self._delta_closed_form(bd))
+
+    def _delta_closed_form(self, bd: BasisDeriv) -> TensorElement:
+        uea = self.uea
         right = uea.one()
         for d, direction in enumerate(self.directions):
             right = right * self.one_minus_et_power(d, direction.exponent(bd))
-        out = TensorElement.of(X, right)
-        for ell in itertools.product(range(ring.char or self.cap), repeat=len(self.directions)):
-            tot = sum(ell)
-            tpow = ring.t_power(tot)
-            if not tpow:
-                continue  # truncated away in series mode
-            raised = self._raised(bd, ell)
-            if not raised:
-                continue
+        out = TensorElement.of(uea.gen(bd), right)
+        for ell, tpow, raised in self._raised_terms(bd):
             left = uea.one()
             invpow = uea.one()
-            for d, l in zip(range(len(self.directions)), ell):
+            for d, l in enumerate(ell):
                 if l:
                     left = left * self._h_factorial(d, 0, l, "rising")
                     invpow = invpow * self.one_minus_et_power(d, -l)
             piece = (invpow * raised).scale(tpow)
-            sign = -1 if tot % 2 else 1
+            sign = -1 if sum(ell) % 2 else 1
             out = out + TensorElement.of(left, piece).scale_int(sign)
-        self._delta_basis_cache[bd] = out
         return out
 
     def antipode_basis(self, bd: BasisDeriv) -> UEAElement:
         """The deformed antipode of a basis symbol, in closed form."""
-        hit = self._antipode_basis_cache.get(bd)
-        if hit is not None:
-            return hit
-        uea, ring = self.uea, self.uea.ring
+        return self._memo(("antipode_basis", bd), lambda: self._antipode_closed_form(bd))
+
+    def _antipode_closed_form(self, bd: BasisDeriv) -> UEAElement:
+        uea = self.uea
         pre = uea.one()
         for d, direction in enumerate(self.directions):
             pre = pre * self.one_minus_et_power(d, -direction.exponent(bd))
         acc = uea.zero()
-        for ell in itertools.product(range(ring.char or self.cap), repeat=len(self.directions)):
-            tot = sum(ell)
-            tpow = ring.t_power(tot)
-            if not tpow:
-                continue
-            raised = self._raised(bd, ell)
-            if not raised:
-                continue
-            piece = raised
-            for d, l in zip(range(len(self.directions)), ell):
+        for ell, tpow, piece in self._raised_terms(bd):
+            for d, l in enumerate(ell):
                 if l:
                     piece = piece * self._h_factorial(d, 1, l, "rising")
             acc = acc + piece.scale(tpow)
-        out = (pre * acc).scale_int(-1)
-        self._antipode_basis_cache[bd] = out
-        return out
+        return (pre * acc).scale_int(-1)
 
     # -- extensions to arbitrary elements ---------------------------------------------
 
@@ -391,8 +368,10 @@ class QuantizedHopf:
 
     # -- twists and twistors --------------------------------------------------------------
 
-    def _basic_twist_slot(self, d: int, a, forward: bool) -> TensorElement:
+    def basic_twist_factor(self, d: int, a=0, forward: bool = True) -> TensorElement:
+        """The single-direction twist factor for direction index d."""
         uea, ring = self.uea, self.uea.ring
+        a = uea.coerce_scalar(a)
         out = TensorElement(uea, 2, {})
         for r in range(self.cap):
             if forward:
@@ -409,10 +388,6 @@ class QuantizedHopf:
             out = out + TensorElement.of(hpart, self._e_power(d, r)).scale(c)
         return out
 
-    def basic_twist_factor(self, d: int, a=0, forward: bool = True) -> TensorElement:
-        """The single-direction twist factor for direction index d."""
-        return self._basic_twist_slot(d, self.uea.coerce_scalar(a), forward)
-
     def build_twist(self, a=0) -> TwistElement:
         """The twist (product of basic twists, ascending direction) and its inverse."""
         if self.cap < 1:
@@ -420,48 +395,45 @@ class QuantizedHopf:
         if not self.directions:
             raise ValueError("at least one twist direction is required (eta != 0)")
         a = self.uea.coerce_scalar(a)
-        hit = self._twist_cache
-        if a in hit:
-            return hit[a]
-        fwd = TensorElement.unit(self.uea)
-        inv = TensorElement.unit(self.uea)
-        for d in range(len(self.directions)):
-            fwd = fwd * self._basic_twist_slot(d, a, forward=True)
-            inv = inv * self._basic_twist_slot(d, a, forward=False)
-        tw = TwistElement(a, fwd, inv, self.cap)
-        tw.validate()
-        hit[a] = tw
-        return tw
+
+        def compute():
+            fwd = TensorElement.unit(self.uea)
+            inv = TensorElement.unit(self.uea)
+            for d in range(len(self.directions)):
+                fwd = fwd * self.basic_twist_factor(d, a, forward=True)
+                inv = inv * self.basic_twist_factor(d, a, forward=False)
+            return TwistElement(a, fwd, inv, self.cap).validate()
+
+        return self._memo(("build_twist", a), compute)
 
     def antipode_twistors(self, a=0) -> TwistorPair:
         """u_a and v_a, the antipode twistors of the twist with shift a."""
         uea, ring = self.uea, self.uea.ring
         a = uea.coerce_scalar(a)
-        hit = self._twistor_cache
-        if a in hit:
-            return hit[a]
-        neg_a = ring.neg(a)
-        u = uea.one()
-        v = uea.one()
-        for d in range(len(self.directions)):
-            ud = uea.zero()
-            vd = uea.zero()
-            for r in range(self.cap):
-                num = Fraction((-1) ** r, math.factorial(r))
-                cu = ring.mul(from_fraction(ring, num), ring.t_power(r))
-                cv = ring.mul(from_fraction(ring, Fraction(1, math.factorial(r))), ring.t_power(r))
-                er = self._e_power(d, r)
-                if cu:
-                    ud = ud + (self._h_factorial(d, neg_a, r, "falling") * er).scale(cu)
-                if cv:
-                    vd = vd + (self._h_factorial(d, a, r, "falling") * er).scale(cv)
-            u = u * ud
-            v = v * vd
-        pair = TwistorPair(u_elem=u, v_elem=v)
-        if not a and v * u != uea.one():
-            raise ValueError("antipode twistors fail v0 * u0 = 1")
-        hit[a] = pair
-        return pair
+
+        def compute():
+            neg_a = ring.neg(a)
+            u = uea.one()
+            v = uea.one()
+            for d in range(len(self.directions)):
+                ud = uea.zero()
+                vd = uea.zero()
+                for r in range(self.cap):
+                    num = Fraction((-1) ** r, math.factorial(r))
+                    cu = ring.mul(from_fraction(ring, num), ring.t_power(r))
+                    cv = ring.mul(from_fraction(ring, Fraction(1, math.factorial(r))), ring.t_power(r))
+                    er = self._e_power(d, r)
+                    if cu:
+                        ud = ud + (self._h_factorial(d, neg_a, r, "falling") * er).scale(cu)
+                    if cv:
+                        vd = vd + (self._h_factorial(d, a, r, "falling") * er).scale(cv)
+                u = u * ud
+                v = v * vd
+            if not a and v * u != uea.one():
+                raise ValueError("antipode twistors fail v0 * u0 = 1")
+            return TwistorPair(u_elem=u, v_elem=v)
+
+        return self._memo(("antipode_twistors", a), compute)
 
     # -- conjugation oracle ------------------------------------------------------------------
 
@@ -488,7 +460,7 @@ def char0_general(rmatrix: RMatrixData, cap: int = 5) -> QuantizedHopf:
     return QuantizedHopf(uea, [RMatrixDirection(None, h, e, rmatrix)], cap, "r-matrix twist")
 
 
-def _eta_hopf(eta, n: int, make_uea, basic_pair, cap: int) -> QuantizedHopf:
+def _eta_hopf(eta, n: int, make_uea, cap: int) -> QuantizedHopf:
     """The quantization of make_uea() along the basic directions k with eta_k = 1."""
     eta = tuple(int(bool(x)) for x in eta)
     if len(eta) != n or not any(eta):
@@ -504,7 +476,7 @@ def _eta_hopf(eta, n: int, make_uea, basic_pair, cap: int) -> QuantizedHopf:
 
 def integral_eta(eta, n: int, cap: int = 5) -> QuantizedHopf:
     """The integral form of U(W+)[[t]] deformed along the directions selected by eta."""
-    return _eta_hopf(eta, n, lambda: EnvelopingAlgebra(WPlusAlgebra(n), t_series(QQ, cap)), basic_pair_wplus, cap)
+    return _eta_hopf(eta, n, lambda: EnvelopingAlgebra(WPlusAlgebra(n), t_series(QQ, cap)), cap)
 
 
 def integral_basic(k: int, n: int, cap: int = 5) -> QuantizedHopf:
@@ -515,12 +487,12 @@ def integral_basic(k: int, n: int, cap: int = 5) -> QuantizedHopf:
 def modular(p: int, n: int, eta, q: int = 0) -> QuantizedHopf:
     """The restricted quantization u_{t,q}(W(n;1)) for a direction selector eta."""
     return _eta_hopf(
-        eta, n, lambda: EnvelopingAlgebra(JacobsonWitt(n, p), t_quotient(p, q), restricted=True), basic_pair_jw, p
+        eta, n, lambda: EnvelopingAlgebra(JacobsonWitt(n, p), t_quotient(p, q), restricted=True), p
     )
 
 
 def modular_unrestricted(p: int, n: int, eta, cap: int) -> QuantizedHopf:
     """Same coefficients over the unrestricted U(W(n;1)) with a series ring."""
     return _eta_hopf(
-        eta, n, lambda: EnvelopingAlgebra(JacobsonWitt(n, p), t_series(gf(p), cap)), basic_pair_jw, cap
+        eta, n, lambda: EnvelopingAlgebra(JacobsonWitt(n, p), t_series(gf(p), cap)), cap
     )

@@ -40,8 +40,22 @@ import math
 import operator
 from fractions import Fraction
 
-from .liealg import JW, BasisDeriv, LieAlgebra, LieElement, from_fraction
-from .rings import SparseElement, accumulate, binom_int, multi_factorial
+from .liealg import JW, BasisDeriv, LieAlgebra, LieElement, _divided_power_image, from_fraction
+from .rings import SparseElement, accumulate, binom_int
+
+
+def _binary_power(x, k: int, one, mul):
+    """x^k by repeated squaring, starting from the unit one, with the product mul."""
+    if k < 0:
+        raise ValueError("negative powers are not defined here")
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
 
 
 class EnvelopingAlgebra:
@@ -173,18 +187,7 @@ class EnvelopingAlgebra:
         return UEAElement(self, accumulate(self.ring.add, {}, pairs))
 
     def power(self, x: "UEAElement", k: int) -> "UEAElement":
-        if k < 0:
-            raise ValueError("negative powers are not defined here")
-        out = self.one()
-        base = x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base_needed = k >> 1
-            if base_needed:
-                base = self.mul(base, base)
-            k = base_needed
-        return out
+        return _binary_power(x, k, self.one(), self.mul)
 
     def _check(self, x):
         if type(x) is not UEAElement or x.uea is not self:
@@ -384,17 +387,7 @@ class TensorElement(SparseElement):
         return self._like(accumulate(uea.ring.add, {}, products()))
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative tensor powers are not defined here")
-        out = TensorElement.unit(self.uea, self.arity)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return _binary_power(self, k, TensorElement.unit(self.uea, self.arity), operator.mul)
 
     def map_slot(self, slot: int, f) -> "TensorElement":
         """Apply a linear map (mono -> UEAElement) to one slot."""
@@ -483,26 +476,18 @@ def reduce_element_mod_p(x: UEAElement, target: EnvelopingAlgebra) -> UEAElement
     up the factorial scalars and coefficients are reduced mod p.  The result is
     renormalized in the target (which may be restricted).
     """
-    alg = target.alg
-    p = alg.p
+    p = target.alg.p
     ring = target.ring
     out = target.zero()
     for mono, c in x.terms.items():
-        scale = 1
-        word = []
-        dead = False
-        for bd, e in mono:
-            if any(a > p - 1 for a in bd.alpha):
-                dead = True
-                break
-            scale *= multi_factorial(bd.alpha) ** e
-            word.extend([BasisDeriv(JW, bd.alpha, bd.i)] * e)
-        if dead:
+        images = [(_divided_power_image(bd, p), e) for bd, e in mono]
+        if not all(image for image, _ in images):
             continue
-        cc = _coeff_mod_p(x.uea.ring, ring, c)
-        cc = ring.scale_int(cc, scale)
+        scale = math.prod(fac**e for (_, fac), e in images)
+        cc = ring.scale_int(_coeff_mod_p(x.uea.ring, ring, c), scale)
         if not cc:
             continue
+        word = [sym for (sym, _), e in images for _ in range(e)]
         out = out + target.pbw_normalize(word).scale(cc)
     return out
 

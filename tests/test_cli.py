@@ -177,3 +177,33 @@ def test_dims_at_the_digit_limit_answers_quickly(capsys):
     first, second = out.splitlines()
     assert first.startswith(f"dim u(W(2088;1)) = 3^(2088*3^2088) = 3^{e} (")
     assert second.startswith(f"dim over K[t]_3^(q) = 3^(1+2088*3^2088) = 3^{e + 1} (")
+
+
+@pytest.mark.parametrize(
+    "p,code",
+    [(2**61 - 1, 0), ((2**31 - 1) ** 2, 2), (2**64 + 13, 2)],
+    ids=["mersenne-61", "square-of-mersenne-31", "past-2^64"],
+)
+def test_dims_decides_a_large_p_quickly(capsys, p, code):
+    # primality is decided by Miller-Rabin, not trial division; p >= 2^64 is refused
+    start = time.perf_counter()
+    got, out, err = run(capsys, "dims", "--p", str(p), "--n", "1")
+    assert time.perf_counter() - start < 0.5
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error:")
+    else:
+        assert out.startswith(f"dim u(W(1;1)) = {p}^(1*{p}^1) = {p}^{p} (") and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("delta", "--alpha", "1", "--i", "1"), ("verify", "--suite", "dims")],
+    ids=["delta", "verify"],
+)
+def test_modular_verbs_reject_a_huge_n_before_building_it(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], "--p", "3", "--n", str(10**9), *argv[1:])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[0]} --p 3 --n {10**9}: the exponent n*p^n has more than 1000 digits\n"

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,7 @@ from wittquant.liealg import (
     ReductionError,
     WittAlgebra,
     WPlusAlgebra,
-    basic_pair_jw,
-    basic_pair_wplus,
+    basic_pair,
     bracket_jw,
     bracket_wplus,
     bracket_witt,
@@ -85,7 +85,7 @@ def test_bracket_wplus_matches_witt_identification():
 
 def test_bracket_jw_examples():
     alg = JacobsonWitt(1, 3)
-    h, e = basic_pair_jw(alg, gf(3), 1)
+    h, e = basic_pair(alg, gf(3), 1)
     assert h.bracket(e) == e  # [h, e] = e with e = 2 x^(2) D_1
 
     assert not bracket_jw(alg.basis_symbol((2,), 1), alg.basis_symbol((2,), 1), alg)
@@ -218,18 +218,26 @@ def test_basic_pairs_satisfy_he_relation_all_flavors():
     for n in (1, 2):
         WP = WPlusAlgebra(n)
         for k in range(1, n + 1):
-            h, e = basic_pair_wplus(WP, QQ, k)
+            h, e = basic_pair(WP, QQ, k)
             assert h.bracket(e) == e
     for p, n in ((3, 1), (5, 1), (3, 2)):
         alg = JacobsonWitt(n, p)
         for k in range(1, n + 1):
-            h, e = basic_pair_jw(alg, gf(p), k)
+            h, e = basic_pair(alg, gf(p), k)
             assert h.bracket(e) == e
     # witt flavor via r-matrix data
     r = RMatrixData(d0=(1, 0), d0p=(0, 1), gamma=(1, 0))
     W = WittAlgebra(2)
     h, e = r.h_element(W, QQ), r.e_element(W, QQ)
     assert h.bracket(e) == e
+
+
+def test_jacobson_witt_of_huge_n_constructs_quickly():
+    # nothing of length n is built at construction
+    start = time.perf_counter()
+    alg = JacobsonWitt(10**9, 3)
+    assert time.perf_counter() - start < 0.1
+    assert (alg.n, alg.p) == (10**9, 3)
 
 
 def test_jw_basis_enumeration_sizes():

@@ -10,8 +10,8 @@ from wittquant.liealg import (
     LieElement,
     WittAlgebra,
     WPlusAlgebra,
-    basic_pair_jw,
-    basic_pair_wplus,
+    basic_pair,
+    reduce_wplus_to_jw,
 )
 from wittquant.rings import QQ, binom_int, gf, t_series
 from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement
@@ -38,7 +38,7 @@ def uwitt(n=1):
 
 def test_pbw_normalize_examples_char0():
     U = uw_plus()
-    h, e = basic_pair_wplus(U.alg, QQ, 1)
+    h, e = basic_pair(U.alg, QQ, 1)
     hg, eg = next(iter(h.terms)), next(iter(e.terms))
     # e then h rewrites to h*e - e since [e, h] = -e
     got = U.pbw_normalize([eg, hg])
@@ -56,7 +56,7 @@ def test_pbw_normalize_restricted_cube():
 
 def test_uea_mul_examples():
     U = uw_plus()
-    h, e = basic_pair_wplus(U.alg, QQ, 1)
+    h, e = basic_pair(U.alg, QQ, 1)
     H, E = U.lift(h), U.lift(e)
     assert U.mul(H, U.one()) == H
     assert U.mul(E, H) == H * E - E
@@ -223,7 +223,7 @@ def test_left_insertion_long_reversed_words():
 
 def test_coproduct0_examples():
     U = uw_plus()
-    h, _ = basic_pair_wplus(U.alg, QQ, 1)
+    h, _ = basic_pair(U.alg, QQ, 1)
     H = U.lift(h)
     assert U.coproduct0(H) == TensorElement.of(H, U.one()) + TensorElement.of(U.one(), H)
     assert U.coproduct0(U.one()) == TensorElement.unit(U)
@@ -244,7 +244,7 @@ def test_antipode0_counit0_examples():
     assert s == -g and not eps
 
     UW = uw_plus()
-    h, e = basic_pair_wplus(UW.alg, QQ, 1)
+    h, e = basic_pair(UW.alg, QQ, 1)
     H, E = UW.lift(h), UW.lift(e)
     s, eps = UW.antipode0(H * E), UW.counit0(H * E)
     assert s == E * H and s == H * E - E and not eps
@@ -306,7 +306,7 @@ def test_falling_factorial_coproduct_binomial_expansion(which):
     # Delta0 of the falling factorial of a primitive element, with shifts
     if which == "wplus":
         U = uw_plus()
-        h, _ = basic_pair_wplus(U.alg, QQ, 1)
+        h, _ = basic_pair(U.alg, QQ, 1)
         H = U.lift(h)
     else:
         U = uwitt()
@@ -324,7 +324,7 @@ def test_falling_factorial_coproduct_binomial_expansion(which):
 
 def test_factorial_element_examples():
     U = uw_plus()
-    h, _ = basic_pair_wplus(U.alg, QQ, 1)
+    h, _ = basic_pair(U.alg, QQ, 1)
     H = U.lift(h)
     assert U.factorial_element(H, 0, 2, "falling") == H * H - H
     assert U.factorial_element(H, 1, 1, "rising") == H + U.one()
@@ -334,7 +334,7 @@ def test_factorial_element_examples():
 
 def test_ad_divided_power_basics():
     U = u31()
-    h, e = basic_pair_jw(U.alg, gf(3), 1)
+    h, e = basic_pair(U.alg, gf(3), 1)
     x = U.gen(U.alg.basis_symbol((2,), 1))
     assert U.ad_divided_power(e, 0, x) == x
     # d^(1)(h) = [e, h] = -e
@@ -346,7 +346,7 @@ def test_ad_divided_power_basics():
 def test_ad_divided_power_off_direction_vanishes():
     alg = JacobsonWitt(2, 3)
     U = EnvelopingAlgebra(alg, gf(3), restricted=True)
-    _, e1 = basic_pair_jw(alg, gf(3), 1)
+    _, e1 = basic_pair(alg, gf(3), 1)
     h2 = U.gen(alg.basis_symbol((0, 1), 2))
     assert not U.ad_divided_power(e1, 1, h2)  # i != k kills the correction
 
@@ -355,7 +355,7 @@ def test_ad_divided_power_off_direction_vanishes():
 def test_leibniz_expansion_of_divided_ad_powers(p):
     alg = JacobsonWitt(1, p)
     U = EnvelopingAlgebra(alg, gf(p), restricted=True)
-    _, e = basic_pair_jw(alg, gf(p), 1)
+    _, e = basic_pair(alg, gf(p), 1)
     gens = [U.gen(b) for b in alg.basis()]
     pairs = [(a, b) for a in gens for b in gens][:9]
     for ell in range(p):
@@ -482,7 +482,7 @@ def test_context_check_rejects_mixed_operands(cls, change):
 
 def test_tensor_mul_examples():
     U = uw_plus()
-    h, e = basic_pair_wplus(U.alg, QQ, 1)
+    h, e = basic_pair(U.alg, QQ, 1)
     H, E = U.lift(h), U.lift(e)
     X = TensorElement.of(H, E)
     assert TensorElement.unit(U) * X == X
@@ -510,6 +510,20 @@ def test_uea_reduction_is_a_hopf_algebra_map(p, n, seed):
         assert reduce_element_mod_p(WU.antipode0(x), MU) == MU.antipode0(rx)
 
 
+def test_lie_and_enveloping_reductions_agree_in_degree_one():
+    # both reductions apply one rule, x^a D_i -> a! x^(a) D_i, which kills a term once some a_j >= p
+    from wittquant.uea import reduce_element_mod_p
+
+    WP = WPlusAlgebra(2)
+    alg = JacobsonWitt(2, 3)
+    MU = EnvelopingAlgebra(alg, gf(3))
+    terms = {((2, 1), 1): Fraction(1, 2), ((3, 0), 2): Fraction(5), ((1, 2), 2): Fraction(2, 5)}
+    x = LieElement(WP, QQ, {WP.basis_symbol(a, i): c for (a, i), c in terms.items()})
+    via_lie = MU.lift(reduce_wplus_to_jw(x, 3, alg, gf(3)))
+    assert len(via_lie.terms) == 2
+    assert reduce_element_mod_p(EnvelopingAlgebra(WP, QQ).lift(x), MU) == via_lie
+
+
 def test_reduce_tensor_of_arity_zero():
     from wittquant.uea import reduce_tensor_mod_p
 
@@ -523,14 +537,14 @@ def test_reduce_tensor_of_arity_zero():
 def test_lift_rejects_foreign_algebra_or_ring():
     U = EnvelopingAlgebra(JacobsonWitt(2, 5), gf(5))
     small = JacobsonWitt(1, 3)
-    h, _ = basic_pair_jw(small, gf(3), 1)
+    h, _ = basic_pair(small, gf(3), 1)
     with pytest.raises(ValueError):
         U.lift(h)
     for alg, ring in ((JacobsonWitt(1, 5), gf(5)), (JacobsonWitt(2, 3), gf(3)), (U.alg, gf(3))):
         with pytest.raises(ValueError):
-            U.lift(basic_pair_jw(alg, ring, 1)[0])
+            U.lift(basic_pair(alg, ring, 1)[0])
     same = JacobsonWitt(2, 5)  # an equal algebra built separately
-    h, _ = basic_pair_jw(same, gf(5), 1)
+    h, _ = basic_pair(same, gf(5), 1)
     assert U.lift(h) == U.gen(next(iter(h.terms)))
 
 

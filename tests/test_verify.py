@@ -14,6 +14,7 @@ from wittquant.verify import (
     check_dimensions_radford,
     check_factorial_identities,
     check_hopf_axioms,
+    check_commutation_suite,
     check_modular_reduction,
     check_restricted_structure,
     check_twist_laws,
@@ -69,6 +70,98 @@ def test_restricted_structure_p5_runs_every_check():
     rep = check_restricted_structure(ModularConfig(5, 1, (1,), q=1))
     assert rep.passed
     assert {c.name for c in rep.checks} == RESTRICTED_CHECK_NAMES
+
+
+# Exact name sets per suite: a refactored loop that records no case drops its
+# check from the report, and these sets catch that instead of passing vacuously.
+COMMUTATION_CHECK_NAMES = {
+    "generator-past-falling-factorial",
+    "generator-past-rising-factorial",
+    "e-power-past-falling-factorial",
+    "e-power-past-rising-factorial",
+    "generator-past-power-expansion",
+    "iterated-ad-closed-form",
+    "falling-factorial-coproduct",
+    "power-slot-past-inverse-twist",
+    "right-slot-past-inverse-twist",
+    "generator-past-antipode-twistor",
+    "power-past-antipode-twistor",
+    "power-slot-past-inverse-twist-expansion",
+    "coproduct-of-powers",
+    "antipode-of-powers",
+}
+
+SINGLE_TWIST_CHECK_NAMES = {
+    "cocycle-single-twist",
+    "counit-single-twist",
+    "twist-inverse-law",
+    "twistor-inverse-law",
+    "shifted-product-law",
+    "twistor-product-law",
+}
+
+PRODUCT_TWIST_CHECK_NAMES = {
+    "cocycle-product-twist",
+    "counit-product-twist",
+    "cross-direction-commutation-left",
+    "cross-direction-commutation-right",
+}
+
+HOPF_CHECK_NAMES = {
+    f"{law}-{tag}" for law in ("counit-law", "coassociativity", "antipode-law") for tag in ("generators", "products")
+} | {"coproduct-multiplicative", "antipode-anti-multiplicative"}
+
+REDUCTION_CHECK_NAMES = {
+    "scaled-product-integrality",
+    "twist-coefficient-integrality",
+    "coefficient-reduction-match",
+    "coproduct-slotwise-reduction",
+    "antipode-slotwise-reduction",
+    "ideal-terms-die-under-reduction",
+    "distinguished-h-reduces",
+    "distinguished-e-reduces-with-factor-2",
+}
+
+DIMS_PAIR_CHECK_NAMES = {
+    "group-like-commutator",
+    "torus-p-th-power",
+    "group-like-p-th-power",
+    "coproduct-of-torus-generator",
+    "group-like-coproduct",
+    "antipode-of-torus-generator",
+    "counit-of-torus-generator",
+    "counit-of-group-like",
+}
+
+
+def names(rep) -> set:
+    return {c.name for c in rep.checks}
+
+
+@pytest.mark.parametrize(
+    "cfg", [Char0Config(), Char0Config(d0=(1, 0), d0p=(0, 1), gamma=(1, 0), cap=2)], ids=["n1", "n2"]
+)
+def test_commutation_suite_runs_every_check(cfg):
+    rep = check_commutation_suite(cfg)
+    assert rep.passed
+    assert names(rep) == COMMUTATION_CHECK_NAMES
+
+
+def test_twist_laws_run_every_check():
+    assert names(check_twist_laws(ModularConfig(3, 1, (1,)))) == SINGLE_TWIST_CHECK_NAMES
+    assert names(check_twist_laws(Char0Config())) == SINGLE_TWIST_CHECK_NAMES
+    rep = check_twist_laws(ModularConfig(3, 2, (1, 1)))
+    assert rep.passed
+    assert names(rep) == SINGLE_TWIST_CHECK_NAMES | PRODUCT_TWIST_CHECK_NAMES
+
+
+def test_hopf_reduction_and_dims_run_every_check():
+    assert names(check_hopf_axioms(modular(3, 1, (1,)))) == HOPF_CHECK_NAMES
+    assert names(check_modular_reduction(3, 1, 1)) == REDUCTION_CHECK_NAMES
+    enumerated = check_dimensions_radford(ModularConfig(3, 1, (1,)))
+    assert names(enumerated) == DIMS_PAIR_CHECK_NAMES | {"restricted-basis-count", "t-extended-dimension"}
+    structural = check_dimensions_radford(ModularConfig(3, 2, (1, 1)))
+    assert names(structural) == DIMS_PAIR_CHECK_NAMES | {"restricted-basis-count", "pbw-exponent-bound"}
 
 
 def test_dimensions_small_and_structural():
