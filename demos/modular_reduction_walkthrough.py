@@ -8,7 +8,7 @@ x^(alpha) D_i.  The scalar sequences match through l! * binom(alpha_k + l, l).
 import math
 from fractions import Fraction
 
-from wittquant import TwistCoefficients, format_element, integral_basic, modular_unrestricted
+from wittquant import basic_coefficient, format_element, integral_basic, modular_unrestricted
 from wittquant.liealg import from_fraction
 from wittquant.rings import binom_int, multi_factorial
 from wittquant.uea import reduce_element_mod_p, reduce_tensor_mod_p
@@ -24,15 +24,15 @@ bd_mod = MU.alg.basis_symbol(alpha, i)
 
 print(f"integral coefficients C_l for alpha = {alpha}, i = {i}:")
 for ell in range(2 * p + 1):
-    C = TwistCoefficients.basic(alpha[k - 1], 1 if i == k else 0, ell).C
+    C = basic_coefficient(alpha[k - 1], 1 if i == k else 0, ell)
     assert C.denominator == 1
     print(f"  l = {ell}: C_l = {C}")
 print()
 
 print("mod-p coefficients and the lifting factor l! * binom(alpha_k + l, l):")
 for ell in range(p):
-    C = TwistCoefficients.basic(alpha[k - 1], 1 if i == k else 0, ell).C
-    Cbar = TwistCoefficients.basic(alpha[k - 1], 1 if i == k else 0, ell, p).Cbar
+    C = basic_coefficient(alpha[k - 1], 1 if i == k else 0, ell)
+    Cbar = basic_coefficient(alpha[k - 1], 1 if i == k else 0, ell, p)
     lift = math.factorial(ell) * binom_int(alpha[k - 1] + ell, ell) * C
     print(f"  l = {ell}: Cbar_l = {Cbar}, lifted C_l = {lift} == {int(lift) % p} (mod {p})")
 print()

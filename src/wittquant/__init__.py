@@ -25,9 +25,9 @@ from .twist import (
     BasicDirection,
     QuantizedHopf,
     RMatrixDirection,
-    TwistCoefficients,
     TwistElement,
     TwistorPair,
+    basic_coefficient,
     char0_general,
     integral_basic,
     integral_eta,

@@ -84,14 +84,8 @@ class _Parser:
 
     def _expect(self, kind: str):
         tok = self._next()
-        if tok[0] != kind and not (kind == "op" and tok[0] == "op"):
+        if tok[0] != kind:
             raise ElementSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def _expect_op(self, op: str):
-        tok = self._next()
-        if tok[0] != "op" or tok[1] != op:
-            raise ElementSyntaxError(f"expected {op!r}, found {tok[1]!r}", tok[2])
         return tok
 
     def _int(self) -> int:

@@ -13,8 +13,9 @@ under the divided power (ad e)^l / l!, with its coefficient family.
 * ``BasicDirection`` -- the basic direction k, h(k) = x^{e_k} D_k with
   e(k) = x^{2e_k} D_k on W+ and e(k) = 2 x^(2e_k) D_k on W(n;1):
   x^alpha D_i has exponent alpha_k - delta_ik and is raised to
-  x^{alpha + l e_k} D_i with the integer C_l = A_l - B_l over a ring of
-  characteristic 0 and with Cbar_l mod p over one of characteristic p.
+  x^{alpha + l e_k} D_i with the integer C_l over a ring of characteristic 0
+  and with Cbar_l mod p over one of characteristic p; ``basic_coefficient``
+  computes both.
 
 The factories choose the ambient algebra, the ring and the directions:
 ``char0_general`` (U(W)[[t]] over the rationals, one r-matrix direction),
@@ -29,8 +30,11 @@ Every twist is a product of basic one-direction twists
     inverse_a = sum_r  1/r!    h_a^<r> (x) e^r t^r,
 
 taken in ascending direction order (basic twists in distinct directions
-commute).  The closed-form coproduct and antipode of a basis symbol are sums
-over vectors ell of raising orders, one entry per direction;
+commute).  The antipode twistors are the same series with the two slots
+multiplied out: u_a from the forward series at -a and v_a from sign +1 with
+the falling factorial at a.  ``QuantizedHopf._series`` builds it for all
+four.  The closed-form coproduct and antipode of a basis symbol are sums over
+vectors ell of raising orders, one entry per direction;
 ``QuantizedHopf._raised_terms`` iterates the surviving terms for both.  The
 closed forms are checked against conjugation by the twist itself via
 :meth:`QuantizedHopf.conjugation_oracle`.
@@ -40,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -62,52 +65,25 @@ class NonIntegralExponentError(ValueError):
     """The (1-et)-exponent <d0,alpha>/<d0,gamma> is not an integer."""
 
 
-@dataclass(frozen=True)
-class TwistCoefficients:
-    """The scalar sequence attached to one twist direction at order ell.
+def basic_coefficient(ak: int, dik: int, ell: int, p: int | None = None):
+    """C_l of the basic direction k on x^alpha D_i at order ell, or Cbar_l when p is given:
 
-    For a basic direction k acting on x^alpha D_i (write a = alpha_k and
-    d = delta_ik):
+        C_l = A_l - B_l,   A_l = (1/l!) prod_{j<l} (a - d + j),   B_l = d * A_{l-1},
+        Cbar_l = l! binom(a + l, l) C_l mod p   (the divided-power lift),
 
-        A = (1/ell!) prod_{j<ell} (a - d + j),     B = d * A_{ell-1},
-        C = A - B                                  (all integers),
-
-    and, when p is given, the mod-p companions carrying the factorial lift of
-    the divided-power identification:
-
-        Abar = ell! * binom(a + ell, ell) * A  (mod p),   likewise Bbar,
-        Cbar = Abar - Bbar  (mod p).
+    with a = alpha_k and d = delta_ik.  C_l is an integer, returned as a Fraction.
     """
 
-    A: Fraction
-    B: Fraction
-    C: Fraction
-    p: int | None = None
-    Abar: int | None = None
-    Bbar: int | None = None
-    Cbar: int | None = None
+    def A_of(m):  # (1/m!) prod_{j<m} (ak - dik + j)
+        return Fraction(math.prod(range(ak - dik, ak - dik + m)), math.factorial(m))
 
-    def __post_init__(self):
-        if self.C != self.A - self.B:
-            raise ValueError("C must equal A - B")
-        if self.p is not None and self.Cbar != (self.Abar - self.Bbar) % self.p:
-            raise ValueError("Cbar must equal Abar - Bbar mod p")
-
-    @classmethod
-    def basic(cls, ak: int, dik: int, ell: int, p: int | None = None) -> "TwistCoefficients":
-        def A_of(m):  # (1/m!) prod_{j<m} (ak - dik + j)
-            return Fraction(math.prod(range(ak - dik, ak - dik + m)), math.factorial(m))
-
-        A = A_of(ell)
-        B = dik * A_of(ell - 1) if ell else Fraction(0)
-        if p is None:
-            return cls(A, B, A - B)
-        lift = math.factorial(ell) * binom_int(ak + ell, ell)
-        Abar, Bbar = lift * A, lift * B
-        if Abar.denominator != 1 or Bbar.denominator != 1:
-            raise ValueError("lifted coefficients must be integers")
-        Abar, Bbar = int(Abar) % p, int(Bbar) % p
-        return cls(A, B, A - B, p, Abar, Bbar, (Abar - Bbar) % p)
+    C = A_of(ell) - (dik * A_of(ell - 1) if ell else 0)
+    if p is None:
+        return C
+    lifted = math.factorial(ell) * binom_int(ak + ell, ell) * C
+    if lifted.denominator != 1:
+        raise ValueError("lifted coefficients must be integers")
+    return int(lifted) % p
 
 
 class RMatrixDirection(NamedTuple):
@@ -160,19 +136,16 @@ class BasicDirection(NamedTuple):
         alpha = bd.alpha[: k - 1] + (bd.alpha[k - 1] + ell,) + bd.alpha[k:]
         if not uea.alg.in_range(alpha):
             return {}
-        p = uea.ring.char or None
-        tc = TwistCoefficients.basic(bd.alpha[k - 1], int(bd.i == k), ell, p)
-        return {bd._replace(alpha=alpha): tc.C if p is None else tc.Cbar}
+        coefficient = basic_coefficient(bd.alpha[k - 1], int(bd.i == k), ell, uea.ring.char or None)
+        return {bd._replace(alpha=alpha): coefficient}
 
 
-@dataclass(frozen=True)
-class TwistElement:
+class TwistElement(NamedTuple):
     """A Drinfeld twist with its inverse, both truncated tensor elements."""
 
     shift: object
     forward: TensorElement
     inverse: TensorElement
-    cap: int
 
     def validate(self):
         uea = self.forward.uea
@@ -190,8 +163,7 @@ class TwistElement:
         return self
 
 
-@dataclass(frozen=True)
-class TwistorPair:
+class TwistorPair(NamedTuple):
     """The antipode twistors u_a = m(S0 (x) Id)(inverse), v_a = m(Id (x) S0)(forward)."""
 
     u_elem: UEAElement
@@ -236,21 +208,16 @@ class QuantizedHopf:
 
     def one_minus_et_power(self, d: int, m: int) -> UEAElement:
         """(1 - e_d t)^m, via binomials for m >= 0, geometric powers for m < 0."""
-        return self._memo(("one_minus_et_power", d, m), lambda: self._one_minus_et_power(d, m))
 
-    def _one_minus_et_power(self, d: int, m: int) -> UEAElement:
-        uea, ring = self.uea, self.uea.ring
-        jmax = self.cap - 1
-        if m >= 0:
-            out = uea.zero()
-            for j in range(0, min(m, jmax) + 1):
-                c = binom_int(m, j) * (-1) ** j
-                out = out + self._e_power(d, j).scale(ring.mul(ring.from_int(c), ring.t_power(j)))
-            return out
-        geo = uea.zero()
-        for j in range(0, jmax + 1):
-            geo = geo + self._e_power(d, j).scale(ring.t_power(j))
-        return uea.power(geo, -m)
+        def compute():
+            uea, ring, jmax = self.uea, self.uea.ring, self.cap - 1
+            if m >= 0:
+                coeff = lambda j: ring.mul(ring.from_int(binom_int(m, j) * (-1) ** j), ring.t_power(j))
+                return sum((self._e_power(d, j).scale(coeff(j)) for j in range(min(m, jmax) + 1)), uea.zero())
+            geo = sum((self._e_power(d, j).scale(ring.t_power(j)) for j in range(jmax + 1)), uea.zero())
+            return uea.power(geo, -m)
+
+        return self._memo(("one_minus_et_power", d, m), compute)
 
     def _raised(self, bd: BasisDeriv, ell) -> UEAElement:
         """bd raised ell[d] times along each direction d, with the directions' coefficients."""
@@ -368,25 +335,24 @@ class QuantizedHopf:
 
     # -- twists and twistors --------------------------------------------------------------
 
-    def basic_twist_factor(self, d: int, a=0, forward: bool = True) -> TensorElement:
-        """The single-direction twist factor for direction index d."""
-        uea, ring = self.uea, self.uea.ring
-        a = uea.coerce_scalar(a)
-        out = TensorElement(uea, 2, {})
+    def _series(self, d: int, a, sign: int, kind: str) -> TensorElement:
+        """sum_{r<cap} sign^r/r! h_d^(r) (x) e_d^r t^r, h_d^(r) the ``kind`` factorial from a:
+        the one Jordanian series behind every twist factor and twistor of direction d."""
+        ring = self.uea.ring
+        out = TensorElement(self.uea, 2, {})
         for r in range(self.cap):
-            if forward:
-                num = Fraction((-1) ** r, math.factorial(r))
-                hpart = self._h_factorial(d, a, r, "falling")
-            else:
-                num = Fraction(1, math.factorial(r))
-                hpart = self._h_factorial(d, a, r, "rising")
+            num = Fraction(sign**r, math.factorial(r))
             if ring.char and num.denominator % ring.char == 0:
                 raise ValueError(f"1/{r}! does not exist in characteristic {ring.char}")
             c = ring.mul(from_fraction(ring, num), ring.t_power(r))
-            if not c:
-                continue
-            out = out + TensorElement.of(hpart, self._e_power(d, r)).scale(c)
+            if c:
+                out = out + TensorElement.of(self._h_factorial(d, a, r, kind), self._e_power(d, r)).scale(c)
         return out
+
+    def basic_twist_factor(self, d: int, a=0, forward: bool = True) -> TensorElement:
+        """The single-direction twist factor for direction index d."""
+        sign, kind = (-1, "falling") if forward else (1, "rising")
+        return self._series(d, self.uea.coerce_scalar(a), sign, kind)
 
     def build_twist(self, a=0) -> TwistElement:
         """The twist (product of basic twists, ascending direction) and its inverse."""
@@ -402,7 +368,7 @@ class QuantizedHopf:
             for d in range(len(self.directions)):
                 fwd = fwd * self.basic_twist_factor(d, a, forward=True)
                 inv = inv * self.basic_twist_factor(d, a, forward=False)
-            return TwistElement(a, fwd, inv, self.cap).validate()
+            return TwistElement(a, fwd, inv).validate()
 
         return self._memo(("build_twist", a), compute)
 
@@ -412,23 +378,10 @@ class QuantizedHopf:
         a = uea.coerce_scalar(a)
 
         def compute():
-            neg_a = ring.neg(a)
-            u = uea.one()
-            v = uea.one()
+            u = v = uea.one()
             for d in range(len(self.directions)):
-                ud = uea.zero()
-                vd = uea.zero()
-                for r in range(self.cap):
-                    num = Fraction((-1) ** r, math.factorial(r))
-                    cu = ring.mul(from_fraction(ring, num), ring.t_power(r))
-                    cv = ring.mul(from_fraction(ring, Fraction(1, math.factorial(r))), ring.t_power(r))
-                    er = self._e_power(d, r)
-                    if cu:
-                        ud = ud + (self._h_factorial(d, neg_a, r, "falling") * er).scale(cu)
-                    if cv:
-                        vd = vd + (self._h_factorial(d, a, r, "falling") * er).scale(cv)
-                u = u * ud
-                v = v * vd
+                u = u * self._series(d, ring.neg(a), -1, "falling").multiply_out()
+                v = v * self._series(d, a, 1, "falling").multiply_out()
             if not a and v * u != uea.one():
                 raise ValueError("antipode twistors fail v0 * u0 = 1")
             return TwistorPair(u_elem=u, v_elem=v)

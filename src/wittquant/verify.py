@@ -24,7 +24,7 @@ from .liealg import RMatrixData, WittAlgebra, from_fraction, pairing
 from .rings import QQ, binom_int, multi_factorial, t_series
 from .twist import (
     QuantizedHopf,
-    TwistCoefficients,
+    basic_coefficient,
     char0_general,
     integral_eta,
     modular,
@@ -73,13 +73,12 @@ class _Collector:
     """Aggregates per-case outcomes into one named check with a counterexample."""
 
     def __init__(self):
-        self.rows: dict = {}
-        self.order: list = []
+        self.rows: dict = {}  # name -> CheckResult, in the order of first record
+        self.t0 = time.monotonic()
 
     def record(self, name: str, ok: bool, witness=None):
         if name not in self.rows:
             self.rows[name] = CheckResult(name, "pass")
-            self.order.append(name)
         row = self.rows[name]
         if not ok and row.status != "fail":
             row.status = "fail"
@@ -88,10 +87,10 @@ class _Collector:
     def mark(self, name: str, status: str, note: str | None = None):
         if name not in self.rows:
             self.rows[name] = CheckResult(name, status, note)
-            self.order.append(name)
 
-    def results(self) -> list:
-        return [self.rows[n] for n in self.order]
+    def report(self, suite: str, config: dict) -> CheckReport:
+        elapsed_ms = int((time.monotonic() - self.t0) * 1000)
+        return CheckReport(suite, config, list(self.rows.values()), elapsed_ms)
 
 
 def _render(witness) -> str | None:
@@ -105,15 +104,6 @@ def _render(witness) -> str | None:
         return format_element(witness)
     except Exception:
         return repr(witness)
-
-
-def _finish(suite: str, config: dict, col: _Collector, t0: float) -> CheckReport:
-    return CheckReport(
-        suite=suite,
-        config=config,
-        checks=col.results(),
-        elapsed_ms=int((time.monotonic() - t0) * 1000),
-    )
 
 
 @dataclass(frozen=True)
@@ -157,11 +147,10 @@ def _binom_frac(z: Fraction, r: int) -> Fraction:
     return out / math.factorial(r)
 
 
-def check_factorial_identities(max_order: int = 8, shifts=None) -> CheckReport:
+def check_factorial_identities(max_order: int = 8) -> CheckReport:
     """Splitting/conversion/collapse laws of the shifted factorials, as polynomial identities."""
-    t0 = time.monotonic()
     col = _Collector()
-    A = shifts if shifts is not None else [Fraction(v) for v in (-2, -1, 0, 1, 2)] + [Fraction(1, 2)]
+    A = [Fraction(v) for v in (-2, -1, 0, 1, 2)] + [Fraction(1, 2)]
     # polynomials in the indeterminate t; no degree here exceeds max_order
     R = t_series(QQ, max_order + 1)
 
@@ -206,7 +195,7 @@ def check_factorial_identities(max_order: int = 8, shifts=None) -> CheckReport:
                     acc = R.add(acc, R.mul(c, R.mul(fact(a, s, "falling"), fact(b - s, t, "falling"))))
                 ok = acc == R.scalar(_binom_frac(a - b + r - 1, r))
                 col.record("falling-collapse-to-binomial", ok, f"a={a} b={b} r={r}")
-    return _finish("factorial", {"cap": max_order}, col, t0)
+    return col.report("factorial", {"cap": max_order})
 
 
 # -- commutation laws in the char-0 enveloping algebra -------------------------------------------
@@ -281,7 +270,6 @@ def _power_formulas(hopf, bd, s):
 
 def check_commutation_suite(cfg: Char0Config) -> CheckReport:
     """Shift/straightening laws of the distinguished pair in the char-0 algebra."""
-    t0 = time.monotonic()
     col = _Collector()
     rng = random.Random(cfg.seed)
     rm = cfg.rmatrix()
@@ -402,7 +390,7 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
                 coproduct, antipode = _power_formulas(hopf, bd, s)
                 col.record("coproduct-of-powers", dc == coproduct, xs)
                 col.record("antipode-of-powers", sc == antipode, xs)
-    return _finish("commutation", cfg.as_dict(), col, t0)
+    return col.report("commutation", cfg.as_dict())
 
 
 # -- twist laws ----------------------------------------------------------------------------------
@@ -430,7 +418,6 @@ def _counit_ok(hopf, F) -> bool:
 
 def check_twist_laws(cfg) -> CheckReport:
     """Cocycle/counit conditions, inverse laws, and cross-direction commutation."""
-    t0 = time.monotonic()
     col = _Collector()
     n = cfg.n
     etas = [eta for eta in itertools.product((0, 1), repeat=n) if any(eta)]
@@ -485,19 +472,18 @@ def check_twist_laws(cfg) -> CheckReport:
             lhs = Fj.pad(left=1) * Fi.expand_slot(1, d0)
             rhs = Fi.expand_slot(1, d0) * Fj.pad(left=1)
             col.record("cross-direction-commutation-right", lhs == rhs, hopf.name)
-    return _finish("twist", cfg.as_dict(), col, t0)
+    return col.report("twist", cfg.as_dict())
 
 
 # -- Hopf axioms ---------------------------------------------------------------------------------
 
 
-def check_hopf_axioms(hopf: QuantizedHopf, generators=None, product_depth: int = 2) -> CheckReport:
+def check_hopf_axioms(hopf: QuantizedHopf) -> CheckReport:
     """Coassociativity, counit and antipode laws on generators and pair products."""
-    t0 = time.monotonic()
     col = _Collector()
     U = hopf.uea
     eps = _eps0(U)
-    gens = list(generators) if generators is not None else U.alg.basis()
+    gens = U.alg.basis()
 
     def laws(x, tag):
         dx = hopf.delta(x)
@@ -516,22 +502,13 @@ def check_hopf_axioms(hopf: QuantizedHopf, generators=None, product_depth: int =
     deltas = {}
     for b, x in zip(gens, gen_elems):
         deltas[b] = laws(x, "generators")
-    if product_depth >= 2:
-        for ii in range(len(gens)):
-            for jj in range(ii, len(gens)):
-                x = gen_elems[ii] * gen_elems[jj]
-                dx = laws(x, "products")
-                col.record(
-                    "coproduct-multiplicative",
-                    dx == deltas[gens[ii]] * deltas[gens[jj]],
-                    x,
-                )
-                col.record(
-                    "antipode-anti-multiplicative",
-                    hopf.antipode(x)
-                    == U.mul(hopf.antipode(gen_elems[jj]), hopf.antipode(gen_elems[ii])),
-                    x,
-                )
+    for ii in range(len(gens)):
+        for jj in range(ii, len(gens)):
+            x = gen_elems[ii] * gen_elems[jj]
+            dx = laws(x, "products")
+            col.record("coproduct-multiplicative", dx == deltas[gens[ii]] * deltas[gens[jj]], x)
+            sx = U.mul(hopf.antipode(gen_elems[jj]), hopf.antipode(gen_elems[ii]))
+            col.record("antipode-anti-multiplicative", hopf.antipode(x) == sx, x)
     cfgdict = {
         "p": getattr(U.alg, "p", None),
         "n": U.alg.n,
@@ -540,7 +517,7 @@ def check_hopf_axioms(hopf: QuantizedHopf, generators=None, product_depth: int =
         "cap": hopf.cap,
         "seed": 0,
     }
-    return _finish("hopf", cfgdict, col, t0)
+    return col.report("hopf", cfgdict)
 
 
 # -- the modular reduction chain -----------------------------------------------------------------
@@ -548,7 +525,6 @@ def check_hopf_axioms(hopf: QuantizedHopf, generators=None, product_depth: int =
 
 def check_modular_reduction(p: int, n: int, k: int, seed: int = 0) -> CheckReport:
     """Integrality of the twist coefficients and slotwise mod-p reduction of the closed forms."""
-    t0 = time.monotonic()
     col = _Collector()
     rng = random.Random(seed)
 
@@ -576,10 +552,10 @@ def check_modular_reduction(p: int, n: int, k: int, seed: int = 0) -> CheckRepor
         for i in range(1, n + 1):
             dik = 1 if i == k else 0
             for ell in range(2 * p + 1):
-                C = TwistCoefficients.basic(ak, dik, ell).C
+                C = basic_coefficient(ak, dik, ell)
                 col.record("twist-coefficient-integrality", C.denominator == 1, f"alpha={alpha} i={i} l={ell}")
                 if ell < p:
-                    Cbar = TwistCoefficients.basic(ak, dik, ell, p).Cbar
+                    Cbar = basic_coefficient(ak, dik, ell, p)
                     lifted = math.factorial(ell) * binom_int(ak + ell, ell) * C
                     col.record(
                         "coefficient-reduction-match",
@@ -615,7 +591,7 @@ def check_modular_reduction(p: int, n: int, k: int, seed: int = 0) -> CheckRepor
     col.record("distinguished-e-reduces-with-factor-2", reduce_element_mod_p(e_int, MU) == e_mod, e_int)
 
     cfg = {"p": p, "n": n, "eta": eta, "q": None, "cap": p, "seed": seed}
-    return _finish("reduction", cfg, col, t0)
+    return col.report("reduction", cfg)
 
 
 # -- restricted structure ------------------------------------------------------------------------
@@ -623,7 +599,6 @@ def check_modular_reduction(p: int, n: int, k: int, seed: int = 0) -> CheckRepor
 
 def check_restricted_structure(cfg: ModularConfig) -> CheckReport:
     """Truncation identities, divided ad-powers, and descent of the p-power relations."""
-    t0 = time.monotonic()
     col = _Collector()
     p = cfg.p
     hopf = modular(cfg.p, cfg.n, cfg.eta, cfg.q)
@@ -682,22 +657,21 @@ def check_restricted_structure(cfg: ModularConfig) -> CheckReport:
         col.record("coproduct-p-power-descent", dx**p == hopf.delta(U.power(x, p)), x)
         sx = hopf.antipode(x)
         col.record("antipode-p-power-descent", U.power(sx, p) == hopf.antipode(U.power(x, p)), x)
-    return _finish("restricted", cfg.as_dict(), col, t0)
+    return col.report("restricted", cfg.as_dict())
 
 
 # -- dimensions and the distinguished Hopf subalgebra ---------------------------------------------
 
 
-def check_dimensions_radford(cfg: ModularConfig, enumeration_limit: int = 5000) -> CheckReport:
+def check_dimensions_radford(cfg: ModularConfig) -> CheckReport:
     """Restricted PBW dimension anchors and the group-like/primitive pair relations."""
-    t0 = time.monotonic()
     col = _Collector()
     p, n = cfg.p, cfg.n
     hopf = modular(p, n, cfg.eta, cfg.q)
     U = hopf.uea
     ring = U.ring
     dim = p ** (n * p**n)
-    if dim <= enumeration_limit:
+    if dim <= 5000:  # enumerate the basis only while it stays small
         count = sum(1 for _ in U.enumerate_restricted_basis())
         col.record("restricted-basis-count", count == dim, f"count={count} want={dim}")
         col.record("t-extended-dimension", count * p == p ** (1 + n * p**n), f"{count * p}")
@@ -731,7 +705,7 @@ def check_dimensions_radford(cfg: ModularConfig, enumeration_limit: int = 5000) 
         col.record("antipode-of-torus-generator", hopf.antipode(h) == -(h * finv), tag)
         col.record("counit-of-torus-generator", not hopf.counit(h), tag)
         col.record("counit-of-group-like", hopf.counit(f) == ring.one, tag)
-    return _finish("dims", cfg.as_dict(), col, t0)
+    return col.report("dims", cfg.as_dict())
 
 
 # -- suite runner --------------------------------------------------------------------------------
@@ -752,6 +726,7 @@ def suite_names(names) -> tuple:
 def run_suites(names, modular_cfg: ModularConfig | None = None, char0_cfg: Char0Config | None = None):
     """Run the selected named suites; returns reports sorted by suite name."""
     names = suite_names(names)
+    mod_cfg = modular_cfg or ModularConfig(3, 1, (1,))
     reports = []
     for name in names:
         if name == "factorial":
@@ -759,22 +734,16 @@ def run_suites(names, modular_cfg: ModularConfig | None = None, char0_cfg: Char0
         elif name == "commutation":
             reports.append(check_commutation_suite(char0_cfg or Char0Config()))
         elif name == "twist":
-            if char0_cfg is not None:
-                reports.append(check_twist_laws(char0_cfg))
-            if modular_cfg is not None:
-                reports.append(check_twist_laws(modular_cfg))
-            if char0_cfg is None and modular_cfg is None:
-                reports.append(check_twist_laws(Char0Config()))
+            cfgs = [cfg for cfg in (char0_cfg, modular_cfg) if cfg is not None] or [Char0Config()]
+            reports += [check_twist_laws(cfg) for cfg in cfgs]
         elif name == "hopf":
-            cfg = modular_cfg or ModularConfig(3, 1, (1,))
-            reports.append(check_hopf_axioms(modular(cfg.p, cfg.n, cfg.eta, cfg.q)))
+            reports.append(check_hopf_axioms(modular(mod_cfg.p, mod_cfg.n, mod_cfg.eta, mod_cfg.q)))
         elif name == "reduction":
-            cfg = modular_cfg or ModularConfig(3, 1, (1,))
-            for k in range(1, cfg.n + 1):
-                if cfg.eta[k - 1]:
-                    reports.append(check_modular_reduction(cfg.p, cfg.n, k, seed=cfg.seed))
+            for k in range(1, mod_cfg.n + 1):
+                if mod_cfg.eta[k - 1]:
+                    reports.append(check_modular_reduction(mod_cfg.p, mod_cfg.n, k, seed=mod_cfg.seed))
         elif name == "restricted":
-            reports.append(check_restricted_structure(modular_cfg or ModularConfig(3, 1, (1,))))
+            reports.append(check_restricted_structure(mod_cfg))
         elif name == "dims":
-            reports.append(check_dimensions_radford(modular_cfg or ModularConfig(3, 1, (1,))))
+            reports.append(check_dimensions_radford(mod_cfg))
     return reports

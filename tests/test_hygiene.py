@@ -1,9 +1,12 @@
-"""Source hygiene: every imported name is used by the module that imports it.
+"""Source hygiene: no unused imports and no dead private functions.
 
-No linter ships with the project, so this scan is the check.  It parses each
-module of the package (except ``__init__.py``, whose imports are its exports)
-and of the test suite, and reports an imported name that the module never
-references.  A quoted annotation counts as a reference to the names in it.
+No linter ships with the project, so these scans are the check.  The first
+parses each module of the package (except ``__init__.py``, whose imports are
+its exports) and of the test suite, and reports an imported name that the
+module never references.  A quoted annotation counts as a reference to the
+names in it.  The second reports a private (single-underscore, non-dunder)
+function or method of the package whose name nothing in the package refers
+to, as a plain name or as an attribute.
 """
 from __future__ import annotations
 
@@ -13,8 +16,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "wittquant").glob("*.py"))
 MODULES = sorted(
-    [p for p in (ROOT / "src" / "wittquant").glob("*.py") if p.name != "__init__.py"]
+    [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")),
 )
 
@@ -66,3 +70,34 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_functions(sources: dict) -> list:
+    """(module, name) of each private function or method that no other node references."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef)
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    )
+
+
+def test_scan_finds_a_dead_private_function():
+    a = "def _live(): pass\ndef _dead(): pass\nclass K:\n    def _gone(self): pass\n    def __eq__(self, o): pass\n"
+    b = "from a import _live\ndef f(k): return _live() or k._kept()\ndef _kept(): pass\n"
+    assert dead_private_functions({"a": a, "b": b}) == [("a", "_dead"), ("a", "_gone")]
+
+
+def test_no_dead_private_functions():
+    assert dead_private_functions({p.name: p.read_text() for p in PACKAGE}) == []

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import pytest
 
@@ -87,6 +88,37 @@ def test_antipode_twistors_examples():
     )
     assert pair.v_elem == want_v
     assert pair.v_elem * pair.u_elem == U.one()
+
+
+@pytest.mark.parametrize(
+    "make,shifts",
+    [
+        (lambda: modular(3, 1, (1,), 1), range(3)),
+        (lambda: modular(5, 1, (1,), 0), range(5)),
+        (lambda: modular(3, 2, (1, 1), 1), range(3)),
+        (lambda: integral_eta((1, 1), 2, cap=3), range(-2, 3)),
+        (lambda: char0_general(RMatrixData((1, 0), (0, 1), (1, 0)), cap=4), range(-2, 3)),
+    ],
+)
+def test_twistors_are_the_twist_with_one_slot_antipoded(make, shifts):
+    # u_a = m(S0 (x) Id)(F_a^-1) and v_a = m(Id (x) S0)(F_a), built from the twist
+    H = make()
+    U = H.uea
+    s0 = lambda m: U.antipode0(U.element({m: U.ring.one}))
+    for a in shifts:
+        tw, pair = H.build_twist(a), H.antipode_twistors(a)
+        assert tw.inverse.map_slot(0, s0).multiply_out() == pair.u_elem, a
+        assert tw.forward.map_slot(1, s0).multiply_out() == pair.v_elem, a
+
+
+def test_series_past_the_characteristic_has_one_error():
+    # 1/p! is needed once the series runs to r = p over GF(p)
+    H = modular_unrestricted(3, 1, (1,), cap=4)
+    message = re.escape("1/3! does not exist in characteristic 3")
+    with pytest.raises(ValueError, match=message):
+        H.build_twist(0)
+    with pytest.raises(ValueError, match=message):
+        H.antipode_twistors(0)
 
 
 # -- the two-parameter product laws -------------------------------------------------------
@@ -432,16 +464,12 @@ def test_closed_form_matches_conjugation_on_powers():
 
 
 def test_twist_coefficients_invariants():
-    from fractions import Fraction as F
+    from wittquant.twist import basic_coefficient
 
-    from wittquant.twist import TwistCoefficients
-
-    tc = TwistCoefficients.basic(2, 1, 3)
-    assert tc.C == tc.A - tc.B and tc.A.denominator == 1 and tc.C.denominator == 1
-    tc = TwistCoefficients.basic(1, 1, 1, p=3)
-    assert (tc.Abar, tc.Bbar, tc.Cbar) == (0, 2, 1)  # the unit-exponent correction
-    with pytest.raises(ValueError):
-        TwistCoefficients(F(1), F(0), F(2))  # C != A - B
+    C = basic_coefficient(2, 1, 3)
+    assert C.denominator == 1 and C == 0  # A_3 = B_3 = 1
+    assert basic_coefficient(3, 0, 2) == 6  # (3 * 4) / 2!
+    assert basic_coefficient(1, 1, 1, p=3) == 1  # the unit-exponent correction: Abar - Bbar = 0 - 2
 
 
 def test_divided_ad_power_matches_modular_coefficients():

@@ -195,6 +195,28 @@ def test_left_insertion_matches_rewriting_oracle(kind, seed):
         assert _fold(U, U.mono_mul(m1, m2)) == want, (m1, m2)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_mono_mul_of_meeting_runs_matches_rewriting_oracle(p):
+    # m1 ending at or below the first symbol of m2 takes the no-insertion path
+    u = EnvelopingAlgebra(JacobsonWitt(1, p), gf(p), restricted=True)
+    U = EnvelopingAlgebra(JacobsonWitt(1, p), gf(p))
+    D, H, X = (u.alg.basis_symbol((a,), 1) for a in range(3))
+    assert D < H < X
+    cases = [
+        (u, ((H, p - 1),), ((H, 1),)),  # H^p = H
+        (u, ((D, 1), (H, p - 1)), ((H, p - 1), (X, 1))),
+        (u, ((X, p - 1),), ((X, 1),)),  # X^p = 0 off the torus
+        (u, ((D, 1), (X, 1)), ((X, p - 1),)),
+        (u, ((D, 2), (H, 1)), ((X, 1),)),  # already in normal order
+        (U, ((D, 2 * p),), ((D, 1),)),  # D^k D in U(W(1;1)), nothing folds
+        (U, ((H, p - 1),), ((H, 2), (X, p))),
+        (U, ((D, 1),), ((H, 1), (X, 2))),
+    ]
+    for uea, m1, m2 in cases:
+        want = _fold(uea, rewrite_normalize(uea, _expand(m1) + _expand(m2)))
+        assert _fold(uea, uea.mono_mul(m1, m2)) == want, (m1, m2)
+
+
 def test_left_insertion_long_reversed_words():
     U, pool = _pool_uea("u(W(1;1)) p=5")
     p = U.alg.p

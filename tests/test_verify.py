@@ -203,7 +203,7 @@ def test_collector_counterexample_renders_and_replays():
     col.record("demo", True, x)
     col.record("demo", False, x)
     col.record("demo", False, U.one())  # only the first failure is kept
-    (res,) = col.results()
+    (res,) = col.report("demo", {}).checks
     assert res.status == "fail"
     assert res.counterexample == "2*x(2)D1"
     assert parse_element(res.counterexample, U) == x
