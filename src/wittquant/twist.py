@@ -210,11 +210,17 @@ class QuantizedHopf:
         """(1 - e_d t)^m, via binomials for m >= 0, geometric powers for m < 0."""
 
         def compute():
-            uea, ring, jmax = self.uea, self.uea.ring, self.cap - 1
+            uea, ring = self.uea, self.uea.ring
+            jmax = self.cap - 1
             if m >= 0:
-                coeff = lambda j: ring.mul(ring.from_int(binom_int(m, j) * (-1) ** j), ring.t_power(j))
-                return sum((self._e_power(d, j).scale(coeff(j)) for j in range(min(m, jmax) + 1)), uea.zero())
-            geo = sum((self._e_power(d, j).scale(ring.t_power(j)) for j in range(jmax + 1)), uea.zero())
+                out = uea.zero()
+                for j in range(0, min(m, jmax) + 1):
+                    c = binom_int(m, j) * (-1) ** j
+                    out = out + self._e_power(d, j).scale(ring.mul(ring.from_int(c), ring.t_power(j)))
+                return out
+            geo = uea.zero()
+            for j in range(0, jmax + 1):
+                geo = geo + self._e_power(d, j).scale(ring.t_power(j))
             return uea.power(geo, -m)
 
         return self._memo(("one_minus_et_power", d, m), compute)

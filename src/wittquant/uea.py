@@ -159,16 +159,8 @@ class EnvelopingAlgebra:
         key = (m1, m2)
         hit = self._mono_mul_cache.get(key)
         if hit is None:
-            (b1, e1), (b2, e2) = m1[-1], m2[0]
-            if b1 < b2:  # already in normal order
-                hit = {m1 + m2: 1}
-            elif b1 == b2:  # one run of b1: merge the exponents
-                e = self.fold_exponent(b1, e1 + e2)
-                hit = {m1[:-1] + ((b1, e),) + m2[1:]: 1} if e else {}
-            else:
-                symbols = (b for b, e in reversed(m1) for _ in range(e))
-                hit = self._left_multiply(symbols, {m2: 1})
-            self._mono_mul_cache[key] = hit
+            symbols = (b for b, e in reversed(m1) for _ in range(e))
+            hit = self._mono_mul_cache[key] = self._left_multiply(symbols, {m2: 1})
         return hit
 
     def pbw_normalize(self, word) -> "UEAElement":

@@ -197,7 +197,7 @@ def test_left_insertion_matches_rewriting_oracle(kind, seed):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_mono_mul_of_meeting_runs_matches_rewriting_oracle(p):
-    # m1 ending at or below the first symbol of m2 takes the no-insertion path
+    # m1 ending at or below the first symbol of m2: runs that meet, fold, die or are already ordered
     u = EnvelopingAlgebra(JacobsonWitt(1, p), gf(p), restricted=True)
     U = EnvelopingAlgebra(JacobsonWitt(1, p), gf(p))
     D, H, X = (u.alg.basis_symbol((a,), 1) for a in range(3))
