@@ -161,6 +161,8 @@ def run_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "verify":
+        if args.trunc < 1:
+            raise UsageError(f"--trunc must be >= 1, got {args.trunc}")
         eta = _eta_from_directions(args.eta, args.n)
         mcfg = ModularConfig(args.p, args.n, eta, args.q, seed=args.seed)
         ccfg = _default_char0(args.n)

@@ -14,8 +14,11 @@ basis symbol b and a normal monomial mono = b1^e1 ... (first symbol b1):
 The fold rule is the one place the restricted relations act: b^p = b^[p],
 which is H_i for the torus symbols H_i = x^(eps_i) D_i and 0 for every other
 basis symbol.  A word is normalized by inserting its symbols from right to
-left into the unit, and a product of monomials by inserting the symbols of
-the left factor into the right one, so words never need to be rebuilt.
+left into the unit, so words never need to be rebuilt.  A product of monomials
+m1 * m2 is b1 * (s * m2), where the suffix s drops one factor of the first
+symbol b1 of m1.  The products with one right factor m2 share a row of cached
+entries s * m2, so a product whose suffix is cached costs one insertion step,
+and tails that several left factors share are multiplied once.
 
 The recursion terminates by induction on filtration degree.  For mono of
 degree d it recurses into b rest and [b, b1] rest, of degree d, one less than
@@ -75,9 +78,10 @@ class EnvelopingAlgebra:
         self.alg = alg
         self.ring = ring
         self.restricted = restricted
-        # memo caches; per-context, results never depend on fill order
+        # memo caches; per-context, results never depend on fill order.
+        # _mono_mul_rows: right factor m2 -> {left factor m1 -> m1 * m2}
         self._insert_cache: dict = {}
-        self._mono_mul_cache: dict = {}
+        self._mono_mul_rows: dict = {}
         self._delta0_cache: dict = {}
         self._antipode0_cache: dict = {}
 
@@ -151,16 +155,29 @@ class EnvelopingAlgebra:
         return self._left_multiply(reversed(tuple(word)), {(): 1})
 
     def mono_mul(self, m1, m2) -> dict:
-        """Normalized product of two PBW monomials: dict mono -> int coeff."""
-        if not m1:
-            return {m2: 1}
+        """Normalized product of two PBW monomials: dict mono -> int coeff.
+
+        Row m2 maps m1 -> m1 * m2 and holds the unit.  A miss walks m1 back,
+        one factor of its first symbol b1 at a time, to its longest suffix s in
+        the row (in a loop: degrees can pass the recursion limit), then goes
+        forward by b1 * (s * m2), one insertion step per entry.  Returned dicts
+        are shared and must not be mutated.
+        """
         if not m2:
             return {m1: 1}
-        key = (m1, m2)
-        hit = self._mono_mul_cache.get(key)
+        row = self._mono_mul_rows.get(m2)
+        if row is None:
+            row = self._mono_mul_rows[m2] = {(): {m2: 1}}
+        hit = row.get(m1)
         if hit is None:
-            symbols = (b for b, e in reversed(m1) for _ in range(e))
-            hit = self._mono_mul_cache[key] = self._left_multiply(symbols, {m2: 1})
+            missing = []
+            while hit is None:
+                missing.append(m1)
+                (b1, e1), rest = m1[0], m1[1:]
+                m1 = ((b1, e1 - 1),) + rest if e1 > 1 else rest
+                hit = row.get(m1)
+            for m1 in reversed(missing):
+                hit = row[m1] = self._left_multiply((m1[0][0],), hit)
         return hit
 
     def pbw_normalize(self, word) -> "UEAElement":

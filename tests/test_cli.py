@@ -135,6 +135,23 @@ def test_verify_unknown_suite_exits_2_before_any_suite_or_report(tmp_path, capsy
     assert not path.exists()
 
 
+@pytest.mark.parametrize("trunc", ["0", "-1"])
+def test_verify_trunc_below_one_exits_2_before_any_suite_or_report(tmp_path, capsys, monkeypatch, trunc):
+    def no_suites(*args, **kwargs):
+        raise AssertionError("a suite ran although --trunc is below 1")
+
+    monkeypatch.setattr(wittquant.cli, "run_suites", no_suites)
+    path = tmp_path / "r.json"
+    path.write_bytes(b'[{"kept": true}]\n')
+    code, out, err = run(
+        capsys, "verify", "--p", "3", "--n", "1", "--suite", "factorial,commutation", "--trunc", trunc,
+        "--json-path", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "--trunc" in err
+    assert path.read_bytes() == b'[{"kept": true}]\n'
+
+
 @pytest.mark.parametrize(
     "p,n,want",
     [

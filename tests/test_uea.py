@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -215,6 +216,64 @@ def test_mono_mul_of_meeting_runs_matches_rewriting_oracle(p):
     for uea, m1, m2 in cases:
         want = _fold(uea, rewrite_normalize(uea, _expand(m1) + _expand(m2)))
         assert _fold(uea, uea.mono_mul(m1, m2)) == want, (m1, m2)
+
+
+@pytest.mark.parametrize(
+    "kind,seed",
+    [
+        ("u(W(2;1)) p=3", 71),
+        ("u(W(1;1)) p=5", 72),
+        ("u(W(1;1)) p=7", 73),
+        ("U(W(2;1)) GF(3)", 74),
+        ("U(W(1)) QQ", 75),
+        ("U(W+(2)) QQ", 76),
+    ],
+)
+def test_mono_mul_rows_do_not_depend_on_fill_order(kind, seed):
+    # a product is built from whichever suffix of its left factor is cached in
+    # its row; every fill order must give the same product, and cached dicts are
+    # shared with callers, so none may change after it is first returned
+    U, pool = _pool_uea(kind)
+    V, _ = _pool_uea(kind)
+    rng = random.Random(seed)
+    pairs = [(_random_mono(U, rng, pool), _random_mono(U, rng, pool)) for _ in range(60)]
+    returned = []
+
+    def product(uea, m1, m2):
+        got = uea.mono_mul(m1, m2)
+        returned.append((got, copy.deepcopy(got)))
+        return got
+
+    forward = {pair: product(U, *pair) for pair in pairs}
+    for _ in range(60):
+        product(V, _random_mono(V, rng, pool), rng.choice(pairs)[1])
+        product(V, _random_mono(V, rng, pool), _random_mono(V, rng, pool))
+    shuffled = list(forward)
+    rng.shuffle(shuffled)
+    assert {pair: product(V, *pair) for pair in shuffled} == forward
+    assert all(got == snapshot for got, snapshot in returned)
+    for (m1, m2), got in forward.items():
+        word = _expand(m1) + _expand(m2)
+        if len(word) <= 5:
+            assert _fold(U, got) == _fold(U, rewrite_normalize(U, word)), (m1, m2)
+
+
+def test_mono_mul_extends_a_cached_suffix_in_one_insertion_step():
+    # D^1000 D walks back to the cached D^999 D and inserts one D, where
+    # inserting every symbol of D^1000 into D took 1000 insertion steps
+    U = EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3))
+    D = U.alg.basis_symbol((0,), 1)
+    U.mono_mul(((D, 999),), ((D, 1),))
+    calls = []
+    left_multiply = U._left_multiply
+
+    def counted(symbols, terms):
+        calls.append(tuple(symbols))
+        return left_multiply(calls[-1], terms)
+
+    U._left_multiply = counted
+    assert U.mono_mul(((D, 1000),), ((D, 1),)) == {((D, 1001),): 1}
+    assert calls == [(D,)]
 
 
 def test_left_insertion_long_reversed_words():
