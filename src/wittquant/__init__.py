@@ -13,12 +13,7 @@ from .liealg import (
     RMatrixData,
     WittAlgebra,
     WPlusAlgebra,
-    bracket_jw,
-    bracket_wplus,
-    bracket_witt,
-    p_power_basis,
     pairing,
-    reduce_wplus_to_jw,
 )
 from .rings import QQ, binom_int, gf, t_quotient, t_series
 from .twist import (

@@ -60,6 +60,7 @@ def _open_report(path):
 
 
 _MAX_EXPONENT_DIGITS = 1000  # largest digit count of the exponent n*p^n that the modular verbs accept
+MAX_TRUNC = 8  # largest char-0 series cap (--trunc); the commutation suite's cost grows steeply with it
 
 
 def _dims_exponent(p: int, n: int, verb: str = "dims") -> int:
@@ -84,11 +85,11 @@ def _power_text(p: int, e: int) -> str:
     return str(p**e)
 
 
-def _default_char0(n: int) -> Char0Config:
+def _default_char0(n: int, cap: int, seed: int) -> Char0Config:
     d0 = tuple(1 if j == 0 else 0 for j in range(n))
     d0p = tuple(1 if j == min(1, n - 1) else 0 for j in range(n))
     gamma = tuple(1 if j == 0 else 0 for j in range(n))
-    return Char0Config(d0=d0, d0p=d0p, gamma=gamma)
+    return Char0Config(d0=d0, d0p=d0p, gamma=gamma, cap=cap, seed=seed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,13 +115,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", required=True, help="comma list: r-matrix exponent")
         p.add_argument("--alpha", required=True, help="comma list exponent of the argument")
         p.add_argument("--i", type=int, required=True, help="derivation index (1-based)")
-        p.add_argument("--trunc", type=int, default=5, help="series truncation order")
+        p.add_argument("--trunc", type=int, default=5, help=f"series truncation order, 1..{MAX_TRUNC}")
 
     p = sub.add_parser("verify", help="run verification suites")
     modular_flags(p)
     p.add_argument("--suite", default="all", help="'all' or comma list: factorial,commutation,twist,hopf,reduction,restricted,dims")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trunc", type=int, default=4, help="char-0 series truncation order")
+    p.add_argument("--trunc", type=int, default=4, help=f"char-0 series truncation order, 1..{MAX_TRUNC}")
     p.add_argument("--json-path", default=None, help="write the JSON report here")
 
     p = sub.add_parser("dims", help="print the dimension anchors")
@@ -130,6 +131,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(args: argparse.Namespace) -> int:
+    if args.verb in ("char0-delta", "char0-antipode", "verify") and not 1 <= args.trunc <= MAX_TRUNC:
+        raise UsageError(f"--trunc must be between 1 and {MAX_TRUNC}, got {args.trunc}")
     if args.verb in ("delta", "antipode", "verify"):
         _dims_exponent(args.p, args.n, args.verb)
 
@@ -161,12 +164,9 @@ def run_command(args: argparse.Namespace) -> int:
         return 0
 
     if args.verb == "verify":
-        if args.trunc < 1:
-            raise UsageError(f"--trunc must be >= 1, got {args.trunc}")
         eta = _eta_from_directions(args.eta, args.n)
         mcfg = ModularConfig(args.p, args.n, eta, args.q, seed=args.seed)
-        ccfg = _default_char0(args.n)
-        ccfg = Char0Config(ccfg.d0, ccfg.d0p, ccfg.gamma, cap=args.trunc, seed=args.seed)
+        ccfg = _default_char0(args.n, args.trunc, args.seed)
         suites = suite_names(args.suite)
         with _open_report(args.json_path) as report:
             reports = run_suites(suites, modular_cfg=mcfg, char0_cfg=ccfg)

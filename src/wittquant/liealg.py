@@ -210,10 +210,6 @@ class LieElement(SparseElement):
         return (self.alg, self.ring)
 
     @classmethod
-    def zero(cls, alg, ring):
-        return cls(alg, ring, {})
-
-    @classmethod
     def from_basis(cls, alg, ring, b: BasisDeriv, coeff=None):
         alg.validate(b)
         c = ring.one if coeff is None else coeff
@@ -236,31 +232,6 @@ class LieElement(SparseElement):
             return "LieElement(0)"
         bits = [f"{c}*{b.flavor}:x{b.alpha}D{b.i}" for b, c in sorted(self.terms.items(), key=lambda t: basis_key(t[0]))]
         return "LieElement(" + " + ".join(bits) + ")"
-
-
-def bracket_witt(a: BasisDeriv, b: BasisDeriv, alg: WittAlgebra, ring=QQ) -> LieElement:
-    """Bracket of two Witt basis symbols as a LieElement."""
-    return LieElement.from_basis(alg, ring, a).bracket(LieElement.from_basis(alg, ring, b))
-
-
-def bracket_wplus(a: BasisDeriv, b: BasisDeriv, alg: WPlusAlgebra, ring=QQ) -> LieElement:
-    """Bracket of two W+ basis symbols as a LieElement."""
-    return LieElement.from_basis(alg, ring, a).bracket(LieElement.from_basis(alg, ring, b))
-
-
-def bracket_jw(a: BasisDeriv, b: BasisDeriv, alg: JacobsonWitt, ring=None) -> LieElement:
-    """Bracket of two Jacobson-Witt basis symbols as a LieElement over GF(p)."""
-    ring = ring if ring is not None else gf(alg.p)
-    return LieElement.from_basis(alg, ring, a).bracket(LieElement.from_basis(alg, ring, b))
-
-
-def p_power_basis(b: BasisDeriv, alg: JacobsonWitt, ring=None) -> LieElement:
-    """The restricted p-power of a basis symbol, as a LieElement."""
-    ring = ring if ring is not None else gf(alg.p)
-    target = alg.p_power(b)
-    if target is None:
-        return LieElement.zero(alg, ring)
-    return LieElement.from_basis(alg, ring, target)
 
 
 def witt_deriv(alg: WittAlgebra, ring, alpha, dvec) -> LieElement:
@@ -299,24 +270,6 @@ def _divided_power_image(b: BasisDeriv, p: int):
     return BasisDeriv(JW, b.alpha, b.i), multi_factorial(b.alpha)
 
 
-def reduce_wplus_to_jw(x: LieElement, p: int, target: JacobsonWitt = None, ring=None) -> LieElement:
-    """Two-step reduction W+_Q -> W(n;1): c*x^a D_i -> (c * a! mod p) x^(a) D_i.
-
-    Terms whose exponent has a component >= p are killed.  Raises
-    ``ReductionError`` when a cleared coefficient has a p-divisible denominator.
-    """
-    if x.alg.flavor != WPLUS:
-        raise ValueError("reduction applies to W+ elements")
-    alg = target if target is not None else JacobsonWitt(x.alg.n, p)
-    ring = ring if ring is not None else gf(p)
-    pairs = (
-        (image[0], from_fraction(ring, Fraction(c) * image[1]))
-        for b, c in x.terms.items()
-        if (image := _divided_power_image(b, p))
-    )
-    return LieElement(alg, ring, accumulate(ring.add, {}, pairs))
-
-
 @dataclass(frozen=True)
 class RMatrixData:
     """Triangular r-matrix data (d0, d0p, gamma) with <d0, gamma> != 0.
@@ -328,15 +281,13 @@ class RMatrixData:
     d0: tuple
     d0p: tuple
     gamma: tuple
-    pairing_value: Fraction = field(default=None)
+    pairing_value: Fraction = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "d0", tuple(Fraction(c) for c in self.d0))
         object.__setattr__(self, "d0p", tuple(Fraction(c) for c in self.d0p))
         object.__setattr__(self, "gamma", tuple(int(g) for g in self.gamma))
         pv = pairing(self.d0, self.gamma)
-        if self.pairing_value is not None and Fraction(self.pairing_value) != pv:
-            raise ValueError(f"declared pairing value {self.pairing_value} != <d0,gamma> = {pv}")
         object.__setattr__(self, "pairing_value", pv)
         if not pv:
             raise ValueError("<d0, gamma> must be nonzero")

@@ -9,7 +9,7 @@ Three kinds of coefficient rings are supported, all exact:
   ``quotient`` (t^p is rewritten to q*t, so every value has t-degree < p).
 
 Each ring is a descriptor object with a uniform method API
-(``add``, ``mul``, ``neg``, ``sub``, ``inv``, ``from_int``, ...) and the
+(``add``, ``mul``, ``neg``, ``inv``, ``from_int``, ...) and the
 element values themselves are plain data: ``Fraction`` for the rationals,
 an int in ``[0, p)`` for GF(p), and a zero-trimmed tuple of base scalars
 (index = t-degree) for the t-rings.  Structural equality of values is
@@ -101,10 +101,6 @@ class RationalField:
         return a + b
 
     @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
     def mul(a, b):
         return a * b
 
@@ -144,9 +140,6 @@ class PrimeField:
 
     def add(self, a, b):
         return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
 
     def mul(self, a, b):
         return a * b % self.p
@@ -228,9 +221,6 @@ class _TRingBase:
     def neg(self, a):
         bneg = self.base.neg
         return tuple(bneg(c) for c in a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if not a or not b:

@@ -152,13 +152,12 @@ class TwistElement(NamedTuple):
         unit = TensorElement.unit(uea)
         if self.forward * self.inverse != unit or self.inverse * self.forward != unit:
             raise ValueError("twist inverse does not invert the twist")
-        eps = lambda m: uea.ring.one if not m else uea.ring.zero
         one = uea.one()
         # the counit law in the left slot only holds for the unshifted twist:
         # (eps0 (x) Id) forward_a = (1 - et)^a
         slots = (0, 1) if not self.shift else (1,)
         for slot in slots:
-            if self.forward.contract(slot, eps).to_element() != one:
+            if self.forward.contract(slot).to_element() != one:
                 raise ValueError("twist fails the counit condition")
         return self
 
@@ -173,10 +172,11 @@ class TwistorPair(NamedTuple):
 class QuantizedHopf:
     """A quantization context: ambient enveloping algebra + twist directions.
 
-    Provides the closed-form deformed coproduct, antipode and counit on basis
-    symbols, their multiplicative/anti-multiplicative extensions to arbitrary
-    elements, the twist and twistor constructions, and the brute-force
-    conjugation oracle the closed forms are tested against.
+    Provides the closed-form deformed coproduct and antipode on basis symbols,
+    their multiplicative/anti-multiplicative extensions, the counit eps0 (the
+    one counit rule; a twist leaves it alone), the twist and twistor
+    constructions, and the brute-force conjugation oracle the closed forms are
+    tested against.
     """
 
     def __init__(self, uea: EnvelopingAlgebra, directions, cap: int, name: str, eta=None):
@@ -336,7 +336,7 @@ class QuantizedHopf:
         return out
 
     def counit(self, x: UEAElement):
-        """The deformed counit: kills every generator, keeps scalars."""
+        """The deformed counit, which is eps0: the coefficient of the empty monomial."""
         return x.terms.get((), self.uea.ring.zero)
 
     # -- twists and twistors --------------------------------------------------------------

@@ -256,11 +256,6 @@ class EnvelopingAlgebra:
         """The undeformed antipode: reverse, negate each generator, renormalize."""
         return UEAElement(self, self._extend(x, self._antipode0_mono))
 
-    def counit0(self, x: "UEAElement"):
-        """The undeformed counit: the unit-monomial coefficient."""
-        self._check(x)
-        return x.terms.get((), self.ring.zero)
-
     # -- derived elements ----------------------------------------------------------
 
     def coerce_scalar(self, a):
@@ -288,16 +283,15 @@ class EnvelopingAlgebra:
             out = self.mul(out, base + self.scalar(shift))
         return out
 
-    def ad_divided_power(self, e, ell: int, x: "UEAElement") -> "UEAElement":
+    def ad_divided_power(self, e: "UEAElement", ell: int, x: "UEAElement") -> "UEAElement":
         """(1/ell!) (ad e)^ell (x); in characteristic p this needs ell < p."""
         if ell < 0:
             raise ValueError("ell must be nonnegative")
         if self.ring.char and ell >= self.ring.char:
             raise ValueError(f"1/{ell}! does not exist in characteristic {self.ring.char}")
-        e_elem = self.lift(e) if isinstance(e, LieElement) else e
         cur = x
         for _ in range(ell):
-            cur = self.mul(e_elem, cur) - self.mul(cur, e_elem)
+            cur = self.mul(e, cur) - self.mul(cur, e)
         inv = self.ring.inv(self.ring.from_int(math.factorial(ell)))
         return cur.scale(inv)
 
@@ -433,15 +427,11 @@ class TensorElement(SparseElement):
             self.uea, self.arity + left + right, {lk + k + rk: c for k, c in self.terms.items()}
         )
 
-    def contract(self, slot: int, functional) -> "TensorElement":
-        """Apply a ring-valued functional (mono -> coeff) to one slot."""
-        rmul = self.ring.mul
-        pairs = (
-            (key[:slot] + key[slot + 1 :], rmul(c, s))
-            for key, c in self.terms.items()
-            if (s := functional(key[slot]))
-        )
-        return TensorElement(self.uea, self.arity - 1, accumulate(self.ring.add, {}, pairs))
+    def contract(self, slot: int) -> "TensorElement":
+        """Apply eps0, the one counit (``QuantizedHopf.counit`` too), to one slot:
+        keep the terms whose monomial in that slot is the empty one."""
+        terms = {key[:slot] + key[slot + 1 :]: c for key, c in self.terms.items() if not key[slot]}
+        return TensorElement(self.uea, self.arity - 1, terms)
 
     def multiply_out(self) -> UEAElement:
         """The image under slotwise multiplication m: A⊗...⊗A -> A."""

@@ -152,6 +152,39 @@ def test_verify_trunc_below_one_exits_2_before_any_suite_or_report(tmp_path, cap
     assert path.read_bytes() == b'[{"kept": true}]\n'
 
 
+@pytest.mark.parametrize("trunc", [str(wittquant.cli.MAX_TRUNC + 1), "100000"])
+def test_verify_trunc_above_max_exits_2_before_any_suite_or_report(tmp_path, capsys, monkeypatch, trunc):
+    def no_suites(*args, **kwargs):
+        raise AssertionError("a suite ran although --trunc is above MAX_TRUNC")
+
+    monkeypatch.setattr(wittquant.cli, "run_suites", no_suites)
+    path = tmp_path / "r.json"
+    path.write_bytes(b'[{"kept": true}]\n')
+    code, out, err = run(
+        capsys, "verify", "--p", "3", "--n", "1", "--suite", "factorial,commutation", "--trunc", trunc,
+        "--json-path", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "--trunc" in err
+    assert path.read_bytes() == b'[{"kept": true}]\n'
+
+
+@pytest.mark.parametrize("verb", ["char0-delta", "char0-antipode"])
+def test_char0_trunc_outside_range_exits_2_before_any_series(capsys, monkeypatch, verb):
+    args = ("--d0", "1", "--d0p", "1", "--gamma", "1", "--alpha", "1", "--i", "1", "--trunc")
+    code, out, _ = run(capsys, verb, *args, str(wittquant.cli.MAX_TRUNC))
+    assert code == 0 and out.strip()
+
+    def no_series(*a, **kw):
+        raise AssertionError("a series was built although --trunc is out of range")
+
+    monkeypatch.setattr(wittquant.cli, "char0_general", no_series)
+    for trunc in ("0", str(wittquant.cli.MAX_TRUNC + 1), "100000"):
+        code, out, err = run(capsys, verb, *args, trunc)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "--trunc" in err
+
+
 @pytest.mark.parametrize(
     "p,n,want",
     [

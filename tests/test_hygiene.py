@@ -1,4 +1,5 @@
-"""Source hygiene: no unused imports and no dead private functions.
+"""Source hygiene: no unused imports, no dead private functions and no public
+names that only tests use.
 
 No linter ships with the project, so these scans are the check.  The first
 parses each module of the package (except ``__init__.py``, whose imports are
@@ -6,7 +7,11 @@ its exports) and of the test suite, and reports an imported name that the
 module never references.  A quoted annotation counts as a reference to the
 names in it.  The second reports a private (single-underscore, non-dunder)
 function or method of the package whose name nothing in the package refers
-to, as a plain name or as an attribute.
+to, as a plain name or as an attribute.  The third reports a public function,
+class or method of the package whose name nothing outside ``tests/`` refers
+to: not the package (outside the name's own definition and ``__init__.py``),
+not ``demos/`` and not ``perfbench/``.  There a string constant counts as a
+reference too, since the benchmark names the methods it traces in strings.
 """
 from __future__ import annotations
 
@@ -17,6 +22,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "wittquant").glob("*.py"))
+USERS = sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 MODULES = sorted(
     [p for p in PACKAGE if p.name != "__init__.py"]
     + list((ROOT / "tests").glob("*.py")),
@@ -101,3 +107,76 @@ def test_scan_finds_a_dead_private_function():
 
 def test_no_dead_private_functions():
     assert dead_private_functions({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+# Public names that only tests call but that the project documents for users.
+DOCUMENTED = {"parse_element"}  # the README's element grammar
+
+
+def _references(tree, skip=None) -> set:
+    """Names and attributes referenced in tree, outside the definitions named skip."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef) and node.name == skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _public_definitions(tree):
+    """(qualified name, name) of each public module-level function or class and
+    each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef | ast.ClassDef) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def names_only_tests_use(package: dict, users: dict) -> list:
+    """(module, qualified name) of each public definition of package (module -> source)
+    that no module of package other than ``__init__.py`` references outside the
+    name's own definitions, and that no module of users references."""
+    trees = {name: ast.parse(src) for name, src in package.items() if name != "__init__.py"}
+    outside = set().union(*(_references(ast.parse(src)) for src in users.values()))
+    flagged = []
+    for module, tree in trees.items():
+        for qualified, name in _public_definitions(tree):
+            if name in outside or name in DOCUMENTED:
+                continue
+            if not any(name in _references(other, skip=name) for other in trees.values()):
+                flagged.append((module, qualified))
+    return sorted(flagged)
+
+
+def test_scan_finds_a_public_name_only_tests_use():
+    a = (
+        "def used(): pass\n"
+        "def only_tested(): return only_tested()\n"
+        "class K:\n"
+        "    def m(self): return self.gone()\n"
+        "    def gone(self): pass\n"
+        "    def traced(self): pass\n"
+        "    def tested(self): pass\n"
+        "def parse_element(text): pass\n"
+    )
+    b = "from a import used\nused()\nK().m()\n"
+    init = "from .a import only_tested\n"
+    bench = "SPANS = ('traced',)\n"
+    got = names_only_tests_use({"a": a, "b": b, "__init__.py": init}, {"bench": bench})
+    assert got == [("a", "K.tested"), ("a", "only_tested")]
+
+
+def test_no_public_names_that_only_tests_use():
+    package = {p.name: p.read_text() for p in PACKAGE}
+    assert names_only_tests_use(package, {str(p): p.read_text() for p in USERS}) == []

@@ -16,17 +16,24 @@ from wittquant.liealg import (
     WittAlgebra,
     WPlusAlgebra,
     basic_pair,
-    bracket_jw,
-    bracket_wplus,
-    bracket_witt,
-    p_power_basis,
     pairing,
-    reduce_wplus_to_jw,
     witt_deriv,
 )
 from wittquant.rings import QQ, gf
+from wittquant.uea import EnvelopingAlgebra, UEAElement, reduce_element_mod_p
 
 from oracles import element_matrix, mat_commutator, mat_pow, op_matrix, wplus_to_witt
+
+
+def bracket(alg, a: BasisDeriv, b: BasisDeriv, ring=QQ) -> LieElement:
+    """[a, b] of two basis symbols through LieElement.bracket."""
+    return LieElement.from_basis(alg, ring, a).bracket(LieElement.from_basis(alg, ring, b))
+
+
+def p_power_element(alg: JacobsonWitt, b: BasisDeriv) -> LieElement:
+    """The restricted p-power of a basis symbol (JacobsonWitt.p_power) as a LieElement over GF(p)."""
+    target = alg.p_power(b)
+    return LieElement(alg, gf(alg.p), {target: 1} if target is not None else {})
 
 
 def test_pairing_examples():
@@ -42,8 +49,8 @@ def test_bracket_witt_examples():
     W = WittAlgebra(1)
     a = W.basis_symbol((1,), 1)
     b = W.basis_symbol((2,), 1)
-    assert bracket_witt(a, b, W).terms == {BasisDeriv(WITT, (3,), 1): Fraction(1)}
-    assert not bracket_witt(a, a, W)
+    assert bracket(W, a, b).terms == {BasisDeriv(WITT, (3,), 1): Fraction(1)}
+    assert not bracket(W, a, a)
 
     # [d0, x^gamma d0'] = <d0, gamma> x^gamma d0'
     W2 = WittAlgebra(2)
@@ -56,12 +63,12 @@ def test_bracket_wplus_examples():
     W = WPlusAlgebra(1)
     h = W.basis_symbol((1,), 1)
     e = W.basis_symbol((2,), 1)
-    assert bracket_wplus(h, e, W).terms == {BasisDeriv(WPLUS, (2,), 1): Fraction(1)}
+    assert bracket(W, h, e).terms == {BasisDeriv(WPLUS, (2,), 1): Fraction(1)}
 
     W2 = WPlusAlgebra(2)
-    assert not bracket_wplus(W2.basis_symbol((0, 0), 1), W2.basis_symbol((0, 0), 2), W2)
+    assert not bracket(W2, W2.basis_symbol((0, 0), 1), W2.basis_symbol((0, 0), 2))
 
-    got = bracket_wplus(W2.basis_symbol((1, 0), 2), W2.basis_symbol((0, 1), 1), W2)
+    got = bracket(W2, W2.basis_symbol((1, 0), 2), W2.basis_symbol((0, 1), 1))
     assert got.terms == {
         BasisDeriv(WPLUS, (1, 0), 1): Fraction(1),
         BasisDeriv(WPLUS, (0, 1), 2): Fraction(-1),
@@ -76,7 +83,7 @@ def test_bracket_wplus_matches_witt_identification():
         syms = [WP.basis_symbol(a, i) for a in alphas for i in range(1, n + 1)]
         for a in syms:
             for b in syms:
-                direct = wplus_to_witt(bracket_wplus(a, b, WP), W)
+                direct = wplus_to_witt(bracket(WP, a, b), W)
                 via = wplus_to_witt(LieElement.from_basis(WP, QQ, a), W).bracket(
                     wplus_to_witt(LieElement.from_basis(WP, QQ, b), W)
                 )
@@ -88,9 +95,9 @@ def test_bracket_jw_examples():
     h, e = basic_pair(alg, gf(3), 1)
     assert h.bracket(e) == e  # [h, e] = e with e = 2 x^(2) D_1
 
-    assert not bracket_jw(alg.basis_symbol((2,), 1), alg.basis_symbol((2,), 1), alg)
+    assert not bracket(alg, alg.basis_symbol((2,), 1), alg.basis_symbol((2,), 1), gf(3))
 
-    got = bracket_jw(alg.basis_symbol((0,), 1), alg.basis_symbol((2,), 1), alg)
+    got = bracket(alg, alg.basis_symbol((0,), 1), alg.basis_symbol((2,), 1), gf(3))
     assert got.terms == {BasisDeriv(JW, (1,), 1): 1}
 
 
@@ -101,7 +108,7 @@ def test_bracket_jw_matches_matrix_commutator_exhaustively(p, n):
     for a in alg.basis():
         for b in alg.basis():
             want = mat_commutator(mats[a], mats[b], p)
-            got = element_matrix(bracket_jw(a, b, alg))
+            got = element_matrix(bracket(alg, a, b, gf(p)))
             assert got == want, (a, b)
 
 
@@ -110,24 +117,22 @@ def test_p_power_matches_matrix_power_exhaustively(p, n):
     alg = JacobsonWitt(n, p)
     for b in alg.basis():
         want = mat_pow(op_matrix(alg, b), p, p)
-        got = element_matrix(p_power_basis(b, alg))
+        got = element_matrix(p_power_element(alg, b))
         assert got == want, b
 
 
 def test_p_power_examples():
     alg = JacobsonWitt(1, 3)
     H = alg.basis_symbol((1,), 1)
-    assert p_power_basis(H, alg).terms == {H: 1}
-    assert not p_power_basis(alg.basis_symbol((2,), 1), alg)
-    assert not p_power_basis(alg.basis_symbol((0,), 1), alg)
+    assert alg.p_power(H) == H
+    assert alg.p_power(alg.basis_symbol((2,), 1)) is None
+    assert alg.p_power(alg.basis_symbol((0,), 1)) is None
 
 
 def _jacobi_sweep(elements):
     for x in elements:
         for y in elements:
-            assert x.bracket(y) + y.bracket(x) == type(x).zero(x.alg, x.ring) or not (
-                x.bracket(y) + y.bracket(x)
-            )
+            assert not x.bracket(y) + y.bracket(x), (x, y)
     for x in elements:
         for y in elements:
             for z in elements:
@@ -158,41 +163,43 @@ def test_antisymmetry_jacobi_jw(p, n):
     _jacobi_sweep(elems)
 
 
+def reduce_lifted(x: LieElement, p: int) -> UEAElement:
+    """reduce_element_mod_p of a W+ element lifted into U(W+) over QQ, in U(W(n;1)) over GF(p)."""
+    target = EnvelopingAlgebra(JacobsonWitt(x.alg.n, p), gf(p))
+    return reduce_element_mod_p(EnvelopingAlgebra(x.alg, QQ).lift(x), target)
+
+
 def test_reduce_examples():
     W = WPlusAlgebra(1)
     x = LieElement.from_basis(W, QQ, W.basis_symbol((2,), 1), Fraction(1, 2))
-    assert reduce_wplus_to_jw(x, 3).terms == {BasisDeriv(JW, (2,), 1): 1}
+    assert reduce_lifted(x, 3).terms == {((BasisDeriv(JW, (2,), 1), 1),): 1}
 
     y = LieElement.from_basis(W, QQ, W.basis_symbol((3,), 1))
-    assert not reduce_wplus_to_jw(y, 3)
+    assert not reduce_lifted(y, 3)
 
     z = LieElement.from_basis(W, QQ, W.basis_symbol((2,), 1))
-    assert reduce_wplus_to_jw(z, 3).terms == {BasisDeriv(JW, (2,), 1): 2}
+    assert reduce_lifted(z, 3).terms == {((BasisDeriv(JW, (2,), 1), 1),): 2}
 
 
 def test_reduce_rejects_p_divisible_denominator():
     W = WPlusAlgebra(1)
     x = LieElement.from_basis(W, QQ, W.basis_symbol((1,), 1), Fraction(1, 3))
     with pytest.raises(ReductionError):
-        reduce_wplus_to_jw(x, 3)
+        reduce_lifted(x, 3)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2)])
 def test_reduce_is_lie_homomorphism(p, n):
     # the commuting square fixing the jw structure constants:
-    # reduce([x, y]) == [reduce(x), reduce(y)] for all alpha, beta <= tau + 1
-    WP = WPlusAlgebra(n)
-    alg = JacobsonWitt(n, p)
-    ring = gf(p)
+    # reduce(XY - YX) == rX rY - rY rX for all alpha, beta <= tau + 1
+    WU = EnvelopingAlgebra(WPlusAlgebra(n), QQ)
+    MU = EnvelopingAlgebra(JacobsonWitt(n, p), gf(p))
     alphas = list(itertools.product(range(p + 1), repeat=n))
-    syms = [WP.basis_symbol(a, i) for a in alphas for i in range(1, n + 1)]
-    for a in syms:
-        for b in syms:
-            x = LieElement.from_basis(WP, QQ, a)
-            y = LieElement.from_basis(WP, QQ, b)
-            lhs = reduce_wplus_to_jw(x.bracket(y), p, alg, ring)
-            rhs = reduce_wplus_to_jw(x, p, alg, ring).bracket(reduce_wplus_to_jw(y, p, alg, ring))
-            assert lhs == rhs, (a, b)
+    gens = [WU.gen(WU.alg.basis_symbol(a, i)) for a in alphas for i in range(1, n + 1)]
+    images = [reduce_element_mod_p(X, MU) for X in gens]
+    for X, rX in zip(gens, images):
+        for Y, rY in zip(gens, images):
+            assert reduce_element_mod_p(X * Y - Y * X, MU) == rX * rY - rY * rX, (X, Y)
 
 
 def test_rmatrix_validation():
@@ -210,8 +217,6 @@ def test_rmatrix_validation():
 
     with pytest.raises(ValueError):
         RMatrixData(d0=(1,), d0p=(1,), gamma=(0,))  # <d0, gamma> = 0
-    with pytest.raises(ValueError):
-        RMatrixData(d0=(1,), d0p=(1,), gamma=(1,), pairing_value=2)
 
 
 def test_basic_pairs_satisfy_he_relation_all_flavors():

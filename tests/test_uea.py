@@ -12,7 +12,6 @@ from wittquant.liealg import (
     WittAlgebra,
     WPlusAlgebra,
     basic_pair,
-    reduce_wplus_to_jw,
 )
 from wittquant.rings import QQ, binom_int, gf, t_series
 from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement
@@ -318,19 +317,24 @@ def test_coproduct0_examples():
     assert U.coproduct0(h2) == want
 
 
+def counit(x: UEAElement):
+    """eps0(x), the one counit, read off through TensorElement.contract."""
+    return TensorElement.of(x).contract(0).terms.get((), x.ring.zero)
+
+
 def test_antipode0_counit0_examples():
     U = u31()
     g = U.gen(U.alg.basis_symbol((2,), 1))
-    s, eps = U.antipode0(g), U.counit0(g)
+    s, eps = U.antipode0(g), counit(g)
     assert s == -g and not eps
 
     UW = uw_plus()
     h, e = basic_pair(UW.alg, QQ, 1)
     H, E = UW.lift(h), UW.lift(e)
-    s, eps = UW.antipode0(H * E), UW.counit0(H * E)
+    s, eps = UW.antipode0(H * E), counit(H * E)
     assert s == E * H and s == H * E - E and not eps
 
-    s, eps = UW.antipode0(UW.one()), UW.counit0(UW.one())
+    s, eps = UW.antipode0(UW.one()), counit(UW.one())
     assert s == UW.one() and eps == Fraction(1)
 
 
@@ -373,11 +377,10 @@ def test_coassoc_counit_antipode_on_random_elements(cfg, seed):
         rhs = d.expand_slot(1, lambda m: _delta0_tensor(U, m))
         assert lhs == rhs
         # counit law
-        eps = lambda m: U.ring.one if not m else U.ring.zero
-        assert d.contract(0, eps).to_element() == x
-        assert d.contract(1, eps).to_element() == x
+        assert d.contract(0).to_element() == x
+        assert d.contract(1).to_element() == x
         # antipode axiom
-        want = U.one().scale(U.counit0(x))
+        want = U.one().scale(counit(x))
         assert d.map_slot(0, lambda m: _s0_elem(U, m)).multiply_out() == want
         assert d.map_slot(1, lambda m: _s0_elem(U, m)).multiply_out() == want
 
@@ -416,10 +419,10 @@ def test_factorial_element_examples():
 def test_ad_divided_power_basics():
     U = u31()
     h, e = basic_pair(U.alg, gf(3), 1)
-    x = U.gen(U.alg.basis_symbol((2,), 1))
+    x, e = U.gen(U.alg.basis_symbol((2,), 1)), U.lift(e)
     assert U.ad_divided_power(e, 0, x) == x
     # d^(1)(h) = [e, h] = -e
-    assert U.ad_divided_power(e, 1, U.lift(h)) == -U.lift(e)
+    assert U.ad_divided_power(e, 1, U.lift(h)) == -e
     with pytest.raises(ValueError):
         U.ad_divided_power(e, 3, x)  # 1/3! missing in char 3
 
@@ -427,7 +430,7 @@ def test_ad_divided_power_basics():
 def test_ad_divided_power_off_direction_vanishes():
     alg = JacobsonWitt(2, 3)
     U = EnvelopingAlgebra(alg, gf(3), restricted=True)
-    _, e1 = basic_pair(alg, gf(3), 1)
+    e1 = U.lift(basic_pair(alg, gf(3), 1)[1])
     h2 = U.gen(alg.basis_symbol((0, 1), 2))
     assert not U.ad_divided_power(e1, 1, h2)  # i != k kills the correction
 
@@ -436,7 +439,7 @@ def test_ad_divided_power_off_direction_vanishes():
 def test_leibniz_expansion_of_divided_ad_powers(p):
     alg = JacobsonWitt(1, p)
     U = EnvelopingAlgebra(alg, gf(p), restricted=True)
-    _, e = basic_pair(alg, gf(p), 1)
+    e = U.lift(basic_pair(alg, gf(p), 1)[1])
     gens = [U.gen(b) for b in alg.basis()]
     pairs = [(a, b) for a in gens for b in gens][:9]
     for ell in range(p):
@@ -589,20 +592,6 @@ def test_uea_reduction_is_a_hopf_algebra_map(p, n, seed):
         assert reduce_element_mod_p(x * y, MU) == rx * ry
         assert reduce_tensor_mod_p(WU.coproduct0(x), MU) == MU.coproduct0(rx)
         assert reduce_element_mod_p(WU.antipode0(x), MU) == MU.antipode0(rx)
-
-
-def test_lie_and_enveloping_reductions_agree_in_degree_one():
-    # both reductions apply one rule, x^a D_i -> a! x^(a) D_i, which kills a term once some a_j >= p
-    from wittquant.uea import reduce_element_mod_p
-
-    WP = WPlusAlgebra(2)
-    alg = JacobsonWitt(2, 3)
-    MU = EnvelopingAlgebra(alg, gf(3))
-    terms = {((2, 1), 1): Fraction(1, 2), ((3, 0), 2): Fraction(5), ((1, 2), 2): Fraction(2, 5)}
-    x = LieElement(WP, QQ, {WP.basis_symbol(a, i): c for (a, i), c in terms.items()})
-    via_lie = MU.lift(reduce_wplus_to_jw(x, 3, alg, gf(3)))
-    assert len(via_lie.terms) == 2
-    assert reduce_element_mod_p(EnvelopingAlgebra(WP, QQ).lift(x), MU) == via_lie
 
 
 def test_reduce_tensor_of_arity_zero():
