@@ -4,7 +4,7 @@ The triangular r-matrix is encoded by two derivation vectors d0, d0p and an
 exponent gamma with <d0, gamma> != 0; the induced pair h, e with [h, e] = e
 drives the twist.  Everything is computed in U(W)[[t]] truncated at t^cap.
 """
-from wittquant import RMatrixData, TensorElement, char0_general, format_element
+from wittquant import QQ, RMatrixData, TensorElement, char0_general, format_element
 
 rm = RMatrixData(d0=(1, 0), d0p=(0, 1), gamma=(1, 0))
 hopf = char0_general(rm, cap=4)
@@ -14,6 +14,8 @@ print(f"r-matrix data: d0 = {tuple(map(int, rm.d0))}, d0p = {tuple(map(int, rm.d
 print(f"pairing <d0, gamma> = {rm.pairing_value}")
 print(f"h = {format_element(hopf.directions[0][1])}")
 print(f"e = {format_element(hopf.directions[0][2])}")
+h, e = rm.h_element(alg, QQ), rm.e_element(alg, QQ)
+print("[h, e] == e:", h.bracket(e) == e)
 print()
 
 tw = hopf.build_twist(0)

@@ -61,6 +61,31 @@ def _binary_power(x, k: int, one, mul):
     return out
 
 
+def cached_walk(cache: dict, key, shorten, step):
+    """cache[key], built forward from the longest cached shortening of key.
+
+    ``shorten`` drops one factor of a key, and the cache holds the end of every
+    such chain; ``step(value, key)`` turns the value of shorten(key) into that of
+    key, and every step is cached.  The walk back is a loop because a monomial's
+    degree can pass the recursion limit.
+    """
+    hit = cache.get(key)
+    missing = []
+    while hit is None:
+        missing.append(key)
+        key = shorten(key)
+        hit = cache.get(key)
+    for key in reversed(missing):
+        hit = cache[key] = step(hit, key)
+    return hit
+
+
+def _drop_first(mono):
+    """mono without one factor of its first symbol."""
+    (b, e), rest = mono[0], mono[1:]
+    return ((b, e - 1),) + rest if e > 1 else rest
+
+
 class EnvelopingAlgebra:
     """Context object: Lie algebra + coefficient ring + Free/Restricted mode.
 
@@ -159,9 +184,9 @@ class EnvelopingAlgebra:
 
         Row m2 maps m1 -> m1 * m2 and holds the unit.  A miss walks m1 back,
         one factor of its first symbol b1 at a time, to its longest suffix s in
-        the row (in a loop: degrees can pass the recursion limit), then goes
-        forward by b1 * (s * m2), one insertion step per entry.  Returned dicts
-        are shared and must not be mutated.
+        the row, then goes forward by b1 * (s * m2), one insertion step per
+        entry (``cached_walk``).  Returned dicts are shared and must not be
+        mutated.
         """
         if not m2:
             return {m1: 1}
@@ -170,14 +195,7 @@ class EnvelopingAlgebra:
             row = self._mono_mul_rows[m2] = {(): {m2: 1}}
         hit = row.get(m1)
         if hit is None:
-            missing = []
-            while hit is None:
-                missing.append(m1)
-                (b1, e1), rest = m1[0], m1[1:]
-                m1 = ((b1, e1 - 1),) + rest if e1 > 1 else rest
-                hit = row.get(m1)
-            for m1 in reversed(missing):
-                hit = row[m1] = self._left_multiply((m1[0][0],), hit)
+            hit = cached_walk(row, m1, _drop_first, lambda s, m: self._left_multiply((m[0][0],), s))
         return hit
 
     def pbw_normalize(self, word) -> "UEAElement":

@@ -406,11 +406,6 @@ def _cocycle_ok(hopf, F) -> bool:
     return F.pad(right=1) * F.expand_slot(0, d0) == F.pad(left=1) * F.expand_slot(1, d0)
 
 
-def _counit_ok(hopf, F) -> bool:
-    one = hopf.uea.one()
-    return F.contract(0).to_element() == one and F.contract(1).to_element() == one
-
-
 def check_twist_laws(cfg) -> CheckReport:
     """Cocycle/counit conditions, inverse laws, and cross-direction commutation."""
     col = _Collector()
@@ -427,11 +422,15 @@ def check_twist_laws(cfg) -> CheckReport:
         label = "single" if len(hopf.directions) == 1 else "product"
         tw = hopf.build_twist(0)
         col.record(f"cocycle-{label}-twist", _cocycle_ok(hopf, tw.forward), hopf.name)
-        col.record(f"counit-{label}-twist", _counit_ok(hopf, tw.forward), hopf.name)
-        unit = TensorElement.unit(hopf.uea)
+        unit, one = TensorElement.unit(hopf.uea), hopf.uea.one()
         for a in shifts:
             twa = hopf.build_twist(a)
-            col.record("twist-inverse-law", twa.forward * twa.inverse == unit, hopf.name)
+            ok = twa.forward * twa.inverse == unit and twa.inverse * twa.forward == unit
+            col.record("twist-inverse-law", ok, hopf.name)
+            # (Id (x) eps0) F_a = 1 at every shift; (eps0 (x) Id) F_a = (1 - et)^a, which is 1 only at a = 0
+            slots = (0, 1) if a == 0 else (1,)
+            ok = all(twa.forward.contract(slot).to_element() == one for slot in slots)
+            col.record(f"counit-{label}-twist", ok, f"{hopf.name} a={a}")
             pair = hopf.antipode_twistors(a)
             pair_m = hopf.antipode_twistors(-a)
             col.record(

@@ -6,7 +6,8 @@ import pytest
 import wittquant.cli
 from wittquant.cli import main
 from wittquant.grammar import parse_element
-from wittquant.twist import modular
+from wittquant.twist import QuantizedHopf, modular
+from wittquant.verify import SUITES
 
 
 def run(capsys, *argv):
@@ -257,3 +258,53 @@ def test_modular_verbs_reject_a_huge_n_before_building_it(capsys, argv):
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err == f"error: {argv[0]} --p 3 --n {10**9}: the exponent n*p^n has more than 1000 digits\n"
+
+
+def test_mismatched_rmatrix_lengths_exit_2_with_one_error_line(capsys):
+    code, out, err = run(
+        capsys, "char0-delta", "--d0", "1,0", "--d0p", "0,1,1", "--gamma", "1,0", "--alpha", "1,0", "--i", "1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: d0, d0p and gamma need one length n >= 1, got lengths 2, 3, 2\n"
+
+
+def test_error_messages_name_the_algebra(capsys):
+    args = ("delta", "--p", "3", "--n", "2", "--eta", "1", "--alpha", "1", "--i", "1")
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.rstrip().endswith("does not belong to W(2;1) over GF(3)")
+    assert run(capsys, *args) == (code, out, err)
+
+
+@pytest.fixture
+def series_without_last_term(monkeypatch):
+    """QuantizedHopf._series without its last term r = cap - 1: the twist and its
+    inverse no longer invert each other, at every shift and in every setting."""
+    series = QuantizedHopf._series
+
+    def shortened(self, d, a, sign, kind):
+        cap, self.cap = self.cap, self.cap - 1
+        try:
+            return series(self, d, a, sign, kind)
+        finally:
+            self.cap = cap
+
+    monkeypatch.setattr(QuantizedHopf, "_series", shortened)
+
+
+@pytest.mark.usefixtures("series_without_last_term")
+def test_a_broken_twist_law_is_a_failed_check_not_an_error(capsys):
+    code, out, err = run(capsys, "verify", "--p", "3", "--n", "1", "--eta", "1", "--suite", "twist")
+    assert (code, err) == (1, "")
+    assert "  twist-inverse-law: fail  counterexample: " in out
+    assert out.rstrip().splitlines()[-1].startswith("RESULT: fail (")
+
+
+@pytest.mark.usefixtures("series_without_last_term")
+def test_a_broken_twist_law_leaves_every_suite_reported(capsys):
+    code, out, err = run(capsys, "verify", "--p", "3", "--n", "1", "--eta", "1", "--suite", "all")
+    assert (code, err) == (1, "")
+    headers = [line.split("]")[0][1:] for line in out.splitlines() if line.startswith("[")]
+    assert sorted(headers) == sorted(SUITES + ("twist",))  # the twist suite runs in char 0 and char p
+    failed = [line for line in out.splitlines() if line.endswith(": fail") or ": fail  " in line]
+    assert failed and all("counterexample: " in line for line in failed)

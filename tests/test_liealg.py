@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -205,18 +206,33 @@ def test_reduce_is_lie_homomorphism(p, n):
 def test_rmatrix_validation():
     r = RMatrixData(d0=(1,), d0p=(1,), gamma=(1,))
     assert r.pairing_value == 1
-    W = WittAlgebra(1)
-    h, e = r.h_element(W, QQ), r.e_element(W, QQ)
-    assert h.bracket(e) == e
-
     r2 = RMatrixData(d0=(1, 1), d0p=(0, 1), gamma=(2, 0))
     assert r2.pairing_value == 2
-    W2 = WittAlgebra(2)
-    h2, e2 = r2.h_element(W2, QQ), r2.e_element(W2, QQ)
-    assert h2.bracket(e2) == e2
 
-    with pytest.raises(ValueError):
+    # [h, e] = e holds for every datum with <d0, gamma> != 0, so the constructor does not check it
+    rng = random.Random(0)
+    swept = 0
+    while swept < 200:
+        n = rng.randint(1, 3)
+        d0, d0p, gamma = ([rng.randint(-3, 3) for _ in range(n)] for _ in range(3))
+        if not pairing(d0, gamma):
+            continue
+        rm = RMatrixData(d0, d0p, gamma)
+        W = WittAlgebra(n)
+        h, e = rm.h_element(W, QQ), rm.e_element(W, QQ)
+        assert h.bracket(e) == e, (d0, d0p, gamma)
+        swept += 1
+
+    with pytest.raises(ValueError, match="nonzero"):
         RMatrixData(d0=(1,), d0p=(1,), gamma=(0,))  # <d0, gamma> = 0
+    for lengths, args in (("2, 3, 2", ((1, 0), (0, 1, 1), (1, 0))), ("2, 1, 2", ((1, 0), (1,), (1, 0)))):
+        with pytest.raises(ValueError, match=f"got lengths {lengths}$"):
+            RMatrixData(*args)
+    with pytest.raises(ValueError, match="got lengths 0, 0, 0$"):
+        RMatrixData((), (), ())
+    with pytest.raises(ValueError, match="gamma entries must be integers, got 1/2$"):
+        RMatrixData(d0=(1,), d0p=(1,), gamma=(Fraction(1, 2),))  # no longer truncated to 0
+    assert RMatrixData(d0=(1,), d0p=(1,), gamma=(Fraction(4, 2),)).gamma == (2,)
 
 
 def test_basic_pairs_satisfy_he_relation_all_flavors():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -65,6 +66,10 @@ def test_twist_inverse_and_counit_invariants(make):
     for slot in (0, 1):
         assert tw.forward.contract(slot).to_element() == one
         assert tw.inverse.contract(slot).to_element() == one
+    for a in (1, 2):  # shifted: (Id (x) eps0) F_a = 1, while (eps0 (x) Id) F_a = prod_d (1 - e_d t)^a
+        assert H.build_twist(a).forward.contract(1).to_element() == one
+        left = math.prod((H.one_minus_et_power(d, a) for d in range(len(H.directions))), start=one)
+        assert H.build_twist(a).forward.contract(0).to_element() == left
 
 
 def test_antipode_twistors_examples():
@@ -466,6 +471,18 @@ def test_twist_coefficients_invariants():
     assert C.denominator == 1 and C == 0  # A_3 = B_3 = 1
     assert basic_coefficient(3, 0, 2) == 6  # (3 * 4) / 2!
     assert basic_coefficient(1, 1, 1, p=3) == 1  # the unit-exponent correction: Abar - Bbar = 0 - 2
+
+    # the integer forms against the rational definition
+    # C_l = A_l - d A_{l-1}, A_m = (1/m!) prod_{j<m} (a - d + j), Cbar_l = l! binom(a + l, l) C_l mod p
+    def A(a, d, m):
+        return Fraction(math.prod(range(a - d, a - d + m)), math.factorial(m))
+
+    for a, d, ell in itertools.product(range(-6, 9), (0, 1), range(10)):
+        C = A(a, d, ell) - (d * A(a, d, ell - 1) if ell else 0)
+        assert basic_coefficient(a, d, ell) == C and type(basic_coefficient(a, d, ell)) is Fraction
+        for p in (3, 5, 7):
+            lifted = math.prod(range(a + 1, a + ell + 1)) * C  # l! binom(a + l, l) = (a + 1) ... (a + l)
+            assert basic_coefficient(a, d, ell, p) == int(lifted) % p, (a, d, ell, p)
 
 
 def test_divided_ad_power_matches_modular_coefficients():

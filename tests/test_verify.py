@@ -3,7 +3,8 @@ import json
 import pytest
 
 from wittquant.grammar import parse_element
-from wittquant.twist import modular
+from wittquant.twist import QuantizedHopf, modular
+from wittquant.uea import TensorElement
 from wittquant.verify import (
     Char0Config,
     CheckReport,
@@ -153,6 +154,23 @@ def test_twist_laws_run_every_check():
     rep = check_twist_laws(ModularConfig(3, 2, (1, 1)))
     assert rep.passed
     assert names(rep) == SINGLE_TWIST_CHECK_NAMES | PRODUCT_TWIST_CHECK_NAMES
+
+
+def test_twist_suite_checks_inverse_and_right_counit_at_every_shift(monkeypatch):
+    # F_1 with h (x) 1 added breaks (Id (x) eps0) F_1 = 1 and F_1 F_1^-1 = 1, but not the unshifted twist
+    build_twist = QuantizedHopf.build_twist
+
+    def broken(self, a=0):
+        tw = build_twist(self, a)
+        if a != 1:
+            return tw
+        return tw._replace(forward=tw.forward + TensorElement.of(self.directions[0].h, self.uea.one()))
+
+    monkeypatch.setattr(QuantizedHopf, "build_twist", broken)
+    rows = {c.name: c for c in check_twist_laws(ModularConfig(3, 1, (1,))).checks}
+    assert (rows["counit-single-twist"].status, rows["counit-single-twist"].counterexample) == ("fail", "eta=1 a=1")
+    assert rows["twist-inverse-law"].status == "fail"
+    assert rows["cocycle-single-twist"].status == "pass"
 
 
 def test_hopf_reduction_and_dims_run_every_check():
