@@ -6,7 +6,8 @@ Verbs:
   verify                      run verification suites, optional JSON report
   dims                        dimension anchors for a (p, n) configuration
 
-Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error.
+Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
+141 stdout closed by its reader (128 + SIGPIPE, as ``cat`` reports it).
 Identical invocations print byte-identical stdout (fixed seeds, canonical
 element ordering); wall-clock timing appears only in the JSON report file.
 """
@@ -17,6 +18,7 @@ import contextlib
 import decimal
 import json
 import math
+import os
 import sys
 
 from .grammar import format_element
@@ -45,6 +47,8 @@ def _eta_from_directions(text: str, n: int):
     for k in dirs:
         if not 1 <= k <= n:
             raise UsageError(f"twist direction {k} out of range 1..{n}")
+        if eta[k - 1]:
+            raise UsageError(f"twist direction {k} repeated in --eta {text}")
         eta[k - 1] = 1
     return tuple(eta)
 
@@ -198,10 +202,17 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return int(ex.code or 0)
     try:
-        return run_command(args)
+        code = run_command(args)
+        sys.stdout.flush()
+        return code
     except (UsageError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; send what stdout still buffers to devnull, so the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

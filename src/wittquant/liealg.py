@@ -7,10 +7,11 @@
 * ``jw``    -- the Jacobson-Witt algebra W(n;1) over GF(p), spanned by divided
   power symbols x^(alpha) * D_i with 0 <= alpha <= tau = (p-1,...,p-1).
 
-Basis symbols are ``BasisDeriv`` named tuples, ordered by (alpha lex, then
-derivation index); sparse linear combinations are ``LieElement`` values over a
-pluggable coefficient ring from :mod:`wittquant.rings`.  Structure constants
-are computed as plain integers and scaled into the ring at the element level.
+Basis symbols are ``BasisDeriv`` interned named tuples, hashed by identity,
+ordered by (alpha lex, then derivation index); sparse linear combinations are
+``LieElement`` values over a pluggable coefficient ring from
+:mod:`wittquant.rings`.  Structure constants are computed as plain integers
+and scaled into the ring at the element level.
 """
 from __future__ import annotations
 
@@ -27,12 +28,40 @@ WPLUS = "wplus"
 JW = "jw"
 
 
-class BasisDeriv(NamedTuple):
-    """A basis derivation x^alpha d_j / x^alpha D_i / x^(alpha) D_i."""
+_SYMBOLS: dict = {}  # (flavor, alpha, i) -> the one BasisDeriv with these fields
 
+
+class _BasisFields(NamedTuple):
     flavor: str
     alpha: tuple
     i: int  # 1-based derivation index
+
+
+class BasisDeriv(_BasisFields):
+    """A basis derivation x^alpha d_j / x^alpha D_i / x^(alpha) D_i.
+
+    Interned: the constructor, ``_make``, ``_replace``, copying and unpickling
+    all return the one instance with the given fields, so equal symbols are
+    identical and a symbol hashes by identity.  A monomial or tensor key then
+    hashes its symbols without rehashing their exponent tuples.  Order, ``==``
+    and ``repr`` are those of the named tuple.
+    """
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __new__(cls, flavor, alpha, i):
+        key = (flavor, alpha, i)
+        sym = _SYMBOLS.get(key)
+        if sym is None:
+            sym = _SYMBOLS[key] = tuple.__new__(cls, key)
+        return sym
+
+    # the named tuple's _make, which _replace calls, builds a tuple without __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __reduce__(self):
+        return BasisDeriv, tuple(self)
 
 
 def basis_key(b: BasisDeriv):

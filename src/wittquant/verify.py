@@ -3,6 +3,10 @@
 Every check computes both sides of an identity along independent routes and
 requires exact equality, producing a structured :class:`CheckReport` whose
 failures carry a replayable counterexample in the plain-text element grammar.
+The twist laws take no element argument, so their counterexample names the
+context and where the law failed: the shift a (``eta=1 a=2``), the shifts a, b
+(``eta=1 a=0 b=2``), or the direction numbers di, dj of a cross-direction law
+(``eta=11 di=1 dj=2``).
 All randomized sampling is driven by an explicit seed recorded in the report.
 
 The double sums for Delta(x^s) and S(x^s) over divided ad-powers live in
@@ -426,7 +430,7 @@ def check_twist_laws(cfg) -> CheckReport:
         for a in shifts:
             twa = hopf.build_twist(a)
             ok = twa.forward * twa.inverse == unit and twa.inverse * twa.forward == unit
-            col.record("twist-inverse-law", ok, hopf.name)
+            col.record("twist-inverse-law", ok, f"{hopf.name} a={a}")
             # (Id (x) eps0) F_a = 1 at every shift; (eps0 (x) Id) F_a = (1 - et)^a, which is 1 only at a = 0
             slots = (0, 1) if a == 0 else (1,)
             ok = all(twa.forward.contract(slot).to_element() == one for slot in slots)
@@ -437,7 +441,7 @@ def check_twist_laws(cfg) -> CheckReport:
                 "twistor-inverse-law",
                 pair.u_elem * pair_m.v_elem == hopf.uea.one()
                 and pair_m.v_elem * pair.u_elem == hopf.uea.one(),
-                hopf.name,
+                f"{hopf.name} a={a}",
             )
         if len(hopf.directions) == 1:
             for a in shifts:
@@ -460,12 +464,13 @@ def check_twist_laws(cfg) -> CheckReport:
         for di, dj in itertools.permutations(range(len(hopf.directions)), 2):
             Fi = hopf.basic_twist_factor(di)
             Fj = hopf.basic_twist_factor(dj)
+            where = f"{hopf.name} di={hopf.directions[di].k} dj={hopf.directions[dj].k}"
             lhs = Fj.pad(right=1) * Fi.expand_slot(0, d0)
             rhs = Fi.expand_slot(0, d0) * Fj.pad(right=1)
-            col.record("cross-direction-commutation-left", lhs == rhs, hopf.name)
+            col.record("cross-direction-commutation-left", lhs == rhs, where)
             lhs = Fj.pad(left=1) * Fi.expand_slot(1, d0)
             rhs = Fi.expand_slot(1, d0) * Fj.pad(left=1)
-            col.record("cross-direction-commutation-right", lhs == rhs, hopf.name)
+            col.record("cross-direction-commutation-right", lhs == rhs, where)
     return col.report("twist", cfg.as_dict())
 
 
@@ -709,17 +714,23 @@ SUITES = ("factorial", "commutation", "twist", "hopf", "reduction", "restricted"
 
 
 def suite_names(names) -> tuple:
-    """The suites that 'all', a comma list or a sequence of names selects; rejects unknown names."""
+    """The suites that 'all', a comma list or a sequence of names selects; rejects
+    unknown and repeated names."""
     if isinstance(names, str):
-        names = SUITES if names == "all" else tuple(names.split(","))
-    for name in names:
+        names = SUITES if names == "all" else names.split(",")
+    names = tuple(names)
+    for k, name in enumerate(names):
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r} (choose from {', '.join(SUITES)} or 'all')")
-    return tuple(names)
+        if name in names[:k]:
+            raise ValueError(f"suite {name!r} selected twice")
+    return names
 
 
 def run_suites(names, modular_cfg: ModularConfig | None = None, char0_cfg: Char0Config | None = None):
-    """Run the selected named suites; returns reports sorted by suite name."""
+    """Run the selected named suites; returns their reports in selection order
+    (``SUITES`` order for 'all'), a suite that yields several reports adding them
+    in a row."""
     names = suite_names(names)
     mod_cfg = modular_cfg or ModularConfig(3, 1, (1,))
     reports = []

@@ -1,5 +1,10 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +139,43 @@ def test_verify_unknown_suite_exits_2_before_any_suite_or_report(tmp_path, capsy
     assert code == 2 and out == ""
     assert err.startswith("error:") and "bogus" in err
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,named",
+    [("--eta", "1,1", "twist direction 1"), ("--suite", "factorial,factorial", "'factorial'")],
+    ids=["eta", "suite"],
+)
+def test_verify_repeated_selection_exits_2_before_any_suite_or_report(tmp_path, capsys, monkeypatch, flag, value, named):
+    def no_suites(*args, **kwargs):
+        raise AssertionError("a suite ran although a selection repeats")
+
+    monkeypatch.setattr(wittquant.cli, "run_suites", no_suites)
+    path = tmp_path / "r.json"
+    argv = {"--p": "3", "--n": "2", "--eta": "1", "--suite": "dims", "--json-path": str(path), flag: value}
+    code, out, err = run(capsys, "verify", *itertools.chain.from_iterable(argv.items()))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and named in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["dims", "--p", "3", "--n", "2"], ["verify", "--p", "3", "--n", "1", "--eta", "1", "--suite", "factorial"]],
+    ids=["dims", "verify"],
+)
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr(argv):
+    src = str(Path(wittquant.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "wittquant", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize("trunc", ["0", "-1"])
@@ -296,7 +338,9 @@ def series_without_last_term(monkeypatch):
 def test_a_broken_twist_law_is_a_failed_check_not_an_error(capsys):
     code, out, err = run(capsys, "verify", "--p", "3", "--n", "1", "--eta", "1", "--suite", "twist")
     assert (code, err) == (1, "")
-    assert "  twist-inverse-law: fail  counterexample: " in out
+    # the inverse laws fail at every shift; the counterexample names the first
+    assert "  twist-inverse-law: fail  counterexample: eta=1 a=0\n" in out
+    assert "  twistor-inverse-law: fail  counterexample: eta=1 a=0\n" in out
     assert out.rstrip().splitlines()[-1].startswith("RESULT: fail (")
 
 

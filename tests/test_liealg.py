@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -16,12 +18,16 @@ from wittquant.liealg import (
     ReductionError,
     WittAlgebra,
     WPlusAlgebra,
+    _divided_power_image,
     basic_pair,
     pairing,
     witt_deriv,
 )
+from wittquant.grammar import parse_element
 from wittquant.rings import QQ, gf
+from wittquant.twist import modular
 from wittquant.uea import EnvelopingAlgebra, UEAElement, reduce_element_mod_p
+from wittquant.verify import check_hopf_axioms
 
 from oracles import element_matrix, mat_commutator, mat_pow, op_matrix, wplus_to_witt
 
@@ -282,3 +288,43 @@ def test_jw_range_validation():
         alg.basis_symbol((3,), 1)
     with pytest.raises(ValueError):
         alg.basis_symbol((1,), 2)
+
+
+def test_every_way_of_making_a_symbol_returns_the_one_instance():
+    alg = JacobsonWitt(2, 3)
+    b = BasisDeriv(JW, (1, 0), 2)
+    (parsed,) = parse_element("x(1,0)D2", EnvelopingAlgebra(alg, gf(3))).terms
+    made = {
+        "constructor": BasisDeriv(JW, tuple([1, 0]), 2),
+        "_replace": BasisDeriv(JW, (0, 0), 2)._replace(alpha=(1, 0)),
+        "_make": BasisDeriv._make([JW, (1, 0), 2]),
+        "copy": copy.copy(b),
+        "deepcopy": copy.deepcopy(b),
+        **{f"pickle-{k}": pickle.loads(pickle.dumps(b, k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)},
+        "basis_symbol": alg.basis_symbol([1, 0], 2),
+        "basis": next(s for s in alg.basis() if s == b),
+        "bracket": next(iter(alg.bracket_basis(BasisDeriv(JW, (1, 0), 1), b))),
+        "divided_power_image": _divided_power_image(BasisDeriv(WPLUS, (1, 0), 2), 3)[0],
+        "parse_element": parsed[0][0],
+    }
+    assert {how: sym for how, sym in made.items() if sym is not b} == {}
+    assert alg.p_power(BasisDeriv(JW, (0, 1), 2)) is alg.basis_symbol((0, 1), 2)
+    # the named tuple's order, equality and repr
+    assert b == (JW, (1, 0), 2) and b.alpha == (1, 0) and b.i == 2
+    assert repr(b) == "BasisDeriv(flavor='jw', alpha=(1, 0), i=2)"
+    assert sorted(alg.basis()) == alg.basis() == sorted(alg.basis(), key=tuple)
+
+
+def test_engine_caches_hold_only_canonical_symbols():
+    hopf = modular(3, 1, (1,), 1)
+    assert check_hopf_axioms(hopf).passed
+    U = hopf.uea
+    monos = []
+    for (b, mono), out in U._insert_cache.items():
+        monos += [((b, 1),), mono, *out]
+    for m2, row in U._mono_mul_rows.items():
+        monos.append(m2)
+        for m1, out in row.items():
+            monos += [m1, *out]
+    symbols = [b for mono in monos for b, _ in mono]
+    assert symbols and all(type(b) is BasisDeriv and BasisDeriv(*b) is b for b in symbols)

@@ -169,8 +169,22 @@ def test_twist_suite_checks_inverse_and_right_counit_at_every_shift(monkeypatch)
     monkeypatch.setattr(QuantizedHopf, "build_twist", broken)
     rows = {c.name: c for c in check_twist_laws(ModularConfig(3, 1, (1,))).checks}
     assert (rows["counit-single-twist"].status, rows["counit-single-twist"].counterexample) == ("fail", "eta=1 a=1")
-    assert rows["twist-inverse-law"].status == "fail"
+    assert (rows["twist-inverse-law"].status, rows["twist-inverse-law"].counterexample) == ("fail", "eta=1 a=1")
     assert rows["cocycle-single-twist"].status == "pass"
+
+
+def test_cross_direction_rows_name_the_direction_pair(monkeypatch):
+    # e_1 (x) 1 added to the basic factor of direction 2 does not commute with direction 1's
+    factor = QuantizedHopf.basic_twist_factor
+
+    def broken(self, d, a=0, forward=True):
+        F = factor(self, d, a, forward)
+        return F + TensorElement.of(self.directions[0].e, self.uea.one()) if d == 1 else F
+
+    monkeypatch.setattr(QuantizedHopf, "basic_twist_factor", broken)
+    rows = {c.name: c for c in check_twist_laws(ModularConfig(3, 2, (1, 1))).checks}
+    row = rows["cross-direction-commutation-left"]
+    assert (row.status, row.counterexample) == ("fail", "eta=11 di=1 dj=2")
 
 
 def test_hopf_reduction_and_dims_run_every_check():
@@ -242,5 +256,10 @@ def test_report_passed_logic():
 def test_run_suites_selection_and_unknown():
     reports = run_suites("dims", modular_cfg=ModularConfig(3, 1, (1,)))
     assert [r.suite for r in reports] == ["dims"]
+    # reports come back in selection order, not sorted by suite name
+    reports = run_suites("dims,factorial", modular_cfg=ModularConfig(3, 1, (1,)))
+    assert [r.suite for r in reports] == ["dims", "factorial"]
+    with pytest.raises(ValueError, match="'dims' selected twice"):
+        run_suites(["dims", "factorial", "dims"], modular_cfg=ModularConfig(3, 1, (1,)))
     with pytest.raises(ValueError):
         run_suites("nonsense", modular_cfg=ModularConfig(3, 1, (1,)))
