@@ -9,7 +9,6 @@ import math
 from fractions import Fraction
 
 from wittquant import basic_coefficient, format_element, integral_basic, modular_unrestricted
-from wittquant.liealg import from_fraction
 from wittquant.rings import binom_int, multi_factorial
 from wittquant.uea import reduce_element_mod_p, reduce_tensor_mod_p
 
@@ -38,7 +37,7 @@ for ell in range(p):
 print()
 
 scale = Fraction(1, multi_factorial(alpha))
-dx = int_hopf.delta_basis(bd_int).scale(from_fraction(WU.ring, scale))
+dx = int_hopf.delta_basis(bd_int).scale(WU.ring.from_fraction(scale))
 print("integral-form coproduct of (1/alpha!) x^alpha D_i:")
 print(" ", format_element(dx))
 reduced = reduce_tensor_mod_p(dx, MU)
@@ -47,5 +46,5 @@ print("slotwise reduction mod p:")
 print(" ", format_element(reduced))
 print("equals the mod-p closed form:", reduced == target)
 
-sx = int_hopf.antipode_basis(bd_int).scale(from_fraction(WU.ring, scale))
+sx = int_hopf.antipode_basis(bd_int).scale(WU.ring.from_fraction(scale))
 print("antipode reduces the same way:", reduce_element_mod_p(sx, MU) == mod_hopf.antipode_basis(bd_mod))

@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .liealg import from_fraction
 from .uea import EnvelopingAlgebra, TensorElement, UEAElement
 
 
@@ -174,10 +173,10 @@ class _Parser:
 
     def _build(self, coeff: Fraction, factors, tdeg: int, pos: int) -> UEAElement:
         uea, ring = self.uea, self.uea.ring
-        c = from_fraction(ring, coeff)
+        c = ring.from_fraction(coeff)
         if tdeg:
             if not hasattr(ring, "t_power"):
-                raise ElementSyntaxError("t-powers need a t-polynomial ring", 0)
+                raise ElementSyntaxError("t-powers need a t-polynomial ring", pos)
             c = ring.mul(c, ring.t_power(tdeg))
         if uea.restricted:
             factors = [(bd, uea.fold_exponent(bd, e)) for bd, e in factors]
@@ -194,12 +193,13 @@ class _Parser:
             self._next()
             sign = -1
         while True:
+            start = self._peek()[2]
             slots = [self._chunk_element(sign)]
             sign = 1
             while self._peek()[0] == "tensor":
                 self._next()
                 slots.append(self._chunk_element(1))
-            terms.append(slots)
+            terms.append((start, slots))
             kind, val, pos = self._peek()
             if kind is None:
                 break
@@ -208,16 +208,17 @@ class _Parser:
                 sign = -1 if val == "-" else 1
                 continue
             raise ElementSyntaxError(f"expected '+', '-' or end, found {val!r}", pos)
-        arity = len(terms[0])
-        if any(len(slots) != arity for slots in terms):
-            raise ElementSyntaxError("inconsistent tensor arity across terms", 0)
+        arity = len(terms[0][1])
+        for start, slots in terms:
+            if len(slots) != arity:
+                raise ElementSyntaxError("inconsistent tensor arity across terms", start)
         if arity == 1:
             out = self.uea.zero()
-            for (x,) in terms:
+            for _, (x,) in terms:
                 out = out + x
             return out
         out = TensorElement(self.uea, arity, {})
-        for slots in terms:
+        for _, slots in terms:
             out = out + TensorElement.of(*slots)
         return out
 

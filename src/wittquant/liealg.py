@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .rings import QQ, SparseElement, accumulate, binom_int, gf, multi_factorial
+from .rings import SparseElement, accumulate, binom_int, gf, multi_factorial
 
 WITT = "witt"
 WPLUS = "wplus"
@@ -67,10 +67,6 @@ class BasisDeriv(_BasisFields):
 def basis_key(b: BasisDeriv):
     """Canonical PBW sort key: alpha lexicographically, then index."""
     return (b.alpha, b.i)
-
-
-class ReductionError(ValueError):
-    """A coefficient cannot be reduced mod p (p divides a cleared denominator)."""
 
 
 def pairing(d, alpha) -> Fraction:
@@ -275,29 +271,8 @@ class LieElement(SparseElement):
 def witt_deriv(alg: WittAlgebra, ring, alpha, dvec) -> LieElement:
     """The general derivation x^alpha * sum_j dvec_j d_j, expanded over the basis."""
     alpha = tuple(alpha)
-    terms = {}
-    for j, c in enumerate(dvec, start=1):
-        fr = Fraction(c)
-        if fr:
-            terms[BasisDeriv(WITT, alpha, j)] = from_fraction(ring, fr)
+    terms = {BasisDeriv(WITT, alpha, j): ring.from_fraction(c) for j, c in enumerate(dvec, start=1) if c}
     return LieElement(alg, ring, {k: v for k, v in terms.items() if v})
-
-
-def from_fraction(ring, fr: Fraction):
-    """Embed an exact rational into a coefficient ring (mod p where applicable)."""
-    if ring is QQ:
-        return fr
-    char = ring.char
-    if char == 0:
-        # t-ring over the rationals
-        return ring.scalar(fr)
-    if fr.denominator % char == 0:
-        raise ReductionError(f"denominator of {fr} not invertible mod {char}")
-    base = getattr(ring, "base", ring)
-    c = fr.numerator * pow(fr.denominator, char - 2, char) % char
-    if base is ring:
-        return c
-    return ring.scalar(c)
 
 
 def _divided_power_image(b: BasisDeriv, p: int):

@@ -9,12 +9,18 @@ Three kinds of coefficient rings are supported, all exact:
   ``quotient`` (t^p is rewritten to q*t, so every value has t-degree < p).
 
 Each ring is a descriptor object with a uniform method API
-(``add``, ``mul``, ``neg``, ``inv``, ``from_int``, ...) and the
+(``add``, ``mul``, ``neg``, ``from_int``, ``from_fraction``, ...) and the
 element values themselves are plain data: ``Fraction`` for the rationals,
 an int in ``[0, p)`` for GF(p), and a zero-trimmed tuple of base scalars
 (index = t-degree) for the t-rings.  Structural equality of values is
 mathematical equality, and the zero of every ring is falsy.  Descriptors
 are cached so identity comparison detects ring mismatches.
+
+``from_fraction`` is the one rule that turns rationals into ring values, and
+so carries the reduction of the integral form mod p: an int or ``Fraction``
+has a value in GF(p) exactly when p does not divide its denominator (else
+``ReductionError``), and a t-ring also maps a value of a rational t-ring one
+degree at a time.  ``inverse_factorial`` is the one place 1/r! is formed.
 
 The quotient ring GF(p)[t]/(t^p - q t) is finite, with p^p values, so each
 descriptor memoizes ``mul`` and ``add`` in two plain dicts keyed by the operand
@@ -50,6 +56,17 @@ def multi_factorial(alpha) -> int:
     for a in alpha:
         out *= math.factorial(a)
     return out
+
+
+class ReductionError(ValueError):
+    """A coefficient cannot be reduced mod p (p divides a cleared denominator)."""
+
+
+def inverse_factorial(ring, r: int):
+    """The ring value 1/r!, which exists in characteristic p only for r < p."""
+    if ring.char and r >= ring.char:
+        raise ValueError(f"1/{r}! does not exist in characteristic {ring.char}")
+    return ring.from_fraction(Fraction(1, math.factorial(r)))
 
 
 def _check_odd_prime(p: int) -> None:
@@ -96,6 +113,9 @@ class RationalField:
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
+    def from_fraction(self, x) -> Fraction:
+        return Fraction(x)
+
     @staticmethod
     def add(a, b):
         return a + b
@@ -107,12 +127,6 @@ class RationalField:
     @staticmethod
     def neg(a):
         return -a
-
-    @staticmethod
-    def inv(a):
-        if not a:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / a
 
     @staticmethod
     def scale_int(a, n: int):
@@ -137,6 +151,12 @@ class PrimeField:
 
     def from_int(self, n: int) -> int:
         return n % self.p
+
+    def from_fraction(self, x) -> int:
+        """The residue of an int or Fraction whose denominator p does not divide."""
+        if x.denominator % self.p == 0:
+            raise ReductionError(f"denominator of {x} not invertible mod {self.p}")
+        return x.numerator * self.inv(x.denominator) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -199,6 +219,16 @@ class _TRingBase:
         """Embed a base-ring scalar as a degree-0 value."""
         return (c,) if c else ()
 
+    def from_fraction(self, x):
+        """Embed an int or Fraction, or map a value of a rational t-ring degree by degree."""
+        if not isinstance(x, tuple):
+            return self.scalar(self.base.from_fraction(x))
+        out = self.zero
+        for d, c in enumerate(x):
+            if c:
+                out = self.add(out, self.mul(self.from_fraction(c), self.t_power(d)))
+        return out
+
     def t_power(self, r: int):
         """The value t^r, reduced; a negative r raises ValueError."""
         raise NotImplementedError
@@ -243,12 +273,6 @@ class _TRingBase:
             return ()
         bmul = self.base.mul
         return _trim([bmul(x, c) for x in a])
-
-    def inv(self, a):
-        # only degree-0 (scalar) values need inversion here
-        if len(a) == 1:
-            return (self.base.inv(a[0]),)
-        raise ZeroDivisionError("only scalar t-polynomials are inverted")
 
     def _reduce(self, coeffs: list) -> tuple:
         raise NotImplementedError

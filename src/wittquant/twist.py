@@ -54,10 +54,9 @@ from .liealg import (
     WittAlgebra,
     WPlusAlgebra,
     basic_pair,
-    from_fraction,
     pairing,
 )
-from .rings import QQ, accumulate, binom_int, gf, t_quotient, t_series
+from .rings import QQ, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
 from .uea import EnvelopingAlgebra, TensorElement, UEAElement, cached_walk
 
 
@@ -177,7 +176,6 @@ class QuantizedHopf:
         self.cap = cap
         self.name = name  # how reports refer to the twist
         self.eta = eta
-        self.q = getattr(uea.ring, "q", None)
         self._memos: dict = {}  # (method name, *arguments) -> value
         self._delta_mono_cache: dict = {(): TensorElement.unit(uea)}
         self._antipode_mono_cache: dict = {(): uea.one()}
@@ -185,7 +183,8 @@ class QuantizedHopf:
     # -- direction data -------------------------------------------------------------
 
     def _memo(self, key: tuple, compute):
-        """The memo entry for key, filled by compute() on a miss."""
+        """The memo entry for key, filled by compute() on a miss.  A key holds a shift
+        by its ring value, so shifts equal mod p share one entry."""
         hit = self._memos.get(key)
         if hit is None:
             hit = self._memos[key] = compute()
@@ -193,7 +192,7 @@ class QuantizedHopf:
 
     def _h_factorial(self, d: int, a, ell: int, kind: str) -> UEAElement:
         compute = lambda: self.uea.factorial_element(self.directions[d].h, a, ell, kind)
-        return self._memo(("h_factorial", d, a, ell, kind), compute)
+        return self._memo(("h_factorial", d, self.uea.ring.from_fraction(a), ell, kind), compute)
 
     def _e_power(self, d: int, j: int) -> UEAElement:
         return self._memo(("e_power", d, j), lambda: self.uea.power(self.directions[d].e, j))
@@ -224,7 +223,7 @@ class QuantizedHopf:
             pairs = ((b2, c * c2) for b, c in terms.items() for b2, c2 in direction.raised(b, l).items())
             terms = accumulate(operator.add, {}, pairs)
         ring = self.uea.ring
-        return self.uea.element({((b, 1),): from_fraction(ring, c) for b, c in terms.items()})
+        return self.uea.element({((b, 1),): ring.from_fraction(c) for b, c in terms.items()})
 
     # -- closed-form deformed structure maps ---------------------------------------------
 
@@ -313,15 +312,12 @@ class QuantizedHopf:
     # -- twists and twistors --------------------------------------------------------------
 
     def _series(self, d: int, a, sign: int, kind: str) -> TensorElement:
-        """sum_{r<cap} sign^r/r! h_d^(r) (x) e_d^r t^r, h_d^(r) the ``kind`` factorial from a:
-        the one Jordanian series behind every twist factor and twistor of direction d."""
+        """sum_{r<cap} sign^r/r! h_d^(r) (x) e_d^r t^r, h_d^(r) the ``kind`` factorial from the
+        exact shift a: the one Jordanian series behind every twist factor and twistor of direction d."""
         ring = self.uea.ring
         out = TensorElement(self.uea, 2, {})
         for r in range(self.cap):
-            num = Fraction(sign**r, math.factorial(r))
-            if ring.char and num.denominator % ring.char == 0:
-                raise ValueError(f"1/{r}! does not exist in characteristic {ring.char}")
-            c = ring.mul(from_fraction(ring, num), ring.t_power(r))
+            c = ring.mul(ring.scale_int(inverse_factorial(ring, r), sign**r), ring.t_power(r))
             if c:
                 out = out + TensorElement.of(self._h_factorial(d, a, r, kind), self._e_power(d, r)).scale(c)
         return out
@@ -329,7 +325,7 @@ class QuantizedHopf:
     def basic_twist_factor(self, d: int, a=0, forward: bool = True) -> TensorElement:
         """The single-direction twist factor for direction index d."""
         sign, kind = (-1, "falling") if forward else (1, "rising")
-        return self._series(d, self.uea.coerce_scalar(a), sign, kind)
+        return self._series(d, a, sign, kind)
 
     def build_twist(self, a=0) -> TwistElement:
         """The twist (product of basic twists, ascending direction) and its inverse."""
@@ -337,7 +333,6 @@ class QuantizedHopf:
             raise ValueError("cap must be >= 1")
         if not self.directions:
             raise ValueError("at least one twist direction is required (eta != 0)")
-        a = self.uea.coerce_scalar(a)
 
         def compute():
             fwd = TensorElement.unit(self.uea)
@@ -347,21 +342,20 @@ class QuantizedHopf:
                 inv = inv * self.basic_twist_factor(d, a, forward=False)
             return TwistElement(fwd, inv)
 
-        return self._memo(("build_twist", a), compute)
+        return self._memo(("build_twist", self.uea.ring.from_fraction(a)), compute)
 
     def antipode_twistors(self, a=0) -> TwistorPair:
         """u_a and v_a, the antipode twistors of the twist with shift a."""
-        uea, ring = self.uea, self.uea.ring
-        a = uea.coerce_scalar(a)
+        uea = self.uea
 
         def compute():
             u = v = uea.one()
             for d in range(len(self.directions)):
-                u = u * self._series(d, ring.neg(a), -1, "falling").multiply_out()
+                u = u * self._series(d, -a, -1, "falling").multiply_out()
                 v = v * self._series(d, a, 1, "falling").multiply_out()
             return TwistorPair(u_elem=u, v_elem=v)
 
-        return self._memo(("antipode_twistors", a), compute)
+        return self._memo(("antipode_twistors", uea.ring.from_fraction(a)), compute)
 
     # -- conjugation oracle ------------------------------------------------------------------
 

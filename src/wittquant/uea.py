@@ -41,10 +41,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
-from .liealg import JW, BasisDeriv, LieAlgebra, LieElement, _divided_power_image, from_fraction
-from .rings import SparseElement, accumulate, binom_int
+from .liealg import JW, BasisDeriv, LieAlgebra, LieElement, _divided_power_image
+from .rings import SparseElement, accumulate, binom_int, inverse_factorial
 
 
 def _binary_power(x, k: int, one, mul):
@@ -276,25 +275,18 @@ class EnvelopingAlgebra:
 
     # -- derived elements ----------------------------------------------------------
 
-    def coerce_scalar(self, a):
-        """Turn an int or Fraction shift into a ring scalar (mod p when needed)."""
-        if isinstance(a, int):
-            return self.ring.from_int(a)
-        if isinstance(a, Fraction):
-            return from_fraction(self.ring, a)
-        return a
-
     def factorial_element(self, base: "UEAElement", a, r: int, kind: str) -> "UEAElement":
         """Shifted factorial product of a ring element.
 
-        rising:  (x+a)(x+a+1)...(x+a+r-1);  falling: (x+a)(x+a-1)...(x+a-r+1).
+        rising:  (x+a)(x+a+1)...(x+a+r-1);  falling: (x+a)(x+a-1)...(x+a-r+1),
+        for an int or Fraction shift a.
         """
         if r < 0:
             raise ValueError("r must be nonnegative")
         if kind not in ("rising", "falling"):
             raise ValueError("kind must be 'rising' or 'falling'")
         step = 1 if kind == "rising" else -1
-        a0 = self.coerce_scalar(a)
+        a0 = self.ring.from_fraction(a)
         out = self.one()
         for j in range(r):
             shift = self.ring.add(a0, self.ring.from_int(step * j))
@@ -305,12 +297,10 @@ class EnvelopingAlgebra:
         """(1/ell!) (ad e)^ell (x); in characteristic p this needs ell < p."""
         if ell < 0:
             raise ValueError("ell must be nonnegative")
-        if self.ring.char and ell >= self.ring.char:
-            raise ValueError(f"1/{ell}! does not exist in characteristic {self.ring.char}")
+        inv = inverse_factorial(self.ring, ell)
         cur = x
         for _ in range(ell):
             cur = self.mul(e, cur) - self.mul(cur, e)
-        inv = self.ring.inv(self.ring.from_int(math.factorial(ell)))
         return cur.scale(inv)
 
     # -- restricted basis enumeration ------------------------------------------------
@@ -484,16 +474,6 @@ class TensorElement(SparseElement):
 # -- reduction of integral-form elements mod p ----------------------------------------
 
 
-def _coeff_mod_p(src_ring, dst_ring, c):
-    """Map a rational(-series) coefficient into the mod-p counterpart ring."""
-    if isinstance(c, Fraction):
-        return from_fraction(dst_ring, c)
-    # zero-trimmed tuple over the rationals -> same shape over GF(p)
-    base = dst_ring.base
-    out = [from_fraction(base, x) for x in c[: dst_ring.keep]]
-    return dst_ring._reduce(out)
-
-
 def reduce_element_mod_p(x: UEAElement, target: EnvelopingAlgebra) -> UEAElement:
     """Reduce a W+ enveloping element to the Jacobson-Witt side: x^a D_i -> a! x^(a) D_i.
 
@@ -509,7 +489,7 @@ def reduce_element_mod_p(x: UEAElement, target: EnvelopingAlgebra) -> UEAElement
         if not all(image for image, _ in images):
             continue
         scale = math.prod(fac**e for (_, fac), e in images)
-        cc = ring.scale_int(_coeff_mod_p(x.uea.ring, ring, c), scale)
+        cc = ring.scale_int(ring.from_fraction(c), scale)
         if not cc:
             continue
         word = [sym for (sym, _), e in images for _ in range(e)]
@@ -526,6 +506,5 @@ def reduce_tensor_mod_p(x: TensorElement, target: EnvelopingAlgebra) -> TensorEl
             src = UEAElement(x.uea, {m: x.uea.ring.one})
             factors.append(reduce_element_mod_p(src, target))
         piece = TensorElement.of(*factors) if x.arity else TensorElement.unit(target, 0)
-        cc = _coeff_mod_p(x.uea.ring, target.ring, c)
-        out = out + piece.scale(cc)
+        out = out + piece.scale(target.ring.from_fraction(c))
     return out

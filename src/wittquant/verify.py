@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liealg import RMatrixData, WittAlgebra, from_fraction, pairing
+from .liealg import RMatrixData, WittAlgebra, pairing
 from .rings import QQ, binom_int, multi_factorial, t_series
 from .twist import (
     QuantizedHopf,
@@ -511,7 +511,7 @@ def check_hopf_axioms(hopf: QuantizedHopf) -> CheckReport:
         "p": getattr(U.alg, "p", None),
         "n": U.alg.n,
         "eta": hopf.eta,
-        "q": hopf.q,
+        "q": getattr(U.ring, "q", None),
         "cap": hopf.cap,
         "seed": 0,
     }
@@ -571,8 +571,8 @@ def check_modular_reduction(p: int, n: int, k: int, seed: int = 0) -> CheckRepor
         for i in range(1, n + 1):
             bd = WU.alg.basis_symbol(alpha, i)
             scale = Fraction(1, multi_factorial(alpha))
-            dx = int_hopf.delta_basis(bd).scale(from_fraction(WU.ring, scale))
-            sx = int_hopf.antipode_basis(bd).scale(from_fraction(WU.ring, scale))
+            dx = int_hopf.delta_basis(bd).scale(WU.ring.from_fraction(scale))
+            sx = int_hopf.antipode_basis(bd).scale(WU.ring.from_fraction(scale))
             target_bd = MU.alg.basis_symbol(alpha, i)
             ok = reduce_tensor_mod_p(dx, MU) == mod_hopf.delta_basis(target_bd)
             col.record("coproduct-slotwise-reduction", ok, f"alpha={alpha} i={i}")

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from wittquant.grammar import MAX_DEGREE, ElementSyntaxError, format_element, parse_element
-from wittquant.liealg import WPlusAlgebra
-from wittquant.rings import QQ
+from wittquant.liealg import JacobsonWitt, WPlusAlgebra
+from wittquant.rings import QQ, gf
 from wittquant.twist import integral_basic, modular, modular_unrestricted
 from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement
 
@@ -79,6 +79,18 @@ def test_syntax_errors_carry_offsets():
     with pytest.raises(ElementSyntaxError):
         parse_element("x(1)D1 (x) x(1)D1 + x(1)D1", U)  # mixed arity
 
+
+def test_t_power_without_t_ring_reports_its_chunk():
+    U = EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3))
+    with pytest.raises(ElementSyntaxError, match="t-powers need a t-polynomial ring") as ex:
+        parse_element("x(1)D1 + 2*x(0)D1*t", U)
+    assert ex.value.offset == 9
+
+
+def test_inconsistent_arity_reports_the_offending_term():
+    with pytest.raises(ElementSyntaxError, match="inconsistent tensor arity across terms") as ex:
+        parse_element("x(1)D1 (x) x(0)D1 + x(1)D1", u31())
+    assert ex.value.offset == 20
 
 def test_out_of_range_exponent_rejected():
     U = u31()

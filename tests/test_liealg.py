@@ -15,7 +15,6 @@ from wittquant.liealg import (
     JacobsonWitt,
     LieElement,
     RMatrixData,
-    ReductionError,
     WittAlgebra,
     WPlusAlgebra,
     _divided_power_image,
@@ -24,7 +23,7 @@ from wittquant.liealg import (
     witt_deriv,
 )
 from wittquant.grammar import parse_element
-from wittquant.rings import QQ, gf
+from wittquant.rings import QQ, ReductionError, gf
 from wittquant.twist import modular
 from wittquant.uea import EnvelopingAlgebra, UEAElement, reduce_element_mod_p
 from wittquant.verify import check_hopf_axioms

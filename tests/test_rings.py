@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import quotient_add, quotient_mul, series_mul
-from wittquant.rings import QQ, binom_int, gf, t_quotient, t_series
+from wittquant.rings import QQ, ReductionError, binom_int, gf, inverse_factorial, t_quotient, t_series
 
 
 def test_binom_int_examples():
@@ -212,3 +212,43 @@ def test_series_product_matches_oracle_on_random_pairs_qq(cap):
     assert cap == 1 or any(0 in a[:-1] for a, _ in pairs)  # zeros below the top degree
     for a, b in pairs:
         assert R.mul(a, b) == series_mul(cap, a, b), (cap, a, b)
+
+
+# -- the one rule from rationals to ring values -------------------------------------------
+
+FRACTION_RINGS = [QQ, gf(3), gf(5), t_series(QQ, 4), t_series(gf(5), 3), t_quotient(5, 2)]
+
+
+@pytest.mark.parametrize("R", FRACTION_RINGS, ids=repr)
+def test_from_fraction_agrees_with_from_int(R):
+    for n in range(-12, 13):
+        assert R.from_fraction(n) == R.from_int(n)
+        assert R.from_fraction(Fraction(n)) == R.from_int(n)
+
+
+@pytest.mark.parametrize("R", FRACTION_RINGS, ids=repr)
+def test_from_fraction_inverts_the_denominator(R):
+    for n in range(-6, 7):
+        for d in range(1, 16):
+            fr = Fraction(n, d)
+            if R.char and fr.denominator % R.char == 0:
+                with pytest.raises(ReductionError, match=f"^denominator of {fr} not invertible mod {R.char}$"):
+                    R.from_fraction(fr)
+            else:
+                assert R.mul(R.from_fraction(fr), R.from_int(d)) == R.from_int(n), (n, d)
+
+
+def test_from_fraction_maps_a_rational_t_value_through_the_ring():
+    t5 = (Fraction(0),) * 5 + (Fraction(1),)  # t^5 over the rationals
+    assert t_quotient(5, 2).from_fraction(t5) == (0, 2)  # t^5 = 2 t
+    assert t_series(gf(5), 3).from_fraction(t5) == ()  # t^5 = 0 past the cap
+    value = (Fraction(1, 2), Fraction(0), Fraction(-3, 4))
+    assert t_series(gf(5), 3).from_fraction(value) == (3, 0, 3)  # -3/4 = -3 * 4 = 3 mod 5
+    assert t_series(QQ, 4).from_fraction(value) == value
+
+
+def test_inverse_factorial_exists_below_the_characteristic():
+    assert inverse_factorial(gf(5), 4) == 4  # 4! = -1 mod 5, its own inverse
+    assert inverse_factorial(t_series(QQ, 4), 3) == (Fraction(1, 6),)
+    with pytest.raises(ValueError, match=r"^1/3! does not exist in characteristic 3$"):
+        inverse_factorial(gf(3), 3)
