@@ -8,12 +8,12 @@ x^(alpha) D_i.  The scalar sequences match through l! * binom(alpha_k + l, l).
 import math
 from fractions import Fraction
 
-from wittquant import basic_coefficient, format_element, integral_basic, modular_unrestricted
+from wittquant import basic_coefficient, format_element, integral_eta, modular_unrestricted
 from wittquant.rings import binom_int, multi_factorial
 from wittquant.uea import reduce_element_mod_p, reduce_tensor_mod_p
 
 p, n, k = 3, 2, 1
-int_hopf = integral_basic(k, n, cap=p)
+int_hopf = integral_eta((1, 0), n, cap=p)
 mod_hopf = modular_unrestricted(p, n, (1, 0), cap=p)
 WU, MU = int_hopf.uea, mod_hopf.uea
 

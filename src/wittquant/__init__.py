@@ -24,7 +24,6 @@ from .twist import (
     TwistorPair,
     basic_coefficient,
     char0_general,
-    integral_basic,
     integral_eta,
     modular,
     modular_unrestricted,

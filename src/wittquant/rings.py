@@ -9,7 +9,7 @@ Three kinds of coefficient rings are supported, all exact:
   ``quotient`` (t^p is rewritten to q*t, so every value has t-degree < p).
 
 Each ring is a descriptor object with a uniform method API
-(``add``, ``mul``, ``neg``, ``from_int``, ``from_fraction``, ...) and the
+(``add``, ``mul``, ``from_int``, ``from_fraction``, ...) and the
 element values themselves are plain data: ``Fraction`` for the rationals,
 an int in ``[0, p)`` for GF(p), and a zero-trimmed tuple of base scalars
 (index = t-degree) for the t-rings.  Structural equality of values is
@@ -125,10 +125,6 @@ class RationalField:
         return a * b
 
     @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def scale_int(a, n: int):
         return a * n
 
@@ -163,9 +159,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -215,14 +208,11 @@ class _TRingBase:
         c = self.base.from_int(n)
         return (c,) if c else ()
 
-    def scalar(self, c):
-        """Embed a base-ring scalar as a degree-0 value."""
-        return (c,) if c else ()
-
     def from_fraction(self, x):
         """Embed an int or Fraction, or map a value of a rational t-ring degree by degree."""
         if not isinstance(x, tuple):
-            return self.scalar(self.base.from_fraction(x))
+            c = self.base.from_fraction(x)
+            return (c,) if c else ()
         out = self.zero
         for d, c in enumerate(x):
             if c:
@@ -247,10 +237,6 @@ class _TRingBase:
         for d, c in enumerate(b):
             out[d] = badd(out[d], c)
         return _trim(out)
-
-    def neg(self, a):
-        bneg = self.base.neg
-        return tuple(bneg(c) for c in a)
 
     def mul(self, a, b):
         if not a or not b:

@@ -287,10 +287,8 @@ class QuantizedHopf:
 
     def delta(self, x: UEAElement) -> TensorElement:
         """Multiplicative extension of the deformed coproduct."""
-        out = TensorElement(self.uea, 2, {})
-        for mono, c in x.terms.items():
-            out = out + self.delta_mono(mono).scale(c)
-        return out
+        self.uea._check(x)
+        return TensorElement.of(x).expand_slot(0, self.delta_mono)
 
     def antipode_mono(self, mono) -> UEAElement:
         """S(m) = antipode_basis(last symbol) * S(prefix), reversing the order
@@ -300,10 +298,8 @@ class QuantizedHopf:
 
     def antipode(self, x: UEAElement) -> UEAElement:
         """Anti-multiplicative extension of the deformed antipode."""
-        out = self.uea.zero()
-        for mono, c in x.terms.items():
-            out = out + self.antipode_mono(mono).scale(c)
-        return out
+        self.uea._check(x)
+        return TensorElement.of(x).map_slot(0, self.antipode_mono).to_element()
 
     def counit(self, x: UEAElement):
         """The deformed counit, which is eps0: the coefficient of the empty monomial."""
@@ -399,11 +395,6 @@ def _eta_hopf(eta, n: int, make_uea, cap: int) -> QuantizedHopf:
 def integral_eta(eta, n: int, cap: int = 5) -> QuantizedHopf:
     """The integral form of U(W+)[[t]] deformed along the directions selected by eta."""
     return _eta_hopf(eta, n, lambda: EnvelopingAlgebra(WPlusAlgebra(n), t_series(QQ, cap)), cap)
-
-
-def integral_basic(k: int, n: int, cap: int = 5) -> QuantizedHopf:
-    """The integral form of U(W+)[[t]] deformed along the basic direction k."""
-    return integral_eta(tuple(1 if j == k - 1 else 0 for j in range(n)), n, cap)
 
 
 def modular(p: int, n: int, eta, q: int = 0) -> QuantizedHopf:

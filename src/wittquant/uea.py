@@ -32,9 +32,18 @@ the word-rewriting straightener (one adjacent swap at a time) as the
 reference the test suite compares against.
 
 Tensor powers of the algebra (used for coproducts and twists) share the same
-monomial keys, one per slot.  All coefficient arithmetic goes through the ring
-descriptors of :mod:`wittquant.rings`; structure constants stay integers until
-they are folded into ring values at the element level.
+monomial keys, one per slot.
+
+Each structure map is given on PBW monomials and extended linearly by the
+tensor slot maps over the one-slot view ``TensorElement.of(x)``: the coproducts
+through ``expand_slot``, the antipodes through ``map_slot``, and the mod-p
+reduction slot by slot.  The caches hold plain data (ring-valued dicts) and
+wrap them on return; an element points back at its context, so a cached
+element would keep the context alive until a full garbage collection.
+
+All coefficient arithmetic goes through the ring descriptors of
+:mod:`wittquant.rings`; structure constants stay integers until they are
+folded into ring values at the element level.
 """
 from __future__ import annotations
 
@@ -102,7 +111,7 @@ class EnvelopingAlgebra:
         self.alg = alg
         self.ring = ring
         self.restricted = restricted
-        # memo caches; per-context, results never depend on fill order.
+        # memo caches of plain data; per-context, results never depend on fill order.
         # _mono_mul_rows: right factor m2 -> {left factor m1 -> m1 * m2}
         self._insert_cache: dict = {}
         self._mono_mul_rows: dict = {}
@@ -229,49 +238,42 @@ class EnvelopingAlgebra:
 
     # -- standard Hopf structure ---------------------------------------------------
 
-    def _delta0_mono(self, mono) -> dict:
+    def coproduct0_mono(self, mono) -> "TensorElement":
+        """Delta0 of a PBW monomial: each factor b^e splits as sum_j binom(e, j) b^j (x) b^(e-j)."""
         hit = self._delta0_cache.get(mono)
-        if hit is not None:
-            return hit
-        result = {((), ()): 1}
-        for bd, e in mono:
-            # every split (j, e - j) of bd^e extends each key differently: no collisions
-            result = {
-                (a + ((bd, j),) if j else a, b + ((bd, e - j),) if e - j else b): c * binom_int(e, j)
-                for (a, b), c in result.items()
-                for j in range(e + 1)
-            }
-        self._delta0_cache[mono] = result
-        return result
-
-    def _extend(self, x: "UEAElement", images) -> dict:
-        """Extend a map mono -> {key: int} linearly over the terms of x."""
-        self._check(x)
-        rmul, rint = self.ring.mul, self.ring.from_int
-        pairs = (
-            (key, c if k == 1 else rmul(c, rint(k)))
-            for mono, c in x.terms.items()
-            for key, k in images(mono).items()
-        )
-        return accumulate(self.ring.add, {}, pairs)
+        if hit is None:
+            terms = {((), ()): 1}
+            for bd, e in mono:
+                # every split (j, e - j) of bd^e extends each key differently: no collisions
+                terms = {
+                    (a + ((bd, j),) if j else a, b + ((bd, e - j),) if e - j else b): c * binom_int(e, j)
+                    for (a, b), c in terms.items()
+                    for j in range(e + 1)
+                }
+            rint = self.ring.from_int
+            hit = self._delta0_cache[mono] = {k: v for k, c in terms.items() if (v := rint(c))}
+        return TensorElement(self, 2, hit)
 
     def coproduct0(self, x: "UEAElement") -> "TensorElement":
         """The undeformed coproduct, each generator primitive."""
-        return TensorElement(self, 2, self._extend(x, self._delta0_mono))
+        self._check(x)
+        return TensorElement.of(x).expand_slot(0, self.coproduct0_mono)
 
-    def _antipode0_mono(self, mono) -> dict:
+    def antipode0_mono(self, mono) -> "UEAElement":
+        """S0 of a PBW monomial: the reversed word, renormalized, times (-1)^(its length)."""
         hit = self._antipode0_cache.get(mono)
-        if hit is not None:
-            return hit
-        word = [b for b, e in reversed(mono) for _ in range(e)]
-        sign = -1 if len(word) % 2 else 1
-        out = {m: sign * c for m, c in self.normalize_word(word).items()}
-        self._antipode0_cache[mono] = out
-        return out
+        if hit is None:
+            word = [b for b, e in reversed(mono) for _ in range(e)]
+            sign = -1 if len(word) % 2 else 1
+            rint = self.ring.from_int
+            terms = self.normalize_word(word)
+            hit = self._antipode0_cache[mono] = {m: v for m, c in terms.items() if (v := rint(sign * c))}
+        return UEAElement(self, hit)
 
     def antipode0(self, x: "UEAElement") -> "UEAElement":
         """The undeformed antipode: reverse, negate each generator, renormalize."""
-        return UEAElement(self, self._extend(x, self._antipode0_mono))
+        self._check(x)
+        return TensorElement.of(x).map_slot(0, self.antipode0_mono).to_element()
 
     # -- derived elements ----------------------------------------------------------
 
@@ -474,37 +476,41 @@ class TensorElement(SparseElement):
 # -- reduction of integral-form elements mod p ----------------------------------------
 
 
-def reduce_element_mod_p(x: UEAElement, target: EnvelopingAlgebra) -> UEAElement:
-    """Reduce a W+ enveloping element to the Jacobson-Witt side: x^a D_i -> a! x^(a) D_i.
-
-    Monomial factors with an exponent component >= p die; surviving factors pick
-    up the factorial scalars and coefficients are reduced mod p.  The result is
-    renormalized in the target (which may be restricted).
-    """
-    p = target.alg.p
-    ring = target.ring
-    out = target.zero()
-    for mono, c in x.terms.items():
-        images = [(_divided_power_image(bd, p), e) for bd, e in mono]
-        if not all(image for image, _ in images):
-            continue
-        scale = math.prod(fac**e for (_, fac), e in images)
-        cc = ring.scale_int(ring.from_fraction(c), scale)
-        if not cc:
-            continue
-        word = [sym for (sym, _), e in images for _ in range(e)]
-        out = out + target.pbw_normalize(word).scale(cc)
-    return out
+def _reduce_mono(mono, target: EnvelopingAlgebra):
+    """(image, scale) of a normal W+ monomial under x^a D_i -> a! x^(a) D_i in target,
+    or None when it dies: some exponent component is >= p, or a factor folds to 0.
+    The image keeps the (alpha, i) order of the factors, so it is normal as it stands."""
+    image, scale = [], 1
+    for bd, e in mono:
+        sym_fac = _divided_power_image(bd, target.alg.p)
+        if sym_fac is None:
+            return None
+        sym, fac = sym_fac
+        target.alg.validate(sym)
+        folded = target.fold_exponent(sym, e)
+        if not folded:
+            return None
+        image.append((sym, folded))
+        scale *= fac**e
+    return tuple(image), scale
 
 
 def reduce_tensor_mod_p(x: TensorElement, target: EnvelopingAlgebra) -> TensorElement:
-    """Slotwise reduction of a tensor element (see ``reduce_element_mod_p``)."""
-    out = TensorElement(target, x.arity, {})
+    """Reduce a W+ tensor element slotwise to the Jacobson-Witt side: x^a D_i -> a! x^(a) D_i.
+
+    A term dies with any slot (``_reduce_mono``); a surviving term picks up the
+    factorial scalars of every slot, and its coefficient is reduced mod p.
+    """
+    ring = target.ring
+    pairs = []
     for key, c in x.terms.items():
-        factors = []
-        for m in key:
-            src = UEAElement(x.uea, {m: x.uea.ring.one})
-            factors.append(reduce_element_mod_p(src, target))
-        piece = TensorElement.of(*factors) if x.arity else TensorElement.unit(target, 0)
-        out = out + piece.scale(target.ring.from_fraction(c))
-    return out
+        images = [_reduce_mono(m, target) for m in key]
+        if all(images):
+            scale = math.prod(s for _, s in images)
+            pairs.append((tuple(m for m, _ in images), ring.scale_int(ring.from_fraction(c), scale)))
+    return TensorElement(target, x.arity, accumulate(ring.add, {}, pairs))
+
+
+def reduce_element_mod_p(x: UEAElement, target: EnvelopingAlgebra) -> UEAElement:
+    """The one-slot case of ``reduce_tensor_mod_p``."""
+    return reduce_tensor_mod_p(TensorElement.of(x), target).to_element()

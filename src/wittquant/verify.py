@@ -163,7 +163,7 @@ def check_factorial_identities(max_order: int = 8) -> CheckReport:
         step = 1 if kind == "rising" else -1
         out = R.one
         for j in range(r):
-            out = R.mul(out, R.add(R.scalar(a + step * j), R.t_power(1)))
+            out = R.mul(out, R.add(R.from_fraction(a + step * j), R.t_power(1)))
         return out
 
     for a in A:
@@ -187,17 +187,17 @@ def check_factorial_identities(max_order: int = 8) -> CheckReport:
                 acc = R.zero
                 for s in range(r + 1):
                     t = r - s
-                    c = R.scalar(Fraction((-1) ** t, math.factorial(s) * math.factorial(t)))
+                    c = R.from_fraction(Fraction((-1) ** t, math.factorial(s) * math.factorial(t)))
                     acc = R.add(acc, R.mul(c, R.mul(fact(a, s, "falling"), fact(b, t, "rising"))))
-                ok = acc == R.scalar(_binom_frac(a - b, r))
+                ok = acc == R.from_fraction(_binom_frac(a - b, r))
                 col.record("mixed-collapse-to-binomial", ok, f"a={a} b={b} r={r}")
 
                 acc = R.zero
                 for s in range(r + 1):
                     t = r - s
-                    c = R.scalar(Fraction((-1) ** t, math.factorial(s) * math.factorial(t)))
+                    c = R.from_fraction(Fraction((-1) ** t, math.factorial(s) * math.factorial(t)))
                     acc = R.add(acc, R.mul(c, R.mul(fact(a, s, "falling"), fact(b - s, t, "falling"))))
-                ok = acc == R.scalar(_binom_frac(a - b + r - 1, r))
+                ok = acc == R.from_fraction(_binom_frac(a - b + r - 1, r))
                 col.record("falling-collapse-to-binomial", ok, f"a={a} b={b} r={r}")
     return col.report("factorial", {"cap": max_order})
 
@@ -400,13 +400,8 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
 # -- twist laws ----------------------------------------------------------------------------------
 
 
-def _d0map(hopf):
-    U = hopf.uea
-    return lambda m: U.coproduct0(U.element({m: U.ring.one}))
-
-
 def _cocycle_ok(hopf, F) -> bool:
-    d0 = _d0map(hopf)
+    d0 = hopf.uea.coproduct0_mono
     return F.pad(right=1) * F.expand_slot(0, d0) == F.pad(left=1) * F.expand_slot(1, d0)
 
 
@@ -460,7 +455,7 @@ def check_twist_laws(cfg) -> CheckReport:
 
     multi = [h for h in hopfs if len(h.directions) >= 2]
     for hopf in multi:
-        d0 = _d0map(hopf)
+        d0 = hopf.uea.coproduct0_mono
         for di, dj in itertools.permutations(range(len(hopf.directions)), 2):
             Fi = hopf.basic_twist_factor(di)
             Fj = hopf.basic_twist_factor(dj)

@@ -11,7 +11,9 @@ to, as a plain name or as an attribute.  The third reports a public function,
 class or method of the package whose name nothing outside ``tests/`` refers
 to: not the package (outside the name's own definition and ``__init__.py``),
 not ``demos/`` and not ``perfbench/``.  There a string constant counts as a
-reference too, since the benchmark names the methods it traces in strings.
+reference too, since the benchmark names the methods it traces in strings.  A
+method counts as referenced only through an attribute or a string, so a local
+variable of the same name does not hide it.
 """
 from __future__ import annotations
 
@@ -113,22 +115,23 @@ def test_no_dead_private_functions():
 DOCUMENTED = {"parse_element"}  # the README's element grammar
 
 
-def _references(tree, skip=None) -> set:
-    """Names and attributes referenced in tree, outside the definitions named skip."""
-    out = set()
+def _references(tree, skip=None) -> tuple:
+    """(plain names, attributes and string constants) referenced in tree, outside
+    the definitions named skip."""
+    names, attributes = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef) and node.name == skip:
             continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+            attributes.add(node.value)
         stack.extend(ast.iter_child_nodes(node))
-    return out
+    return names, attributes
 
 
 def _public_definitions(tree):
@@ -146,15 +149,23 @@ def _public_definitions(tree):
 def names_only_tests_use(package: dict, users: dict) -> list:
     """(module, qualified name) of each public definition of package (module -> source)
     that no module of package other than ``__init__.py`` references outside the
-    name's own definitions, and that no module of users references."""
+    name's own definitions, and that no module of users references.  A method is
+    referenced only as an attribute or a string: a plain name of the same spelling
+    is some other binding, such as a local variable."""
     trees = {name: ast.parse(src) for name, src in package.items() if name != "__init__.py"}
-    outside = set().union(*(_references(ast.parse(src)) for src in users.values()))
+    outside = [_references(ast.parse(src)) for src in users.values()]
     flagged = []
     for module, tree in trees.items():
         for qualified, name in _public_definitions(tree):
-            if name in outside or name in DOCUMENTED:
+            method = "." in qualified
+
+            def used(refs):
+                names, attributes = refs
+                return name in attributes or (not method and name in names)
+
+            if name in DOCUMENTED or any(map(used, outside)):
                 continue
-            if not any(name in _references(other, skip=name) for other in trees.values()):
+            if not any(used(_references(other, skip=name)) for other in trees.values()):
                 flagged.append((module, qualified))
     return sorted(flagged)
 
@@ -168,13 +179,15 @@ def test_scan_finds_a_public_name_only_tests_use():
         "    def gone(self): pass\n"
         "    def traced(self): pass\n"
         "    def tested(self): pass\n"
+        "    def shadowed(self): pass\n"
         "def parse_element(text): pass\n"
+        "def local(): shadowed = 1; return shadowed\n"
     )
-    b = "from a import used\nused()\nK().m()\n"
+    b = "from a import used, local\nused()\nlocal()\nK().m()\n"
     init = "from .a import only_tested\n"
     bench = "SPANS = ('traced',)\n"
     got = names_only_tests_use({"a": a, "b": b, "__init__.py": init}, {"bench": bench})
-    assert got == [("a", "K.tested"), ("a", "only_tested")]
+    assert got == [("a", "K.shadowed"), ("a", "K.tested"), ("a", "only_tested")]
 
 
 def test_no_public_names_that_only_tests_use():

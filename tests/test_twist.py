@@ -9,17 +9,11 @@ from wittquant.liealg import RMatrixData
 from wittquant.twist import (
     NonIntegralExponentError,
     char0_general,
-    integral_basic,
     integral_eta,
     modular,
     modular_unrestricted,
 )
 from wittquant.uea import TensorElement
-
-
-def d0map(hopf):
-    U = hopf.uea
-    return lambda m: U.coproduct0(U.element({m: U.ring.one}))
 
 
 # -- twist construction -----------------------------------------------------------------
@@ -41,7 +35,7 @@ def test_build_twist_modular_series_example():
 
 
 def test_build_twist_cap_one_is_unit():
-    H = integral_basic(1, 1, cap=1)
+    H = integral_eta((1,), 1, cap=1)
     tw = H.build_twist(0)
     assert tw.forward == TensorElement.unit(H.uea)
     assert tw.inverse == TensorElement.unit(H.uea)
@@ -50,7 +44,7 @@ def test_build_twist_cap_one_is_unit():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: integral_basic(1, 1, cap=4),
+        lambda: integral_eta((1,), 1, cap=4),
         lambda: modular(3, 1, (1,)),
         lambda: modular(3, 2, (1, 1), q=1),
         lambda: char0_general(RMatrixData((1,), (1,), (1,)), cap=4),
@@ -73,7 +67,7 @@ def test_twist_inverse_and_counit_invariants(make):
 
 
 def test_antipode_twistors_examples():
-    H = integral_basic(1, 1, cap=1)
+    H = integral_eta((1,), 1, cap=1)
     pair = H.antipode_twistors(0)
     assert pair.u_elem == H.uea.one() and pair.v_elem == H.uea.one()
 
@@ -105,7 +99,7 @@ def test_twistors_are_the_twist_with_one_slot_antipoded(make, shifts):
     # u_a = m(S0 (x) Id)(F_a^-1) and v_a = m(Id (x) S0)(F_a), built from the twist
     H = make()
     U = H.uea
-    s0 = lambda m: U.antipode0(U.element({m: U.ring.one}))
+    s0 = U.antipode0_mono
     for a in shifts:
         tw, pair = H.build_twist(a), H.antipode_twistors(a)
         assert tw.inverse.map_slot(0, s0).multiply_out() == pair.u_elem, a
@@ -128,8 +122,8 @@ def test_series_past_the_characteristic_has_one_error():
 @pytest.mark.parametrize(
     "make,shifts",
     [
-        (lambda: integral_basic(1, 1, cap=4), range(-2, 3)),
-        (lambda: integral_basic(2, 2, cap=4), range(-2, 3)),
+        (lambda: integral_eta((1,), 1, cap=4), range(-2, 3)),
+        (lambda: integral_eta((0, 1), 2, cap=4), range(-2, 3)),
         (lambda: char0_general(RMatrixData((1,), (1,), (1,)), cap=4), range(-2, 3)),
         (lambda: modular(3, 1, (1,)), range(3)),
         (lambda: modular(5, 1, (1,), q=1), range(5)),
@@ -150,7 +144,7 @@ def test_forward_inverse_product_law(make, shifts):
 @pytest.mark.parametrize(
     "make,shifts",
     [
-        (lambda: integral_basic(1, 1, cap=4), range(-2, 3)),
+        (lambda: integral_eta((1,), 1, cap=4), range(-2, 3)),
         (lambda: modular(3, 1, (1,)), range(3)),
         (lambda: modular(5, 1, (1,), q=0), range(5)),
     ],
@@ -168,7 +162,7 @@ def test_twistor_product_law(make, shifts):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: integral_basic(1, 1, cap=4),
+        lambda: integral_eta((1,), 1, cap=4),
         lambda: modular(3, 1, (1,)),
     ],
 )
@@ -189,7 +183,7 @@ def test_inverse_pair_laws(make):
 
 
 def _cocycle_holds(H, F):
-    d0 = d0map(H)
+    d0 = H.uea.coproduct0_mono
     lhs = F.pad(right=1) * F.expand_slot(0, d0)
     rhs = F.pad(left=1) * F.expand_slot(1, d0)
     return lhs == rhs
@@ -200,7 +194,7 @@ def _cocycle_holds(H, F):
     [
         lambda: char0_general(RMatrixData((1,), (1,), (1,)), cap=4),
         lambda: char0_general(RMatrixData((1, 0), (0, 1), (1, 0)), cap=4),
-        lambda: integral_basic(1, 2, cap=4),
+        lambda: integral_eta((1, 0), 2, cap=4),
         lambda: modular(3, 1, (1,)),
         lambda: modular(3, 2, (1, 0)),
         lambda: modular(3, 2, (1, 1)),
@@ -227,7 +221,7 @@ def test_product_twist_order_independence():
 def test_product_twist_commutation_relations():
     # the two (*) relations behind the product-twist construction, i != j
     H = modular(3, 2, (1, 1))
-    d0 = d0map(H)
+    d0 = H.uea.coproduct0_mono
     Fi = H.basic_twist_factor(0)
     Fj = H.basic_twist_factor(1)
     for A, B in ((Fi, Fj), (Fj, Fi)):
@@ -257,7 +251,7 @@ def test_one_minus_et_negative_powers_match_binomial_series():
     # independent route: (1-et)^m as the generalized binomial series
     from wittquant.rings import binom_int
 
-    for make in (lambda: modular(3, 1, (1,)), lambda: integral_basic(1, 1, cap=5)):
+    for make in (lambda: modular(3, 1, (1,)), lambda: integral_eta((1,), 1, cap=5)):
         H = make()
         U, ring = H.uea, H.uea.ring
         e = H.directions[0][2]
@@ -378,7 +372,7 @@ def test_radford_generator_forms():
     [
         lambda: modular(3, 2, (1, 1), q=1),
         lambda: modular(5, 1, (1,), q=0),
-        lambda: integral_basic(1, 1, cap=4),
+        lambda: integral_eta((1,), 1, cap=4),
     ],
 )
 def test_t_zero_slice_is_standard_structure(make):
@@ -398,7 +392,7 @@ def test_t_zero_slice_is_standard_structure(make):
 
 
 def test_cap_one_degenerates_to_standard_structure():
-    H = integral_basic(1, 1, cap=1)
+    H = integral_eta((1,), 1, cap=1)
     U, alg = H.uea, H.uea.alg
     for alpha in ((0,), (1,), (3,)):
         bd = alg.basis_symbol(alpha, 1)
@@ -412,6 +406,14 @@ def test_char0_rejects_non_integral_exponent():
     H = char0_general(r, cap=3)
     with pytest.raises(NonIntegralExponentError):
         H.delta_basis(H.uea.alg.basis_symbol((1, 0), 1))
+
+
+def test_extensions_reject_an_element_of_another_context():
+    H, other = modular(3, 1, (1,)), modular(3, 1, (1,)).uea
+    x = other.gen(other.alg.basis_symbol((1,), 1))
+    for extension in (H.delta, H.antipode):
+        with pytest.raises(ValueError, match="not an element of this enveloping algebra"):
+            extension(x)
 
 
 # -- closed form vs conjugation --------------------------------------------------------------
@@ -430,7 +432,7 @@ def test_char0_rejects_non_integral_exponent():
             [(al, i) for al in ((0, 0), (2, 0), (1, 1), (-2, 2), (4, 0)) for i in (1, 2)],
         ),
         (
-            lambda: integral_basic(1, 2, cap=4),
+            lambda: integral_eta((1, 0), 2, cap=4),
             [(al, i) for al in itertools.product(range(3), repeat=2) for i in (1, 2)],
         ),
         (lambda: modular(3, 1, (1,)), None),
@@ -453,7 +455,7 @@ def test_closed_form_equals_conjugation_on_generators(make, symbols):
 
 def test_closed_form_matches_conjugation_on_powers():
     # deformed maps extend multiplicatively / anti-multiplicatively to powers
-    H = integral_basic(1, 1, cap=4)
+    H = integral_eta((1,), 1, cap=4)
     U, alg = H.uea, H.uea.alg
     for alpha in ((0,), (1,), (2,)):
         x = U.gen(alg.basis_symbol(alpha, 1))

@@ -1,6 +1,8 @@
 import copy
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -347,15 +349,6 @@ def _random_element(uea, rng, pool, nterms=3, max_exp=2):
     return UEAElement(uea, {m: c for m, c in terms.items() if c})
 
 
-def _delta0_tensor(uea, mono):
-    rint = uea.ring.from_int
-    return TensorElement(uea, 2, {k: rint(c) for k, c in uea._delta0_mono(mono).items() if rint(c)})
-
-
-def _s0_elem(uea, mono):
-    return uea.antipode0(UEAElement(uea, {mono: uea.ring.one}))
-
-
 @pytest.mark.parametrize("cfg,seed", [("u31", 21), ("u51", 22), ("wplus", 23)])
 def test_coassoc_counit_antipode_on_random_elements(cfg, seed):
     if cfg == "u31":
@@ -373,16 +366,16 @@ def test_coassoc_counit_antipode_on_random_elements(cfg, seed):
     for _ in range(50):
         x = _random_element(U, rng, pool)
         d = U.coproduct0(x)
-        lhs = d.expand_slot(0, lambda m: _delta0_tensor(U, m))
-        rhs = d.expand_slot(1, lambda m: _delta0_tensor(U, m))
+        lhs = d.expand_slot(0, U.coproduct0_mono)
+        rhs = d.expand_slot(1, U.coproduct0_mono)
         assert lhs == rhs
         # counit law
         assert d.contract(0).to_element() == x
         assert d.contract(1).to_element() == x
         # antipode axiom
         want = U.one().scale(counit(x))
-        assert d.map_slot(0, lambda m: _s0_elem(U, m)).multiply_out() == want
-        assert d.map_slot(1, lambda m: _s0_elem(U, m)).multiply_out() == want
+        assert d.map_slot(0, U.antipode0_mono).multiply_out() == want
+        assert d.map_slot(1, U.antipode0_mono).multiply_out() == want
 
 
 @pytest.mark.parametrize("which", ["wplus", "witt"])
@@ -574,24 +567,59 @@ def test_tensor_mul_examples():
     assert TensorElement.of(U.one(), E) * TensorElement.of(H, U.one()) == X
 
 
-@pytest.mark.parametrize("p,n,seed", [(3, 1, 51), (3, 2, 52), (5, 1, 53)])
-def test_uea_reduction_is_a_hopf_algebra_map(p, n, seed):
-    # x^a D_i -> a! x^(a) D_i respects products, coproducts, and antipodes
+@pytest.mark.parametrize(
+    "p,n,seed,restricted",
+    [
+        pytest.param(3, 1, 51, False, id="3-1-51"),
+        pytest.param(3, 2, 52, False, id="3-2-52"),
+        pytest.param(5, 1, 53, False, id="5-1-53"),
+        pytest.param(3, 1, 54, True, id="3-1-54-restricted"),
+        pytest.param(3, 2, 55, True, id="3-2-55-restricted"),
+        pytest.param(5, 1, 56, True, id="5-1-56-restricted"),
+    ],
+)
+def test_uea_reduction_is_a_hopf_algebra_map(p, n, seed, restricted):
+    # x^a D_i -> a! x^(a) D_i respects products, coproducts, and antipodes; into
+    # u(W(n;1)), exponents up to p + 1 also meet the folds H^p = H and b^p = 0
     from wittquant.uea import reduce_element_mod_p, reduce_tensor_mod_p
 
     rng = random.Random(seed)
     WU = uw_plus(n)
     alg = JacobsonWitt(n, p)
-    MU = EnvelopingAlgebra(alg, gf(p), restricted=False)
+    MU = EnvelopingAlgebra(alg, gf(p), restricted=restricted)
     alphas = [a for a in itertools.product(range(p + 1), repeat=n)]
     pool = [WU.alg.basis_symbol(a, i) for a in alphas for i in range(1, n + 1)]
+    max_exp = p + 1 if restricted else 2
     for _ in range(25):
-        x = _random_element(WU, rng, pool, nterms=2)
-        y = _random_element(WU, rng, pool, nterms=2)
+        x = _random_element(WU, rng, pool, nterms=2, max_exp=max_exp)
+        y = _random_element(WU, rng, pool, nterms=2, max_exp=max_exp)
         rx, ry = reduce_element_mod_p(x, MU), reduce_element_mod_p(y, MU)
         assert reduce_element_mod_p(x * y, MU) == rx * ry
         assert reduce_tensor_mod_p(WU.coproduct0(x), MU) == MU.coproduct0(rx)
         assert reduce_element_mod_p(WU.antipode0(x), MU) == MU.antipode0(rx)
+
+
+def test_contexts_are_freed_without_the_cycle_collector():
+    # the coalgebra caches hold plain ring-valued dicts, never elements, which
+    # would point back at their context and keep it alive until a full collection
+    from wittquant.uea import reduce_element_mod_p
+
+    def use_and_drop():
+        WU = uw_plus(1)
+        MU = u31()
+        x = WU.gen(WU.alg.basis_symbol((1,), 1)) ** 4 + WU.gen(WU.alg.basis_symbol((2,), 1))
+        rx = reduce_element_mod_p(x, MU)
+        assert MU.coproduct0(rx) and MU.antipode0(rx) and WU.coproduct0(x) and WU.antipode0(x)
+        return weakref.ref(WU), weakref.ref(MU)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        refs = use_and_drop()
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_reduce_tensor_of_arity_zero():
@@ -602,6 +630,15 @@ def test_reduce_tensor_of_arity_zero():
     scalar = TensorElement(WU, 0, {(): Fraction(5, 2)})
     assert reduce_tensor_mod_p(scalar, MU) == TensorElement(MU, 0, {(): gf(3).from_int(1)})
     assert not reduce_tensor_mod_p(TensorElement(WU, 0, {}), MU)
+
+
+def test_reduction_rejects_a_target_of_another_shape():
+    from wittquant.uea import reduce_element_mod_p
+
+    WU = uw_plus(2)
+    x = WU.gen(WU.alg.basis_symbol((1, 0), 1))
+    with pytest.raises(ValueError, match="does not belong to"):
+        reduce_element_mod_p(x, EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3)))
 
 
 def test_lift_rejects_foreign_algebra_or_ring():
