@@ -25,7 +25,7 @@ from .grammar import format_element
 from .liealg import JacobsonWitt, RMatrixData
 from .rings import gf
 from .twist import char0_general, modular
-from .verify import Char0Config, ModularConfig, run_suites, suite_names
+from .verify import ENUMERATION_LIMIT, Char0Config, ModularConfig, run_suites, suite_names
 
 
 class UsageError(ValueError):
@@ -40,11 +40,8 @@ def _csv_ints(text: str):
 
 
 def _eta_from_directions(text: str, n: int):
-    dirs = _csv_ints(text)
-    if not dirs:
-        raise UsageError("eta must select at least one direction")
     eta = [0] * n
-    for k in dirs:
+    for k in _csv_ints(text):
         if not 1 <= k <= n:
             raise UsageError(f"twist direction {k} out of range 1..{n}")
         if eta[k - 1]:
@@ -140,59 +137,51 @@ def run_command(args: argparse.Namespace) -> int:
     if args.verb in ("delta", "antipode", "verify"):
         _dims_exponent(args.p, args.n, args.verb)
 
-    if args.verb in ("delta", "antipode"):
-        eta = _eta_from_directions(args.eta, args.n)
-        hopf = modular(args.p, args.n, eta, args.q)
-        alpha = _csv_ints(args.alpha)
-        bd = hopf.uea.alg.basis_symbol(alpha, args.i)
-        out = hopf.delta_basis(bd) if args.verb == "delta" else hopf.antipode_basis(bd)
-        print(format_element(out))
-        return 0
-
-    if args.verb in ("char0-delta", "char0-antipode"):
-        rm = RMatrixData(_csv_ints(args.d0), _csv_ints(args.d0p), _csv_ints(args.gamma))
-        hopf = char0_general(rm, cap=args.trunc)
-        alpha = _csv_ints(args.alpha)
-        bd = hopf.uea.alg.basis_symbol(alpha, args.i)
-        out = hopf.delta_basis(bd) if args.verb == "char0-delta" else hopf.antipode_basis(bd)
+    if args.verb in ("delta", "antipode", "char0-delta", "char0-antipode"):
+        if args.verb.startswith("char0-"):
+            rm = RMatrixData(_csv_ints(args.d0), _csv_ints(args.d0p), _csv_ints(args.gamma))
+            hopf = char0_general(rm, cap=args.trunc)
+        else:
+            hopf = modular(args.p, args.n, _eta_from_directions(args.eta, args.n), args.q)
+        bd = hopf.uea.alg.basis_symbol(_csv_ints(args.alpha), args.i)
+        out = hopf.delta_basis(bd) if args.verb.endswith("delta") else hopf.antipode_basis(bd)
         print(format_element(out))
         return 0
 
     if args.verb == "dims":
         p, n = args.p, args.n
         e = _dims_exponent(p, n)
-        # p >= 3, so p**e <= 5000 needs e < 8; the test never builds a large power
-        status = "enumerable" if e < 8 and p**e <= 5000 else "structural (enumeration skipped)"
+        # p >= 3 > 2, so p**e exceeds the limit once e reaches its bit length; no large power is built
+        enumerable = e < ENUMERATION_LIMIT.bit_length() and p**e <= ENUMERATION_LIMIT
+        status = "enumerable" if enumerable else "structural (enumeration skipped)"
         print(f"dim u(W({n};1)) = {p}^({n}*{p}^{n}) = {_power_text(p, e)} [{status}]")
         print(f"dim over K[t]_{p}^(q) = {p}^(1+{n}*{p}^{n}) = {_power_text(p, 1 + e)}")
         return 0
 
-    if args.verb == "verify":
-        eta = _eta_from_directions(args.eta, args.n)
-        mcfg = ModularConfig(args.p, args.n, eta, args.q, seed=args.seed)
-        ccfg = _default_char0(args.n, args.trunc, args.seed)
-        suites = suite_names(args.suite)
-        with _open_report(args.json_path) as report:
-            reports = run_suites(suites, modular_cfg=mcfg, char0_cfg=ccfg)
-            if report is not None:
-                json.dump([rep.to_json_dict() for rep in reports], report, indent=2)
-                report.write("\n")
-        failed = 0
-        for rep in reports:
-            cfg_bits = " ".join(
-                f"{k}={v}" for k, v in sorted(rep.config.items()) if v is not None
-            )
-            print(f"[{rep.suite}] {cfg_bits}")
-            for c in sorted(rep.checks, key=lambda c: c.name):
-                line = f"  {c.name}: {c.status}"
-                if c.counterexample and c.status == "fail":
-                    line += f"  counterexample: {c.counterexample}"
-                print(line)
-                failed += c.status == "fail"
-        print(f"RESULT: {'pass' if not failed else f'fail ({failed} checks)'}")
-        return 0 if not failed else 1
-
-    raise UsageError(f"unknown verb {args.verb!r}")
+    # verify, the one verb left: argparse rejects any other
+    eta = _eta_from_directions(args.eta, args.n)
+    mcfg = ModularConfig(args.p, args.n, eta, args.q, seed=args.seed)
+    ccfg = _default_char0(args.n, args.trunc, args.seed)
+    suites = suite_names(args.suite)
+    with _open_report(args.json_path) as report:
+        reports = run_suites(suites, modular_cfg=mcfg, char0_cfg=ccfg)
+        if report is not None:
+            json.dump([rep.to_json_dict() for rep in reports], report, indent=2)
+            report.write("\n")
+    failed = 0
+    for rep in reports:
+        cfg_bits = " ".join(
+            f"{k}={v}" for k, v in sorted(rep.config.items()) if v is not None
+        )
+        print(f"[{rep.suite}] {cfg_bits}")
+        for c in sorted(rep.checks, key=lambda c: c.name):
+            line = f"  {c.name}: {c.status}"
+            if c.counterexample and c.status == "fail":
+                line += f"  counterexample: {c.counterexample}"
+            print(line)
+            failed += c.status == "fail"
+    print(f"RESULT: {'pass' if not failed else f'fail ({failed} checks)'}")
+    return 0 if not failed else 1
 
 
 def main(argv=None) -> int:

@@ -128,7 +128,6 @@ class _Parser:
         coeff = Fraction(1)
         factors = []
         tdeg = 0
-        saw = False
         while True:
             kind, val, pos = self._peek()
             if kind == "num":
@@ -139,6 +138,8 @@ class _Parser:
                     den = self._next()
                     if den[0] != "num":
                         raise ElementSyntaxError("expected denominator", den[2])
+                    if int(den[1]) == 0:
+                        raise ElementSyntaxError("zero denominator", den[2])
                     coeff *= Fraction(num, int(den[1]))
                 else:
                     coeff *= num
@@ -156,15 +157,11 @@ class _Parser:
                 if d < 0:
                     raise ElementSyntaxError("t-degree must be >= 0", pos)
                 tdeg += d
-            else:
-                if not saw:
-                    raise ElementSyntaxError(f"expected a term, found {val!r}", pos)
+            else:  # also after a '*', which must be followed by another piece
+                raise ElementSyntaxError(f"expected a term, found {val!r}", pos)
+            if self._peek()[:2] != ("op", "*"):
                 return coeff, factors, tdeg
-            saw = True
-            if self._peek()[:2] == ("op", "*"):
-                self._next()
-            else:
-                return coeff, factors, tdeg
+            self._next()
 
     def _chunk_element(self, sign: int) -> UEAElement:
         pos = self._peek()[2]

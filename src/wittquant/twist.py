@@ -22,7 +22,10 @@ The factories choose the ambient algebra, the ring and the directions:
 ``integral_eta`` (the integral form U(W+)[[t]]), ``modular`` (the restricted
 u(W(n;1)) over GF(p)[t]/(t^p - q t)) and ``modular_unrestricted`` (U(W(n;1))
 with a truncated series ring, for the reduction chain); the last three take
-the basic directions selected by eta in {0,1}^n.
+the basic directions selected by eta in {0,1}^n.  A context is its enveloping
+algebra and its directions: ``QuantizedHopf`` reads its truncation ``cap`` off
+the ring (the series cap, or p for the quotient ring), and its ``eta`` and
+report ``name`` off the directions.
 
 Every twist is a product of basic one-direction twists
 
@@ -170,12 +173,16 @@ class QuantizedHopf:
     tested against.
     """
 
-    def __init__(self, uea: EnvelopingAlgebra, directions, cap: int, name: str, eta=None):
+    def __init__(self, uea: EnvelopingAlgebra, directions):
         self.uea = uea
         self.directions = list(directions)  # RMatrixDirection / BasicDirection entries
-        self.cap = cap
-        self.name = name  # how reports refer to the twist
-        self.eta = eta
+        if not self.directions:
+            raise ValueError("at least one twist direction is required (eta != 0)")
+        self.cap = uea.ring.cap  # the series cap, or p for the quotient ring
+        ks = {direction.k for direction in self.directions}
+        # the 0/1 selector of the basic directions; None for an r-matrix direction
+        self.eta = None if None in ks else tuple(int(k in ks) for k in range(1, uea.alg.n + 1))
+        self.name = "r-matrix twist" if self.eta is None else "eta=" + "".join(map(str, self.eta))
         self._memos: dict = {}  # (method name, *arguments) -> value
         self._delta_mono_cache: dict = {(): TensorElement.unit(uea)}
         self._antipode_mono_cache: dict = {(): uea.one()}
@@ -198,21 +205,19 @@ class QuantizedHopf:
         return self._memo(("e_power", d, j), lambda: self.uea.power(self.directions[d].e, j))
 
     def one_minus_et_power(self, d: int, m: int) -> UEAElement:
-        """(1 - e_d t)^m, via binomials for m >= 0, geometric powers for m < 0."""
+        """(1 - e_d t)^m: the |m|-th power of 1 - e_d t, or for m < 0 of its inverse
+        sum_{j<cap} (e_d t)^j, which needs no later term since t^cap = 0 in a series
+        ring and e_d^p = 0 in u(W(n;1))."""
 
         def compute():
             uea, ring = self.uea, self.uea.ring
-            jmax = self.cap - 1
             if m >= 0:
-                out = uea.zero()
-                for j in range(0, min(m, jmax) + 1):
-                    c = binom_int(m, j) * (-1) ** j
-                    out = out + self._e_power(d, j).scale(ring.mul(ring.from_int(c), ring.t_power(j)))
-                return out
-            geo = uea.zero()
-            for j in range(0, jmax + 1):
-                geo = geo + self._e_power(d, j).scale(ring.t_power(j))
-            return uea.power(geo, -m)
+                base = uea.one() - self._e_power(d, 1).scale(ring.t_power(1))
+            else:
+                base = uea.zero()
+                for j in range(self.cap):
+                    base = base + self._e_power(d, j).scale(ring.t_power(j))
+            return uea.power(base, abs(m))
 
         return self._memo(("one_minus_et_power", d, m), compute)
 
@@ -325,10 +330,6 @@ class QuantizedHopf:
 
     def build_twist(self, a=0) -> TwistElement:
         """The twist (product of basic twists, ascending direction) and its inverse."""
-        if self.cap < 1:
-            raise ValueError("cap must be >= 1")
-        if not self.directions:
-            raise ValueError("at least one twist direction is required (eta != 0)")
 
         def compute():
             fwd = TensorElement.unit(self.uea)
@@ -370,42 +371,35 @@ class QuantizedHopf:
 
 def char0_general(rmatrix: RMatrixData, cap: int = 5) -> QuantizedHopf:
     """Quantized U(W)[[t]] (truncated at t^cap) from triangular r-matrix data."""
-    alg = WittAlgebra(rmatrix.n)
-    ring = t_series(QQ, cap)
-    uea = EnvelopingAlgebra(alg, ring)
-    h = uea.lift(rmatrix.h_element(alg, ring))
-    e = uea.lift(rmatrix.e_element(alg, ring))
-    return QuantizedHopf(uea, [RMatrixDirection(None, h, e, rmatrix)], cap, "r-matrix twist")
+    uea = EnvelopingAlgebra(WittAlgebra(rmatrix.n), t_series(QQ, cap))
+    h = uea.lift(rmatrix.h_element(uea.alg, uea.ring))
+    e = uea.lift(rmatrix.e_element(uea.alg, uea.ring))
+    return QuantizedHopf(uea, [RMatrixDirection(None, h, e, rmatrix)])
 
 
-def _eta_hopf(eta, n: int, make_uea, cap: int) -> QuantizedHopf:
-    """The quantization of make_uea() along the basic directions k with eta_k = 1."""
-    eta = tuple(int(bool(x)) for x in eta)
-    if len(eta) != n or not any(eta):
+def _eta_hopf(eta, uea: EnvelopingAlgebra) -> QuantizedHopf:
+    """The quantization of uea along the basic directions k with eta_k = 1."""
+    eta = tuple(eta)
+    if len(eta) != uea.alg.n or not set(eta) <= {0, 1} or not any(eta):
         raise ValueError("eta must be a nonzero 0/1 vector of length n")
-    uea = make_uea()
     dirs = []
-    for k in range(1, n + 1):
-        if eta[k - 1]:
+    for k, on in enumerate(eta, start=1):
+        if on:
             h, e = basic_pair(uea.alg, uea.ring, k)
             dirs.append(BasicDirection(k, uea.lift(h), uea.lift(e)))
-    return QuantizedHopf(uea, dirs, cap, f"eta={''.join(str(x) for x in eta)}", eta)
+    return QuantizedHopf(uea, dirs)
 
 
 def integral_eta(eta, n: int, cap: int = 5) -> QuantizedHopf:
     """The integral form of U(W+)[[t]] deformed along the directions selected by eta."""
-    return _eta_hopf(eta, n, lambda: EnvelopingAlgebra(WPlusAlgebra(n), t_series(QQ, cap)), cap)
+    return _eta_hopf(eta, EnvelopingAlgebra(WPlusAlgebra(n), t_series(QQ, cap)))
 
 
 def modular(p: int, n: int, eta, q: int = 0) -> QuantizedHopf:
     """The restricted quantization u_{t,q}(W(n;1)) for a direction selector eta."""
-    return _eta_hopf(
-        eta, n, lambda: EnvelopingAlgebra(JacobsonWitt(n, p), t_quotient(p, q), restricted=True), p
-    )
+    return _eta_hopf(eta, EnvelopingAlgebra(JacobsonWitt(n, p), t_quotient(p, q), restricted=True))
 
 
 def modular_unrestricted(p: int, n: int, eta, cap: int) -> QuantizedHopf:
     """Same coefficients over the unrestricted U(W(n;1)) with a series ring."""
-    return _eta_hopf(
-        eta, n, lambda: EnvelopingAlgebra(JacobsonWitt(n, p), t_series(gf(p), cap)), cap
-    )
+    return _eta_hopf(eta, EnvelopingAlgebra(JacobsonWitt(n, p), t_series(gf(p), cap)))

@@ -339,9 +339,6 @@ class UEAElement(SparseElement):
     def __pow__(self, k: int):
         return self.uea.power(self, k)
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         try:
             from .grammar import format_element

@@ -36,6 +36,8 @@ from .twist import (
 )
 from .uea import EnvelopingAlgebra, TensorElement, reduce_element_mod_p, reduce_tensor_mod_p
 
+ENUMERATION_LIMIT = 5000  # largest dim u(W(n;1)) whose restricted PBW basis is enumerated
+
 
 @dataclass
 class CheckResult:
@@ -666,7 +668,7 @@ def check_dimensions_radford(cfg: ModularConfig) -> CheckReport:
     U = hopf.uea
     ring = U.ring
     dim = p ** (n * p**n)
-    if dim <= 5000:  # enumerate the basis only while it stays small
+    if dim <= ENUMERATION_LIMIT:
         count = sum(1 for _ in U.enumerate_restricted_basis())
         col.record("restricted-basis-count", count == dim, f"count={count} want={dim}")
         col.record("t-extended-dimension", count * p == p ** (1 + n * p**n), f"{count * p}")

@@ -106,6 +106,12 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_a_non_integer_alpha_exits_2_with_one_error_line(capsys):
+    code, out, err = run(capsys, "delta", "--p", "3", "--n", "1", "--eta", "1", "--alpha", "1,x", "--i", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: expected a comma-separated integer list, got '1,x'\n"
+
+
 @pytest.mark.parametrize("p,n", [(4, 1), (9, 1), (3, -1)])
 def test_dims_rejects_bad_p_or_n(capsys, p, n):
     code, out, err = run(capsys, "dims", "--p", str(p), "--n", str(n))

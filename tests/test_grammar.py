@@ -80,6 +80,19 @@ def test_syntax_errors_carry_offsets():
         parse_element("x(1)D1 (x) x(1)D1 + x(1)D1", U)  # mixed arity
 
 
+@pytest.mark.parametrize("text, offset", [("x(1)D1*", 7), ("2* + x(1)D1", 3), ("x(1)D1* (x) 1", 8)])
+def test_a_dangling_star_is_an_error_at_the_token_after_it(text, offset):
+    with pytest.raises(ElementSyntaxError, match="expected a term") as ex:
+        parse_element(text, u31())
+    assert ex.value.offset == offset
+
+
+def test_a_zero_denominator_is_an_error_at_its_offset():
+    with pytest.raises(ElementSyntaxError, match="zero denominator") as ex:
+        parse_element("1/0*x(1)D1", u31())
+    assert ex.value.offset == 2
+
+
 def test_t_power_without_t_ring_reports_its_chunk():
     U = EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3))
     with pytest.raises(ElementSyntaxError, match="t-powers need a t-polynomial ring") as ex:

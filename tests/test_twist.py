@@ -8,6 +8,7 @@ import pytest
 from wittquant.liealg import RMatrixData
 from wittquant.twist import (
     NonIntegralExponentError,
+    QuantizedHopf,
     char0_general,
     integral_eta,
     modular,
@@ -17,6 +18,31 @@ from wittquant.uea import TensorElement
 
 
 # -- twist construction -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make, cap, eta, name",
+    [
+        (lambda: char0_general(RMatrixData((1, 0), (0, 1), (1, 0)), cap=4), 4, None, "r-matrix twist"),
+        (lambda: integral_eta((0, 1), 2, cap=3), 3, (0, 1), "eta=01"),
+        (lambda: modular(5, 2, (1, 1), q=1), 5, (1, 1), "eta=11"),
+        (lambda: modular_unrestricted(3, 2, (1, 0), cap=6), 6, (1, 0), "eta=10"),
+    ],
+)
+def test_a_context_reads_cap_eta_and_name_off_its_ring_and_directions(make, cap, eta, name):
+    H = make()
+    assert (H.cap, H.eta, H.name) == (cap, eta, name)
+
+
+@pytest.mark.parametrize("eta", [(0,), (2,), (-1,), (1, 0), ()])
+def test_eta_must_be_a_nonzero_0_1_vector_of_length_n(eta):
+    with pytest.raises(ValueError, match="eta must be a nonzero 0/1 vector of length n"):
+        modular(3, 1, eta)
+
+
+def test_a_context_needs_a_twist_direction():
+    with pytest.raises(ValueError, match="at least one twist direction is required"):
+        QuantizedHopf(modular(3, 1, (1,)).uea, [])
 
 
 def test_build_twist_modular_series_example():
@@ -247,20 +273,33 @@ def test_one_minus_et_power_examples():
     assert H.one_minus_et_power(0, -3) == U.one()
 
 
-def test_one_minus_et_negative_powers_match_binomial_series():
-    # independent route: (1-et)^m as the generalized binomial series
+def _binomial_series(H, m):
+    """(1-et)^m as the generalized binomial series sum_{j<cap} binom(m, j) (-et)^j."""
     from wittquant.rings import binom_int
 
+    U, ring = H.uea, H.uea.ring
+    e = H.directions[0][2]
+    want = U.zero()
+    for j in range(H.cap):
+        c = binom_int(m, j) * (-1) ** j
+        want = want + U.power(e, j).scale(ring.mul(ring.from_int(c), ring.t_power(j)))
+    return want
+
+
+def test_one_minus_et_negative_powers_match_binomial_series():
+    # independent route: (1-et)^m as the generalized binomial series
     for make in (lambda: modular(3, 1, (1,)), lambda: integral_eta((1,), 1, cap=5)):
         H = make()
-        U, ring = H.uea, H.uea.ring
-        e = H.directions[0][2]
         for m in range(-4, 0):
-            want = U.zero()
-            for j in range(H.cap):
-                c = binom_int(m, j) * (-1) ** j
-                want = want + U.power(e, j).scale(ring.mul(ring.from_int(c), ring.t_power(j)))
-            assert H.one_minus_et_power(0, m) == want, m
+            assert H.one_minus_et_power(0, m) == _binomial_series(H, m), m
+
+
+def test_one_minus_et_nonnegative_powers_match_binomial_sum():
+    # (1-et)^m is formed as a power of 1 - et; the binomial sum is the independent route
+    for make in (lambda: modular(3, 1, (1,), q=1), lambda: integral_eta((1,), 1, cap=5)):
+        H = make()
+        for m in range(0, 7):
+            assert H.one_minus_et_power(0, m) == _binomial_series(H, m), m
 
 
 # -- closed forms ------------------------------------------------------------------------------

@@ -420,6 +420,19 @@ def test_ad_divided_power_basics():
         U.ad_divided_power(e, 3, x)  # 1/3! missing in char 3
 
 
+def test_derived_elements_reject_bad_arguments():
+    U = uw_plus()
+    H = U.lift(basic_pair(U.alg, QQ, 1)[0])
+    with pytest.raises(ValueError, match="kind must be 'rising' or 'falling'"):
+        U.factorial_element(H, 0, 2, "upward")
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        U.factorial_element(H, 0, -1, "rising")
+    with pytest.raises(ValueError, match="ell must be nonnegative"):
+        U.ad_divided_power(H, -1, H)
+    with pytest.raises(ValueError, match="negative powers are not defined here"):
+        H ** -1
+
+
 def test_ad_divided_power_off_direction_vanishes():
     alg = JacobsonWitt(2, 3)
     U = EnvelopingAlgebra(alg, gf(3), restricted=True)
@@ -660,6 +673,16 @@ def test_restricted_dimension_counts():
     alg = JacobsonWitt(1, 5)
     U = EnvelopingAlgebra(alg, gf(5), restricted=True)
     assert sum(1 for _ in U.enumerate_restricted_basis()) == 3125
+
+
+def test_basis_enumeration_needs_restricted_mode():
+    with pytest.raises(ValueError, match="basis enumeration is defined for restricted mode"):
+        next(uw_plus().enumerate_restricted_basis())
+
+
+def test_only_arity_one_tensors_collapse_to_elements():
+    with pytest.raises(ValueError, match="only arity-1 tensors collapse to elements"):
+        TensorElement.unit(u31()).to_element()
 
 
 def test_restricted_mode_validation():
