@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .rings import ReductionError
 from .uea import EnvelopingAlgebra, TensorElement, UEAElement
 
 
@@ -170,7 +171,10 @@ class _Parser:
 
     def _build(self, coeff: Fraction, factors, tdeg: int, pos: int) -> UEAElement:
         uea, ring = self.uea, self.uea.ring
-        c = ring.from_fraction(coeff)
+        try:
+            c = ring.from_fraction(coeff)
+        except ReductionError as ex:  # a denominator the characteristic divides
+            raise ElementSyntaxError(str(ex), pos) from None
         if tdeg:
             if not hasattr(ring, "t_power"):
                 raise ElementSyntaxError("t-powers need a t-polynomial ring", pos)

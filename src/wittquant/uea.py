@@ -32,7 +32,12 @@ the word-rewriting straightener (one adjacent swap at a time) as the
 reference the test suite compares against.
 
 Tensor powers of the algebra (used for coproducts and twists) share the same
-monomial keys, one per slot.
+monomial keys, one per slot.  Tensors multiply slot by slot.  A pair of terms
+is first tested on its ring coefficient product, which vanishes under
+truncation in a series ring; then its slot products are formed as integer
+combinations of monomials, and the coefficient is rescaled only for the terms
+they keep.  A vanishing slot product (b^p = 0 off the torus in u(W(n;1)))
+drops the pair, so its remaining slots are never multiplied.
 
 Each structure map is given on PBW monomials and extended linearly by the
 tensor slot maps over the one-slot view ``TensorElement.of(x)``: the coproducts
@@ -385,22 +390,43 @@ class TensorElement(SparseElement):
         return cls(uea, len(factors), accumulate(ring.add, {}, keys))
 
     def __mul__(self, other):
+        """Slotwise product.  The right factor's terms are grouped by their last
+        monomial, so that slot's product is formed once per left term and group,
+        at the first pair with a nonzero coefficient product; the other slots are
+        multiplied in turn, and a pair is dropped at its first vanishing slot."""
         self._same(other)
         uea = self.uea
         rmul, rint, mono_mul = uea.ring.mul, uea.ring.from_int, uea.mono_mul
-        slots = range(self.arity)
+        head = range(self.arity - 1)
+        groups: dict = {}
+        for k2, c2 in other.terms.items():
+            groups.setdefault(k2[-1:], []).append((k2, c2))
 
         def products():
             for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    c = rmul(c1, c2)
-                    if not c:
-                        continue
-                    for combo in itertools.product(*[mono_mul(k1[s], k2[s]).items() for s in slots]):
-                        k = 1
-                        for _, ki in combo:
-                            k *= ki
-                        yield tuple(m for m, _ in combo), c if k == 1 else rmul(c, rint(k))
+                for tail, members in groups.items():
+                    last = None
+                    for k2, c2 in members:
+                        c = rmul(c1, c2)
+                        if not c:
+                            continue
+                        if last is None:
+                            # one product for the last slot, none at arity 0
+                            last = [mono_mul(m1, m2).items() for m1, m2 in zip(k1[-1:], tail)]
+                            if not all(last):
+                                break
+                        slots = []
+                        for s in head:
+                            prod = mono_mul(k1[s], k2[s])
+                            if not prod:
+                                break
+                            slots.append(prod.items())
+                        else:
+                            for combo in itertools.product(*slots, *last):
+                                k = 1
+                                for _, ki in combo:
+                                    k *= ki
+                                yield tuple(m for m, _ in combo), c if k == 1 else rmul(c, rint(k))
 
         return self._like(accumulate(uea.ring.add, {}, products()))
 
@@ -441,20 +467,22 @@ class TensorElement(SparseElement):
         return TensorElement(self.uea, self.arity - 1, terms)
 
     def multiply_out(self) -> UEAElement:
-        """The image under slotwise multiplication m: A⊗...⊗A -> A."""
+        """The image under slotwise multiplication m: A⊗...⊗A -> A.
+
+        Slots 0 and 1 merge into one, with one monomial product per key, until
+        one slot is left; the sum is collected after each merge, so terms that
+        cancel are not carried into the next."""
         uea = self.uea
-        rmul, rint = uea.ring.mul, uea.ring.from_int
-
-        def products():
-            for key, c in self.terms.items():
-                acc = {(): 1}
-                for m in key:
-                    products = ((mm, k * k2) for cur, k in acc.items() for mm, k2 in uea.mono_mul(cur, m).items())
-                    acc = accumulate(operator.add, {}, products)
-                for m, k in acc.items():
-                    yield m, c if k == 1 else rmul(c, rint(k))
-
-        return UEAElement(uea, accumulate(uea.ring.add, {}, products()))
+        radd, rmul, rint, mono_mul = uea.ring.add, uea.ring.mul, uea.ring.from_int, uea.mono_mul
+        terms = self.terms if self.arity else self.pad(1).terms
+        for _ in range(self.arity - 1):
+            pairs = (
+                ((m,) + key[2:], c if k == 1 else rmul(c, rint(k)))
+                for key, c in terms.items()
+                for m, k in mono_mul(key[0], key[1]).items()
+            )
+            terms = accumulate(radd, {}, pairs)
+        return UEAElement(uea, {key[0]: c for key, c in terms.items()})
 
     def to_element(self) -> UEAElement:
         if self.arity != 1:

@@ -19,13 +19,19 @@ GF(p)[t]/(t^p - q t): a dense schoolbook product followed by long division
 by the monic modulus, sharing no code with :mod:`wittquant.rings`.
 ``series_mul`` is the reference product of K[t]/(t^N): the full convolution,
 cut at degree N afterwards.
+
+``pairwise_tensor_product`` and ``keywise_multiply_out`` are the reference
+tensor kernels: every pair of terms (every key) is expanded over all of its
+slot products before anything is dropped, with no grouping and no early exit.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 
 from wittquant.liealg import WITT, BasisDeriv, JacobsonWitt, LieElement
-from wittquant.rings import binom_int
+from wittquant.rings import accumulate, binom_int
+from wittquant.uea import TensorElement, UEAElement
 
 
 def mono_of_sorted_word(uea, word):
@@ -66,6 +72,45 @@ def rewrite_normalize(uea, word) -> dict:
             if not work[w2]:
                 del work[w2]
     return {m: c for m, c in out.items() if c}
+
+
+def pairwise_tensor_product(x: TensorElement, y: TensorElement) -> TensorElement:
+    """x * y, each pair of terms expanded over the product of all its slot products."""
+    uea = x.uea
+    rmul, rint, mono_mul = uea.ring.mul, uea.ring.from_int, uea.mono_mul
+    slots = range(x.arity)
+
+    def products():
+        for k1, c1 in x.terms.items():
+            for k2, c2 in y.terms.items():
+                c = rmul(c1, c2)
+                if not c:
+                    continue
+                for combo in itertools.product(*[mono_mul(k1[s], k2[s]).items() for s in slots]):
+                    k = 1
+                    for _, ki in combo:
+                        k *= ki
+                    yield tuple(m for m, _ in combo), c if k == 1 else rmul(c, rint(k))
+
+    return TensorElement(uea, x.arity, accumulate(uea.ring.add, {}, products()))
+
+
+def keywise_multiply_out(x: TensorElement) -> UEAElement:
+    """The slotwise product of each key, left to right from the unit, in integer
+    coefficients, then scaled by the key's ring coefficient."""
+    uea = x.uea
+    rmul, rint = uea.ring.mul, uea.ring.from_int
+
+    def products():
+        for key, c in x.terms.items():
+            acc = {(): 1}
+            for m in key:
+                terms = ((mm, k * k2) for cur, k in acc.items() for mm, k2 in uea.mono_mul(cur, m).items())
+                acc = accumulate(operator.add, {}, terms)
+            for m, k in acc.items():
+                yield m, c if k == 1 else rmul(c, rint(k))
+
+    return UEAElement(uea, accumulate(uea.ring.add, {}, products()))
 
 
 def _trimmed(coeffs) -> tuple:

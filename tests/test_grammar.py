@@ -93,6 +93,15 @@ def test_a_zero_denominator_is_an_error_at_its_offset():
     assert ex.value.offset == 2
 
 
+def test_a_denominator_the_characteristic_divides_is_an_error_at_its_chunk():
+    U = u31()
+    for text, offset in (("1/3*x(1)D1", 0), ("x(1)D1 + 2/3*x(0)D1", 9), ("x(1)D1 (x) 1/6", 11)):
+        with pytest.raises(ElementSyntaxError, match="denominator of .* not invertible mod 3") as ex:
+            parse_element(text, U)
+        assert ex.value.offset == offset, text
+    assert parse_element("1/2*x(1)D1", U) == parse_element("2*x(1)D1", U)
+
+
 def test_t_power_without_t_ring_reports_its_chunk():
     U = EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3))
     with pytest.raises(ElementSyntaxError, match="t-powers need a t-polynomial ring") as ex:

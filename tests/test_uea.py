@@ -6,7 +6,14 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from oracles import mat_mul, mono_of_sorted_word, op_matrix, rewrite_normalize
+from oracles import (
+    keywise_multiply_out,
+    mat_mul,
+    mono_of_sorted_word,
+    op_matrix,
+    pairwise_tensor_product,
+    rewrite_normalize,
+)
 
 from wittquant.liealg import (
     JacobsonWitt,
@@ -15,7 +22,7 @@ from wittquant.liealg import (
     WPlusAlgebra,
     basic_pair,
 )
-from wittquant.rings import QQ, binom_int, gf, t_series
+from wittquant.rings import QQ, binom_int, gf, t_quotient, t_series
 from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement
 
 
@@ -578,6 +585,80 @@ def test_tensor_mul_examples():
     assert TensorElement.unit(U) * X == X
     assert TensorElement.of(H, U.one()) * TensorElement.of(U.one(), E) == X
     assert TensorElement.of(U.one(), E) * TensorElement.of(H, U.one()) == X
+
+
+def _tensor_uea(kind):
+    """A context over a t-ring and its symbol pool, for the tensor-kernel tests."""
+    if kind == "U(W(1)) t_series(QQ,4)":
+        U = EnvelopingAlgebra(WittAlgebra(1), t_series(QQ, 4))
+        return U, [U.alg.basis_symbol((a,), 1) for a in range(-2, 3)]
+    if kind == "U(W(1;1)) t_series(GF(5),3)":
+        U = EnvelopingAlgebra(JacobsonWitt(1, 5), t_series(gf(5), 3))
+        return U, U.alg.basis()
+    q = int(kind[-1])  # "u(W(2;1)) p=3 q=<q>"
+    U = EnvelopingAlgebra(JacobsonWitt(2, 3), t_quotient(3, q), restricted=True)
+    return U, U.alg.basis()[:6]
+
+
+def _random_tensor(U, rng, pool, arity, nterms=4):
+    """Random monomial keys with coefficients a t^d + b t^e, so that coefficient
+    products can vanish by truncation (series) or in the zero divisors of the
+    quotient ring."""
+    ring = U.ring
+    terms = {}
+    for _ in range(nterms):
+        key = tuple(_random_mono(U, rng, pool, degree=3) for _ in range(arity))
+        c = ring.zero
+        for _ in range(2):
+            c = ring.add(c, ring.mul(ring.from_int(rng.randint(1, 4)), ring.t_power(rng.randrange(ring.cap))))
+        terms[key] = c
+    return TensorElement(U, arity, {k: c for k, c in terms.items() if c})
+
+
+@pytest.mark.parametrize(
+    "kind,seed",
+    [
+        ("u(W(2;1)) p=3 q=0", 81),
+        ("u(W(2;1)) p=3 q=1", 82),
+        ("U(W(1)) t_series(QQ,4)", 83),
+        ("U(W(1;1)) t_series(GF(5),3)", 84),
+    ],
+)
+def test_tensor_kernels_match_the_pairwise_oracles(kind, seed):
+    # the grouped product drops a pair at its first vanishing slot product and
+    # multiply_out merges slots pairwise; the oracles expand every pair and key in full
+    U, pool = _tensor_uea(kind)
+    rng = random.Random(seed)
+    rmul = U.ring.mul
+    dead_coeffs = dead_slots = 0
+    for arity in range(4):
+        for _ in range(12):
+            x, y = (_random_tensor(U, rng, pool, arity) for _ in range(2))
+            assert x * y == pairwise_tensor_product(x, y), (x, y)
+            assert x.multiply_out() == keywise_multiply_out(x), x
+            for (k1, c1), (k2, c2) in itertools.product(x.terms.items(), y.terms.items()):
+                dead_coeffs += not rmul(c1, c2)
+                dead_slots += not all(U.mono_mul(a, b) for a, b in zip(k1, k2))
+    # the samples reach both early exits: a coefficient product that vanishes,
+    # and, in the restricted algebra, a slot product that does
+    assert dead_coeffs
+    assert dead_slots or not U.restricted
+
+
+def test_tensor_kernels_at_arity_zero_and_one():
+    U = EnvelopingAlgebra(JacobsonWitt(1, 3), t_quotient(3, 1), restricted=True)
+    one = TensorElement.unit(U, 0)
+    assert one * one == one and one.terms == {(): U.ring.one}
+    assert one.multiply_out() == U.one()
+    t = U.ring.t_power(1)
+    assert one.scale(t) * one.scale(t) == one.scale(U.ring.t_power(2))
+    assert one.scale(t).multiply_out() == U.scalar(t)
+    assert not TensorElement(U, 0, {}) * one and not TensorElement(U, 0, {}).multiply_out()
+    H, X = U.gen(U.alg.basis_symbol((1,), 1)), U.gen(U.alg.basis_symbol((2,), 1))
+    x, y = H * H + X.scale(t), X * X + H
+    assert (TensorElement.of(x) * TensorElement.of(y)).to_element() == x * y
+    assert TensorElement.of(x).multiply_out() == x
+    assert TensorElement.of(X * X) * TensorElement.of(X) == TensorElement(U, 1, {})  # X^3 = 0
 
 
 @pytest.mark.parametrize(
