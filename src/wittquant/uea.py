@@ -390,43 +390,32 @@ class TensorElement(SparseElement):
         return cls(uea, len(factors), accumulate(ring.add, {}, keys))
 
     def __mul__(self, other):
-        """Slotwise product.  The right factor's terms are grouped by their last
-        monomial, so that slot's product is formed once per left term and group,
-        at the first pair with a nonzero coefficient product; the other slots are
-        multiplied in turn, and a pair is dropped at its first vanishing slot."""
+        """Slotwise product.  A pair of terms is dropped when its coefficient
+        product vanishes; otherwise its slots are multiplied in turn, and the
+        pair is dropped at its first vanishing slot product."""
         self._same(other)
         uea = self.uea
         rmul, rint, mono_mul = uea.ring.mul, uea.ring.from_int, uea.mono_mul
-        head = range(self.arity - 1)
-        groups: dict = {}
-        for k2, c2 in other.terms.items():
-            groups.setdefault(k2[-1:], []).append((k2, c2))
+        slots = range(self.arity)
 
         def products():
             for k1, c1 in self.terms.items():
-                for tail, members in groups.items():
-                    last = None
-                    for k2, c2 in members:
-                        c = rmul(c1, c2)
-                        if not c:
-                            continue
-                        if last is None:
-                            # one product for the last slot, none at arity 0
-                            last = [mono_mul(m1, m2).items() for m1, m2 in zip(k1[-1:], tail)]
-                            if not all(last):
-                                break
-                        slots = []
-                        for s in head:
-                            prod = mono_mul(k1[s], k2[s])
-                            if not prod:
-                                break
-                            slots.append(prod.items())
-                        else:
-                            for combo in itertools.product(*slots, *last):
-                                k = 1
-                                for _, ki in combo:
-                                    k *= ki
-                                yield tuple(m for m, _ in combo), c if k == 1 else rmul(c, rint(k))
+                for k2, c2 in other.terms.items():
+                    c = rmul(c1, c2)
+                    if not c:
+                        continue
+                    factors = []
+                    for s in slots:
+                        prod = mono_mul(k1[s], k2[s])
+                        if not prod:
+                            break
+                        factors.append(prod.items())
+                    else:
+                        for combo in itertools.product(*factors):
+                            k = 1
+                            for _, ki in combo:
+                                k *= ki
+                            yield tuple(m for m, _ in combo), c if k == 1 else rmul(c, rint(k))
 
         return self._like(accumulate(uea.ring.add, {}, products()))
 

@@ -22,7 +22,7 @@ cut at degree N afterwards.
 
 ``pairwise_tensor_product`` and ``keywise_multiply_out`` are the reference
 tensor kernels: every pair of terms (every key) is expanded over all of its
-slot products before anything is dropped, with no grouping and no early exit.
+slot products before anything is dropped, with no early exit.
 """
 from __future__ import annotations
 

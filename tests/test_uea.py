@@ -625,7 +625,7 @@ def _random_tensor(U, rng, pool, arity, nterms=4):
     ],
 )
 def test_tensor_kernels_match_the_pairwise_oracles(kind, seed):
-    # the grouped product drops a pair at its first vanishing slot product and
+    # the product drops a pair at its first vanishing slot product and
     # multiply_out merges slots pairwise; the oracles expand every pair and key in full
     U, pool = _tensor_uea(kind)
     rng = random.Random(seed)
