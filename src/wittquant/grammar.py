@@ -230,12 +230,9 @@ def parse_element(text: str, uea: EnvelopingAlgebra):
 
 
 def _scalar_parts(scalar):
-    """-> (is_negative, magnitude string) for a base-ring scalar."""
-    if isinstance(scalar, Fraction):
-        neg = scalar < 0
-        mag = -scalar if neg else scalar
-        return neg, str(mag)
-    return False, str(scalar)
+    """-> (is_negative, magnitude string) for a base-ring scalar; a GF(p) residue is never negative."""
+    neg = scalar < 0
+    return neg, str(-scalar if neg else scalar)
 
 
 def _mono_str(mono) -> str:

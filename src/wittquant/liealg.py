@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .rings import SparseElement, accumulate, binom_int, gf, multi_factorial
+from .rings import SparseElement, accumulate, binom_int, gf
 
 WITT = "witt"
 WPLUS = "wplus"
@@ -62,11 +62,6 @@ class BasisDeriv(_BasisFields):
 
     def __reduce__(self):
         return BasisDeriv, tuple(self)
-
-
-def basis_key(b: BasisDeriv):
-    """Canonical PBW sort key: alpha lexicographically, then index."""
-    return (b.alpha, b.i)
 
 
 def pairing(d, alpha) -> Fraction:
@@ -204,7 +199,7 @@ class JacobsonWitt(LieAlgebra):
         """All n*p^n basis symbols in canonical order."""
         alphas = itertools.product(range(self.p), repeat=self.n)
         syms = [BasisDeriv(JW, a, i) for a in alphas for i in range(1, self.n + 1)]
-        syms.sort(key=basis_key)
+        syms.sort()
         return syms
 
     def _bracket_impl(self, a, b):
@@ -264,7 +259,7 @@ class LieElement(SparseElement):
     def __repr__(self):
         if not self.terms:
             return "LieElement(0)"
-        bits = [f"{c}*{b.flavor}:x{b.alpha}D{b.i}" for b, c in sorted(self.terms.items(), key=lambda t: basis_key(t[0]))]
+        bits = [f"{c}*{b.flavor}:x{b.alpha}D{b.i}" for b, c in sorted(self.terms.items(), key=lambda t: t[0])]
         return "LieElement(" + " + ".join(bits) + ")"
 
 
@@ -273,14 +268,6 @@ def witt_deriv(alg: WittAlgebra, ring, alpha, dvec) -> LieElement:
     alpha = tuple(alpha)
     terms = {BasisDeriv(WITT, alpha, j): ring.from_fraction(c) for j, c in enumerate(dvec, start=1) if c}
     return LieElement(alg, ring, {k: v for k, v in terms.items() if v})
-
-
-def _divided_power_image(b: BasisDeriv, p: int):
-    """x^alpha D_i = alpha! x^(alpha) D_i: the W(n;1) symbol and alpha!, or None when
-    some alpha_j >= p, where x^alpha dies in the divided-power algebra O(n;1)."""
-    if any(a >= p for a in b.alpha):
-        return None
-    return BasisDeriv(JW, b.alpha, b.i), multi_factorial(b.alpha)
 
 
 @dataclass(frozen=True)

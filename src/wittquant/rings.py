@@ -124,10 +124,6 @@ class RationalField:
     def mul(a, b):
         return a * b
 
-    @staticmethod
-    def scale_int(a, n: int):
-        return a * n
-
     def __repr__(self):
         return "QQ"
 
@@ -164,9 +160,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(a, self.p - 2, self.p)
-
-    def scale_int(self, a, n: int):
-        return a * n % self.p
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -252,13 +245,6 @@ class _TRingBase:
                     if cb:
                         out[k] = badd(out[k], bmul(ca, cb))
         return self._reduce(out)
-
-    def scale_int(self, a, n: int):
-        c = self.base.from_int(n)
-        if not c:
-            return ()
-        bmul = self.base.mul
-        return _trim([bmul(x, c) for x in a])
 
     def _reduce(self, coeffs: list) -> tuple:
         raise NotImplementedError

@@ -318,7 +318,7 @@ class QuantizedHopf:
         ring = self.uea.ring
         out = TensorElement(self.uea, 2, {})
         for r in range(self.cap):
-            c = ring.mul(ring.scale_int(inverse_factorial(ring, r), sign**r), ring.t_power(r))
+            c = ring.mul(ring.mul(inverse_factorial(ring, r), ring.from_int(sign**r)), ring.t_power(r))
             if c:
                 out = out + TensorElement.of(self._h_factorial(d, a, r, kind), self._e_power(d, r)).scale(c)
         return out

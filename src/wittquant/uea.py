@@ -37,7 +37,8 @@ is first tested on its ring coefficient product, which vanishes under
 truncation in a series ring; then its slot products are formed as integer
 combinations of monomials, and the coefficient is rescaled only for the terms
 they keep.  A vanishing slot product (b^p = 0 off the torus in u(W(n;1)))
-drops the pair, so its remaining slots are never multiplied.
+drops the pair, so its remaining slots are never multiplied.  Powers grow on
+the left one factor at a time, as the ``mono_mul`` rows do; ``delta_mono`` grows on the right.
 
 Each structure map is given on PBW monomials and extended linearly by the
 tensor slot maps over the one-slot view ``TensorElement.of(x)``: the coproducts
@@ -56,21 +57,21 @@ import itertools
 import math
 import operator
 
-from .liealg import JW, BasisDeriv, LieAlgebra, LieElement, _divided_power_image
-from .rings import SparseElement, accumulate, binom_int, inverse_factorial
+from .liealg import JW, BasisDeriv, LieAlgebra, LieElement
+from .rings import SparseElement, accumulate, binom_int, inverse_factorial, multi_factorial
 
 
-def _binary_power(x, k: int, one, mul):
-    """x^k by repeated squaring, starting from the unit one, with the product mul."""
+def _power(x, k: int, one, mul):
+    """x^k = x * x^(k-1), from the unit one.  Up to k = 3 this forms the products
+    squaring does (x * x, then x * x^2), past that fewer: squaring multiplies two
+    dense powers.  x goes on the left so that its short monomials are the left
+    factors of ``mono_mul``, one insertion step each; on the right, the cache walk
+    would store every suffix of each long monomial of the power."""
     if k < 0:
         raise ValueError("negative powers are not defined here")
     out = one
-    while k:
-        if k & 1:
-            out = mul(out, x)
-        k >>= 1
-        if k:
-            x = mul(x, x)
+    for _ in range(k):
+        out = mul(x, out)
     return out
 
 
@@ -235,7 +236,7 @@ class EnvelopingAlgebra:
         return UEAElement(self, accumulate(self.ring.add, {}, pairs))
 
     def power(self, x: "UEAElement", k: int) -> "UEAElement":
-        return _binary_power(x, k, self.one(), self.mul)
+        return _power(x, k, self.one(), self.mul)
 
     def _check(self, x):
         if type(x) is not UEAElement or x.uea is not self:
@@ -420,7 +421,7 @@ class TensorElement(SparseElement):
         return self._like(accumulate(uea.ring.add, {}, products()))
 
     def __pow__(self, k: int):
-        return _binary_power(self, k, TensorElement.unit(self.uea, self.arity), operator.mul)
+        return _power(self, k, TensorElement.unit(self.uea, self.arity), operator.mul)
 
     def map_slot(self, slot: int, f) -> "TensorElement":
         """Apply a linear map (mono -> UEAElement) to one slot."""
@@ -492,20 +493,19 @@ class TensorElement(SparseElement):
 
 def _reduce_mono(mono, target: EnvelopingAlgebra):
     """(image, scale) of a normal W+ monomial under x^a D_i -> a! x^(a) D_i in target,
-    or None when it dies: some exponent component is >= p, or a factor folds to 0.
+    or None when it dies: x^a dies in O(n;1) (some a_j >= p), or a factor folds to 0.
     The image keeps the (alpha, i) order of the factors, so it is normal as it stands."""
     image, scale = [], 1
     for bd, e in mono:
-        sym_fac = _divided_power_image(bd, target.alg.p)
-        if sym_fac is None:
+        if any(a >= target.alg.p for a in bd.alpha):
             return None
-        sym, fac = sym_fac
+        sym = BasisDeriv(JW, bd.alpha, bd.i)
         target.alg.validate(sym)
         folded = target.fold_exponent(sym, e)
         if not folded:
             return None
         image.append((sym, folded))
-        scale *= fac**e
+        scale *= multi_factorial(bd.alpha) ** e
     return tuple(image), scale
 
 
@@ -521,7 +521,7 @@ def reduce_tensor_mod_p(x: TensorElement, target: EnvelopingAlgebra) -> TensorEl
         images = [_reduce_mono(m, target) for m in key]
         if all(images):
             scale = math.prod(s for _, s in images)
-            pairs.append((tuple(m for m, _ in images), ring.scale_int(ring.from_fraction(c), scale)))
+            pairs.append((tuple(m for m, _ in images), ring.mul(ring.from_fraction(c), ring.from_int(scale))))
     return TensorElement(target, x.arity, accumulate(ring.add, {}, pairs))
 
 

@@ -23,6 +23,9 @@ cut at degree N afterwards.
 ``pairwise_tensor_product`` and ``keywise_multiply_out`` are the reference
 tensor kernels: every pair of terms (every key) is expanded over all of its
 slot products before anything is dropped, with no early exit.
+
+``binary_power`` is the reference power: repeated squaring, which groups the
+factors differently from the one-factor-at-a-time powers of the package.
 """
 from __future__ import annotations
 
@@ -111,6 +114,18 @@ def keywise_multiply_out(x: TensorElement) -> UEAElement:
                 yield m, c if k == 1 else rmul(c, rint(k))
 
     return UEAElement(uea, accumulate(uea.ring.add, {}, products()))
+
+
+def binary_power(x, k: int, one, mul):
+    """x^k by repeated squaring, starting from the unit one, with the product mul."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
 
 
 def _trimmed(coeffs) -> tuple:

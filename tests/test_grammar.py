@@ -171,6 +171,20 @@ def test_round_trip_char0_series():
         assert parse_element(format_element(x), U) == x
 
 
+def test_round_trip_signs_a_rational_by_its_value_not_its_type():
+    # a rational coefficient may be a plain int; a negative one prints with a leading "- "
+    U = EnvelopingAlgebra(WPlusAlgebra(1), QQ)
+    a, b = (U.alg.basis_symbol((j,), 1) for j in (0, 1))
+    x = U.element({((a, 1),): 1, ((b, 1),): -1})
+    assert format_element(x) == "x(0)D1 - x(1)D1"
+    assert parse_element(format_element(x), U) == x
+    V = integral_eta((1, 0), 2, cap=4).uea
+    g = V.alg.basis_symbol((1, 0), 2)
+    y = V.element({((g, 1),): (-2, 0, Fraction(-1, 3)), ((g, 2),): (0, 3)})
+    assert format_element(y) == "-2*x(1,0)D2 - 1/3*x(1,0)D2*t^2 + 3*x(1,0)D2^2*t"
+    assert parse_element(format_element(y), V) == y
+
+
 def test_huge_exponents_are_folded_not_expanded():
     U = u31()
     h = U.gen(U.alg.basis_symbol((1,), 1))

@@ -13,7 +13,9 @@ to: not the package (outside the name's own definition and ``__init__.py``),
 not ``demos/`` and not ``perfbench/``.  There a string constant counts as a
 reference too, since the benchmark names the methods it traces in strings.  A
 method counts as referenced only through an attribute or a string, so a local
-variable of the same name does not hide it.
+variable of the same name does not hide it.  The fourth reports a private
+(single-underscore, non-dunder) name that a module of the package imports from
+another module of the package: a helper that two modules share is public.
 """
 from __future__ import annotations
 
@@ -193,3 +195,34 @@ def test_scan_finds_a_public_name_only_tests_use():
 def test_no_public_names_that_only_tests_use():
     package = {p.name: p.read_text() for p in PACKAGE}
     assert names_only_tests_use(package, {str(p): p.read_text() for p in USERS}) == []
+
+
+def private_imports(sources: dict) -> list:
+    """(module, name) of each private name that a module of sources imports from
+    the package, relatively or by the package's absolute name."""
+    flagged = []
+    for module, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "wittquant"):
+                flagged += [
+                    (module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and not (alias.name.startswith("__") and alias.name.endswith("__"))
+                ]
+    return sorted(flagged)
+
+
+def test_scan_finds_a_private_import_across_modules():
+    a = (
+        "from .b import _shared, public\n"
+        "from wittquant.c import _absolute\n"
+        "from . import _module\n"
+        "from .d import __version__\n"
+        "from os import _exit\n"
+    )
+    got = private_imports({"a": a, "b": "def _own(): pass\n"})
+    assert got == [("a", "_absolute"), ("a", "_module"), ("a", "_shared")]
+
+
+def test_no_private_imports_across_modules():
+    assert private_imports({p.name: p.read_text() for p in PACKAGE}) == []

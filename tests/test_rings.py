@@ -73,7 +73,7 @@ def test_tpoly_quotient_relation_vanishes():
     for q in (0, 1, 2):
         R = t_quotient(3, q)
         assert R.t_power(3) == _tp(R, {1: q})
-        assert R.add(R.t_power(3), R.scale_int(R.t_power(1), -q)) == ()
+        assert R.add(R.t_power(3), R.mul(R.t_power(1), R.from_int(-q))) == ()
 
 
 @st.composite

@@ -1,12 +1,14 @@
 import copy
 import gc
 import itertools
+import operator
 import random
 import weakref
 from fractions import Fraction
 
 import pytest
 from oracles import (
+    binary_power,
     keywise_multiply_out,
     mat_mul,
     mono_of_sorted_word,
@@ -659,6 +661,58 @@ def test_tensor_kernels_at_arity_zero_and_one():
     assert (TensorElement.of(x) * TensorElement.of(y)).to_element() == x * y
     assert TensorElement.of(x).multiply_out() == x
     assert TensorElement.of(X * X) * TensorElement.of(X) == TensorElement(U, 1, {})  # X^3 = 0
+
+
+def _power_uea(kind):
+    """A context and a symbol pool for the power tests: the pools are small, since
+    a seventh power of a sum of symbols in U(W(1)) has many terms."""
+    if kind == "u(W(2;1)) p=3 q=1":
+        return _tensor_uea(kind)
+    if kind == "U(W(1)) t_series(QQ,4)":
+        U = EnvelopingAlgebra(WittAlgebra(1), t_series(QQ, 4))
+        return U, [U.alg.basis_symbol((a,), 1) for a in range(-1, 2)]
+    U = EnvelopingAlgebra(JacobsonWitt(1, 7), t_quotient(7, 1), restricted=True)  # "u(W(1;1)) p=7 q=1"
+    return U, U.alg.basis()
+
+
+@pytest.mark.parametrize("kind", ["u(W(2;1)) p=3 q=1", "U(W(1)) t_series(QQ,4)", "u(W(1;1)) p=7 q=1"])
+def test_powers_match_repeated_squaring(kind):
+    # both powers grow one factor at a time on the left; squaring groups the factors differently
+    U, pool = _power_uea(kind)
+    rng = random.Random(91)
+    ring = U.ring
+    t = ring.t_power(1)
+    g = U.gen(pool[len(pool) // 2])
+    elements = [g, g + U.gen(pool[0], t), _random_element(U, rng, pool, nterms=2, max_exp=1)]
+    for x in elements:
+        tensors = [U.coproduct0(x), TensorElement.of(x, U.gen(pool[-1])) + TensorElement.of(U.one(), x).scale(t)]
+        for k in range(8):
+            assert U.power(x, k) == binary_power(x, k, U.one(), U.mul), (x, k)
+            for X in tensors:
+                assert X**k == binary_power(X, k, TensorElement.unit(U), operator.mul), (X, k)
+    with pytest.raises(ValueError, match="negative powers are not defined here"):
+        U.power(g, -1)
+    with pytest.raises(ValueError, match="negative powers are not defined here"):
+        U.coproduct0(g) ** -1
+
+
+def test_a_power_puts_each_factor_on_the_left(monkeypatch):
+    U = u31()
+    x = U.gen(U.alg.basis_symbol((0,), 1)) + U.gen(U.alg.basis_symbol((2,), 1))
+    x2 = x * x
+    calls = []
+    mul = U.mul
+    monkeypatch.setattr(U, "mul", lambda a, b: calls.append((a, b)) or mul(a, b))
+    x3 = U.power(x, 3)
+    assert calls == [(x, U.one()), (x, x), (x, x2)]
+    assert x3 == mul(x, x2)
+
+    X = U.coproduct0(x)
+    calls.clear()
+    tensor_mul = TensorElement.__mul__
+    monkeypatch.setattr(TensorElement, "__mul__", lambda a, b: calls.append((a, b)) or tensor_mul(a, b))
+    X**3
+    assert calls == [(X, TensorElement.unit(U)), (X, X), (X, tensor_mul(X, X))]
 
 
 @pytest.mark.parametrize(
