@@ -62,6 +62,7 @@ def _open_report(path):
 
 _MAX_EXPONENT_DIGITS = 1000  # largest digit count of the exponent n*p^n that the modular verbs accept
 MAX_TRUNC = 8  # largest char-0 series cap (--trunc); the commutation suite's cost grows steeply with it
+MAX_N = 3  # largest verify --n; the commutation suite already takes tens of seconds at n = 3 with --trunc 8
 
 
 def _dims_exponent(p: int, n: int, verb: str = "dims") -> int:
@@ -97,9 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="wittquant", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def modular_flags(p):
+    def modular_flags(p, n_help="number of variables"):
         p.add_argument("--p", type=int, required=True, help="odd prime >= 3")
-        p.add_argument("--n", type=int, required=True, help="number of variables")
+        p.add_argument("--n", type=int, required=True, help=n_help)
         p.add_argument("--eta", default="1", help="comma list of twisted directions, e.g. 1,2")
         p.add_argument("--q", type=int, default=0, help="parameter of t^p = q t")
 
@@ -119,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", type=int, default=5, help=f"series truncation order, 1..{MAX_TRUNC}")
 
     p = sub.add_parser("verify", help="run verification suites")
-    modular_flags(p)
+    modular_flags(p, f"number of variables, 1..{MAX_N}")
     p.add_argument("--suite", default="all", help="'all' or comma list: factorial,commutation,twist,hopf,reduction,restricted,dims")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trunc", type=int, default=4, help=f"char-0 series truncation order, 1..{MAX_TRUNC}")
@@ -136,6 +137,8 @@ def run_command(args: argparse.Namespace) -> int:
         raise UsageError(f"--trunc must be between 1 and {MAX_TRUNC}, got {args.trunc}")
     if args.verb in ("delta", "antipode", "verify"):
         _dims_exponent(args.p, args.n, args.verb)
+    if args.verb == "verify" and args.n > MAX_N:
+        raise UsageError(f"verify --n must be at most {MAX_N}, got {args.n}")
 
     if args.verb in ("delta", "antipode", "char0-delta", "char0-antipode"):
         if args.verb.startswith("char0-"):

@@ -183,6 +183,7 @@ class JacobsonWitt(LieAlgebra):
         gf(p)  # validates the prime
         super().__init__(n)
         self.p = p
+        self._p_powers = {}  # symbol -> its p-th power, filled as symbols are asked about
 
     def __repr__(self):
         return f"W({self.n};1) over GF({self.p})"
@@ -219,10 +220,16 @@ class JacobsonWitt(LieAlgebra):
         return accumulate(gf(self.p).add, {}, pairs)
 
     def p_power(self, b: BasisDeriv) -> Optional[BasisDeriv]:
-        """The restricted p-th power of a basis symbol: H_i for H_i, else 0."""
-        self.validate(b)
-        eps = tuple(1 if j == b.i - 1 else 0 for j in range(self.n))
-        return b if b.alpha == eps else None
+        """The restricted p-th power of a basis symbol: H_i for H_i, else 0 (None).
+
+        A symbol is validated the first time it is asked about; the answer is then
+        a lookup, by identity, since symbols are interned."""
+        try:
+            return self._p_powers[b]
+        except KeyError:
+            self.validate(b)
+            eps = tuple(1 if j == b.i - 1 else 0 for j in range(self.n))
+            return self._p_powers.setdefault(b, b if b.alpha == eps else None)
 
 
 class LieElement(SparseElement):

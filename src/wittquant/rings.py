@@ -2,7 +2,7 @@
 
 Three kinds of coefficient rings are supported, all exact:
 
-* the rationals (stdlib ``Fraction``),
+* the rationals (an ``int`` when integral, else a stdlib ``Fraction``),
 * prime fields GF(p) for odd primes p >= 3 (residues as plain ints),
 * truncated t-polynomial rings over either, in two modes:
   ``series`` (degrees >= N are discarded; a product never forms them) and
@@ -10,11 +10,12 @@ Three kinds of coefficient rings are supported, all exact:
 
 Each ring is a descriptor object with a uniform method API
 (``add``, ``mul``, ``from_int``, ``from_fraction``, ...) and the
-element values themselves are plain data: ``Fraction`` for the rationals,
-an int in ``[0, p)`` for GF(p), and a zero-trimmed tuple of base scalars
-(index = t-degree) for the t-rings.  Structural equality of values is
-mathematical equality, and the zero of every ring is falsy.  Descriptors
-are cached so identity comparison detects ring mismatches.
+element values themselves are plain data: for the rationals an ``int`` when
+integral, else a ``Fraction``; an int in ``[0, p)`` for GF(p); and a
+zero-trimmed tuple of base scalars (index = t-degree) for the t-rings.
+Structural equality of values is mathematical equality, and the zero of every
+ring is falsy.  Descriptors are cached so identity comparison detects ring
+mismatches.
 
 ``from_fraction`` is the one rule that turns rationals into ring values, and
 so carries the reduction of the integral form mod p: an int or ``Fraction``
@@ -103,26 +104,37 @@ def _is_odd_prime(p: int) -> bool:
     return True
 
 
+def _rational(x):
+    """An int or Fraction as a QQ value: its numerator when integral, else itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField:
-    """The field of arbitrary-precision rationals."""
+    """The field of arbitrary-precision rationals.
+
+    A value is an ``int`` when it is integral and a ``Fraction`` otherwise, so
+    most products of a char-0 computation stay in int arithmetic.  Since
+    ``Fraction(n) == n`` and both hash alike, equality and dict keys treat the
+    two forms of an integer as one.
+    """
 
     char = 0
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def from_int(self, n: int) -> int:
+        return n
 
-    def from_fraction(self, x) -> Fraction:
-        return Fraction(x)
+    def from_fraction(self, x):
+        return _rational(x)
 
     @staticmethod
     def add(a, b):
-        return a + b
+        return _rational(a + b)
 
     @staticmethod
     def mul(a, b):
-        return a * b
+        return _rational(a * b)
 
     def __repr__(self):
         return "QQ"

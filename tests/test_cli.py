@@ -61,6 +61,42 @@ def test_char0_delta_verb(capsys):
     assert "(x)" in out
 
 
+SNAPSHOTS = Path(__file__).resolve().parent / "snapshots"
+# snapshot name -> the char-0 arguments whose stdout it holds, for both verbs
+CHAR0_QUERIES = {
+    "2-1": ("--d0", "1,0", "--d0p", "0,1", "--gamma", "1,0", "--alpha", "2,1", "--i", "1", "--trunc", "5"),
+    "2": ("--d0", "1", "--d0p", "1", "--gamma", "1", "--alpha", "2", "--i", "1", "--trunc", "5"),
+    "minus1-2": ("--d0", "1,0", "--d0p", "0,1", "--gamma", "1,0", "--alpha=-1,2", "--i", "2", "--trunc", "4"),
+}
+
+
+@pytest.mark.parametrize("verb", ["char0-delta", "char0-antipode"])
+@pytest.mark.parametrize("name", CHAR0_QUERIES)
+def test_char0_verbs_print_the_snapshot_bytes(capsys, verb, name):
+    code, out, err = run(capsys, verb, *CHAR0_QUERIES[name])
+    assert (code, err) == (0, "")
+    assert out.encode() == (SNAPSHOTS / f"{verb}-{name}.txt").read_bytes()
+
+
+def test_char0_snapshots_hold_fractions_and_signs():
+    text = (SNAPSHOTS / "char0-antipode-2-1.txt").read_text()
+    assert "- 47/3*" in text and "+ 77/12*" in text and "- 71/24*" in text
+    assert " + 2*" in (SNAPSHOTS / "char0-delta-minus1-2.txt").read_text()
+
+
+def test_char0_verify_matches_the_snapshot(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    code, out, _ = run(
+        capsys, "verify", "--p", "3", "--n", "1", "--suite", "factorial,commutation,twist,hopf", "--json-path", str(path)
+    )
+    assert code == 0
+    assert out.encode() == (SNAPSHOTS / "verify-char0-3x1.txt").read_bytes()
+    reports = json.loads(path.read_text())
+    for rep in reports:
+        del rep["elapsed_ms"]
+    assert reports == json.loads((SNAPSHOTS / "verify-char0-3x1.json").read_text())
+
+
 def test_verify_verb_passes_and_writes_json(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(
@@ -232,6 +268,28 @@ def test_char0_trunc_outside_range_exits_2_before_any_series(capsys, monkeypatch
         code, out, err = run(capsys, verb, *args, trunc)
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1 and "--trunc" in err
+
+
+@pytest.mark.parametrize("n", [str(wittquant.cli.MAX_N + 1), "40"])
+def test_verify_n_above_max_exits_2_before_any_context(tmp_path, capsys, monkeypatch, n):
+    monkeypatch.setattr(wittquant.cli, "run_suites", lambda *args, **kwargs: [])
+    code, out, _ = run(capsys, "verify", "--p", "3", "--n", str(wittquant.cli.MAX_N), "--suite", "dims")
+    assert (code, out) == (0, "RESULT: pass\n")
+
+    def no_context(*args, **kwargs):
+        raise AssertionError("a verification context was built although --n is above MAX_N")
+
+    for name in ("ModularConfig", "run_suites", "_default_char0"):
+        monkeypatch.setattr(wittquant.cli, name, no_context)
+    path = tmp_path / "r.json"
+    path.write_bytes(b'[{"kept": true}]\n')
+    code, out, err = run(capsys, "verify", "--p", "3", "--n", n, "--suite", "dims", "--json-path", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: verify --n must be at most {wittquant.cli.MAX_N}, got {n}\n"
+    assert path.read_bytes() == b'[{"kept": true}]\n'
+    for verb, args in (("dims", ()), ("delta", ("--alpha", "1,0,0,0", "--i", "1"))):
+        code, _, err = run(capsys, verb, "--p", "3", "--n", "4", *args)
+        assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
-"""Source hygiene: no unused imports, no dead private functions and no public
-names that only tests use.
+"""Source hygiene: no unused imports, no dead private functions, no public
+names that only tests use, no private imports across modules and no ring
+value typed by ``Fraction``.
 
 No linter ships with the project, so these scans are the check.  The first
 parses each module of the package (except ``__init__.py``, whose imports are
@@ -16,6 +17,9 @@ method counts as referenced only through an attribute or a string, so a local
 variable of the same name does not hide it.  The fourth reports a private
 (single-underscore, non-dunder) name that a module of the package imports from
 another module of the package: a helper that two modules share is public.
+The fifth reports a package module other than ``rings.py`` that tells a value
+by the ``Fraction`` class (``isinstance`` or ``type(...) is``): a rational ring
+value is an int when integral, so only the ring may look at its type.
 """
 from __future__ import annotations
 
@@ -226,3 +230,58 @@ def test_scan_finds_a_private_import_across_modules():
 
 def test_no_private_imports_across_modules():
     assert private_imports({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def _names_fraction(node) -> bool:
+    """Whether node is ``Fraction`` or ``<module>.Fraction``, or a tuple holding one."""
+    if isinstance(node, ast.Tuple):
+        return any(map(_names_fraction, node.elts))
+    return (isinstance(node, ast.Name) and node.id == "Fraction") or (
+        isinstance(node, ast.Attribute) and node.attr == "Fraction"
+    )
+
+
+def _is_type_of(node) -> bool:
+    """Whether node is ``type(x)`` or ``x.__class__``."""
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type"
+    ) or (isinstance(node, ast.Attribute) and node.attr == "__class__")
+
+
+def fraction_type_tests(sources: dict) -> list:
+    """(module, line) of each place outside ``rings.py`` that tells a value's type by
+    ``Fraction``: ``isinstance(x, Fraction)`` or ``type(x) is Fraction`` (also with
+    ``is not``, ``==``, ``!=`` or ``x.__class__``).  A rational ring value is an int
+    when integral and a Fraction otherwise, so such a test splits one ring's values."""
+    flagged = []
+    for module, src in sources.items():
+        if module == "rings.py":
+            continue
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                if len(node.args) == 2 and _names_fraction(node.args[1]):
+                    flagged.append((module, node.lineno))
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                if any(map(_is_type_of, sides)) and any(map(_names_fraction, sides)):
+                    flagged.append((module, node.lineno))
+    return sorted(flagged)
+
+
+def test_scan_finds_a_ring_value_typed_by_fraction():
+    a = (
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "def f(x, y):\n"
+        "    if isinstance(x, Fraction): pass\n"
+        "    if isinstance(y, (int, fractions.Fraction)): pass\n"
+        "    if type(x) is Fraction or type(y) is not Fraction: pass\n"
+        "    if x.__class__ == Fraction: pass\n"
+        "    return isinstance(x, int), type(x) is int, x < 0, Fraction(x)\n"
+    )
+    rings = "def f(x): return isinstance(x, Fraction)\n"
+    assert fraction_type_tests({"a.py": a, "rings.py": rings}) == [("a.py", 4), ("a.py", 5), ("a.py", 6), ("a.py", 6), ("a.py", 7)]
+
+
+def test_no_ring_value_typed_by_fraction_outside_rings():
+    assert fraction_type_tests({p.name: p.read_text() for p in PACKAGE}) == []

@@ -134,6 +134,18 @@ def test_p_power_examples():
     assert alg.p_power(alg.basis_symbol((0,), 1)) is None
 
 
+def test_p_power_rejects_a_foreign_or_out_of_range_symbol_every_time():
+    alg, wider = JacobsonWitt(1, 3), JacobsonWitt(1, 5)
+    inside = BasisDeriv(JW, (4,), 1)  # in W(1;1) at p = 5, past tau at p = 3
+    assert wider.p_power(inside) is None
+    foreign = [inside, BasisDeriv(WPLUS, (1,), 1), BasisDeriv(JW, (1, 0), 1), BasisDeriv(JW, (1,), 2)]
+    for b in foreign * 2:  # a second ask is not answered from what the first stored
+        with pytest.raises(ValueError):
+            alg.p_power(b)
+    H = alg.basis_symbol((1,), 1)
+    assert [alg.p_power(H), alg.p_power(H)] == [H, H]
+
+
 def _jacobi_sweep(elements):
     for x in elements:
         for y in elements:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import quotient_add, quotient_mul, series_mul
-from wittquant.rings import QQ, ReductionError, binom_int, gf, inverse_factorial, t_quotient, t_series
+from wittquant.rings import QQ, ReductionError, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
 
 
 def test_binom_int_examples():
@@ -251,3 +251,74 @@ def test_inverse_factorial_exists_below_the_characteristic():
     assert inverse_factorial(t_series(QQ, 4), 3) == (Fraction(1, 6),)
     with pytest.raises(ValueError, match=r"^1/3! does not exist in characteristic 3$"):
         inverse_factorial(gf(3), 3)
+
+
+# -- rational values: an int when integral, else a Fraction -------------------------------
+
+
+def random_rationals(rnd, count: int) -> list:
+    """Ints, integral Fractions and proper Fractions, mixed."""
+    out = []
+    for _ in range(count):
+        n = rnd.randint(-30, 30)
+        out.append(rnd.choice((n, Fraction(n), Fraction(n, rnd.randint(2, 12)))))
+    return out
+
+
+def assert_rational(value, want: Fraction) -> None:
+    assert value == want
+    assert type(value) is (int if want.denominator == 1 else Fraction), (value, want)
+
+
+def test_rational_field_agrees_with_fraction_arithmetic():
+    rnd = random.Random(17)
+    xs = random_rationals(rnd, 80)
+    ys = random_rationals(rnd, 80)
+    assert any(Fraction(x).denominator > 1 for x in xs) and any(type(x) is Fraction and x.denominator == 1 for x in xs)
+    for x, y in zip(xs, ys):
+        assert_rational(QQ.from_fraction(x), Fraction(x))
+        a, b = QQ.from_fraction(x), QQ.from_fraction(y)
+        assert_rational(QQ.add(a, b), Fraction(x) + Fraction(y))
+        assert_rational(QQ.mul(a, b), Fraction(x) * Fraction(y))
+        assert_rational(QQ.add(x, y), Fraction(x) + Fraction(y))
+        assert_rational(QQ.mul(x, y), Fraction(x) * Fraction(y))
+    for n in range(-5, 6):
+        assert_rational(QQ.from_int(n), Fraction(n))
+    assert_rational(QQ.zero, Fraction(0))
+    assert_rational(QQ.one, Fraction(1))
+    assert_rational(QQ.add(Fraction(1, 2), Fraction(1, 2)), Fraction(1))
+    assert_rational(QQ.mul(Fraction(2, 3), Fraction(3, 4)), Fraction(1, 2))
+    assert_rational(QQ.mul(Fraction(-2, 3), 3), Fraction(-2))
+
+
+@pytest.mark.parametrize("cap", [1, 3, 4])
+def test_rational_series_agree_with_a_fraction_only_reference(cap):
+    R = t_series(QQ, cap)
+    rnd = random.Random(cap)
+
+    def value():
+        return R.from_fraction(tuple(random_rationals(rnd, rnd.randint(0, cap))))
+
+    for _ in range(200):
+        a, b = value(), value()
+        fa, fb = tuple(map(Fraction, a)), tuple(map(Fraction, b))
+        width = max(len(fa), len(fb))
+        padded = [fa + (Fraction(0),) * (width - len(fa)), fb + (Fraction(0),) * (width - len(fb))]
+        sums = [x + y for x, y in zip(*padded)]
+        while sums and not sums[-1]:
+            sums.pop()
+        for got, want in ((R.mul(a, b), series_mul(cap, fa, fb)), (R.add(a, b), tuple(sums))):
+            assert len(got) == len(want)
+            for c, w in zip(got, want):
+                assert_rational(c, Fraction(w))
+
+
+def test_an_int_and_an_equal_fraction_are_one_dict_key():
+    d = {3: "int", (1, 2): "int pair"}
+    d[Fraction(3)] = "fraction"
+    d[(Fraction(1), Fraction(2))] = "fraction pair"
+    assert d == {3: "fraction", (1, 2): "fraction pair"}
+    assert hash(Fraction(-7)) == hash(-7)
+    summed = accumulate(QQ.add, {(Fraction(1),): Fraction(1, 2)}, [((1,), Fraction(1, 2)), ((2,), Fraction(2))])
+    assert summed == {(1,): 1, (2,): 2}
+    assert type(summed[1,]) is int
