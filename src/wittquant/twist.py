@@ -60,7 +60,7 @@ from .liealg import (
     pairing,
 )
 from .rings import QQ, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
-from .uea import EnvelopingAlgebra, TensorElement, UEAElement, cached_walk
+from .uea import EnvelopingAlgebra, TensorElement, UEAElement, cached_walk, monomial
 
 
 class NonIntegralExponentError(ValueError):
@@ -145,7 +145,7 @@ class BasicDirection(NamedTuple):
 def _drop_last(mono):
     """mono without one factor of its last symbol."""
     b, e = mono[-1]
-    return mono[:-1] + ((b, e - 1),) if e > 1 else mono[:-1]
+    return monomial(mono[:-1] + ((b, e - 1),) if e > 1 else mono[:-1])
 
 
 class TwistElement(NamedTuple):

@@ -4,6 +4,14 @@ Elements are sparse combinations of PBW monomials: ordered products of basis
 derivations with positive exponents, strictly increasing in the canonical
 order (exponent vector lexicographically, then derivation index).
 
+A normal monomial is a tuple of (symbol, exponent) pairs and is interned like
+the basis symbols: :func:`monomial` is its one constructor and returns the one
+canonical object per monomial, which hashes by identity, so a dict keyed by
+monomials (or by tensor keys, plain tuples of them) never rehashes the pairs.
+``==``, ordering and ``repr`` are those of the tuple.  The unit monomial is the
+plain empty tuple ``()``.  An equal plain tuple is not interchangeable with the
+monomial: it hashes differently and misses every dict keyed by monomials.
+
 Straightening is memoized left insertion.  The context caches b * mono for a
 basis symbol b and a normal monomial mono = b1^e1 ... (first symbol b1):
 
@@ -94,10 +102,37 @@ def cached_walk(cache: dict, key, shorten, step):
     return hit
 
 
+_MONOMIALS: dict = {}  # plain tuple of (symbol, exponent) pairs -> its one _Monomial
+
+
+class _Monomial(tuple):
+    """A canonical normal PBW monomial; only :func:`monomial` makes one."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return monomial, (tuple(self),)
+
+
+def monomial(pairs):
+    """The canonical monomial with these (symbol, exponent) pairs, in normal order;
+    ``()`` for none.  A canonical monomial is returned as it is, without a lookup."""
+    if type(pairs) is _Monomial:
+        return pairs
+    key = tuple(pairs)
+    if not key:
+        return ()
+    mono = _MONOMIALS.get(key)
+    if mono is None:
+        mono = _MONOMIALS[key] = tuple.__new__(_Monomial, key)
+    return mono
+
+
 def _drop_first(mono):
     """mono without one factor of its first symbol."""
     (b, e), rest = mono[0], mono[1:]
-    return ((b, e - 1),) + rest if e > 1 else rest
+    return monomial(((b, e - 1),) + rest if e > 1 else rest)
 
 
 class EnvelopingAlgebra:
@@ -135,17 +170,18 @@ class EnvelopingAlgebra:
     def gen(self, b: BasisDeriv, coeff=None) -> "UEAElement":
         self.alg.validate(b)
         c = self.ring.one if coeff is None else coeff
-        return UEAElement(self, {((b, 1),): c} if c else {})
+        return UEAElement(self, {monomial(((b, 1),)): c} if c else {})
 
     def element(self, terms: dict) -> "UEAElement":
-        return UEAElement(self, {m: c for m, c in terms.items() if c})
+        """The element with these terms; a key may be a plain tuple of (symbol, exponent) pairs."""
+        return UEAElement(self, {monomial(m): c for m, c in terms.items() if c})
 
     def lift(self, x: LieElement) -> "UEAElement":
         """Embed a Lie element as a degree-one element of the enveloping algebra."""
         shape = [(alg.flavor, alg.n, getattr(alg, "p", None)) for alg in (x.alg, self.alg)]
         if shape[0] != shape[1] or x.ring is not self.ring:
             raise ValueError("Lie element from a different algebra or coefficient ring")
-        return UEAElement(self, {((b, 1),): c for b, c in x.terms.items()})
+        return UEAElement(self, {monomial(((b, 1),)): c for b, c in x.terms.items()})
 
     def scalar(self, c) -> "UEAElement":
         return UEAElement(self, {(): c} if c else {})
@@ -162,7 +198,7 @@ class EnvelopingAlgebra:
     def _insert(self, b: BasisDeriv, mono) -> dict:
         """Normal form of b * mono for a normal monomial: dict mono -> int coeff."""
         if not mono or b < mono[0][0]:
-            return {((b, 1),) + mono: 1}
+            return {monomial(((b, 1),) + mono): 1}
         key = (b, mono)
         hit = self._insert_cache.get(key)
         if hit is not None:
@@ -170,10 +206,10 @@ class EnvelopingAlgebra:
         b1, e1 = mono[0]
         if b == b1:
             e = self.fold_exponent(b, e1 + 1)
-            out = {((b, e),) + mono[1:]: 1} if e else {}
+            out = {monomial(((b, e),) + mono[1:]): 1} if e else {}
         else:
             # b b1 rest = b1 (b rest) + [b, b1] rest
-            rest = ((b1, e1 - 1),) + mono[1:] if e1 > 1 else mono[1:]
+            rest = _drop_first(mono)
             out = self._left_multiply((b1,), self._insert(b, rest))
             brackets = (
                 (m, k * c) for s, k in self.alg.bracket_basis(b, b1).items() for m, c in self._insert(s, rest).items()
@@ -257,7 +293,9 @@ class EnvelopingAlgebra:
                     for j in range(e + 1)
                 }
             rint = self.ring.from_int
-            hit = self._delta0_cache[mono] = {k: v for k, c in terms.items() if (v := rint(c))}
+            hit = self._delta0_cache[mono] = {
+                (monomial(a), monomial(b)): v for (a, b), c in terms.items() if (v := rint(c))
+            }
         return TensorElement(self, 2, hit)
 
     def coproduct0(self, x: "UEAElement") -> "TensorElement":
@@ -320,7 +358,7 @@ class EnvelopingAlgebra:
         gens = self.alg.basis()
         p = self.alg.p
         for exps in itertools.product(range(p), repeat=len(gens)):
-            yield tuple((b, e) for b, e in zip(gens, exps) if e)
+            yield monomial((b, e) for b, e in zip(gens, exps) if e)
 
 
 class UEAElement(SparseElement):
@@ -506,7 +544,7 @@ def _reduce_mono(mono, target: EnvelopingAlgebra):
             return None
         image.append((sym, folded))
         scale *= multi_factorial(bd.alpha) ** e
-    return tuple(image), scale
+    return monomial(image), scale
 
 
 def reduce_tensor_mod_p(x: TensorElement, target: EnvelopingAlgebra) -> TensorElement:

@@ -34,7 +34,7 @@ import operator
 
 from wittquant.liealg import WITT, BasisDeriv, JacobsonWitt, LieElement
 from wittquant.rings import accumulate, binom_int
-from wittquant.uea import TensorElement, UEAElement
+from wittquant.uea import TensorElement, UEAElement, monomial
 
 
 def mono_of_sorted_word(uea, word):
@@ -50,7 +50,7 @@ def mono_of_sorted_word(uea, word):
                 e -= p - 1  # H^p -> H
         if e:
             mono.append((bd, e))
-    return tuple(mono)
+    return monomial(mono)
 
 
 def rewrite_normalize(uea, word) -> dict:

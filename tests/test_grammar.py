@@ -8,7 +8,7 @@ from wittquant.grammar import MAX_DEGREE, ElementSyntaxError, format_element, pa
 from wittquant.liealg import JacobsonWitt, WPlusAlgebra
 from wittquant.rings import QQ, gf
 from wittquant.twist import integral_eta, modular, modular_unrestricted
-from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement
+from wittquant.uea import EnvelopingAlgebra, TensorElement
 
 
 def u31():
@@ -136,7 +136,7 @@ def _random_elem(U, rng, max_terms=4):
         c = ring.mul(ring.from_int(rng.randint(1, 4)), ring.t_power(rng.randint(0, 2)))
         if c:
             terms[mono] = c
-    return UEAElement(U, terms)
+    return U.element(terms)
 
 
 def test_round_trip_corpus():
@@ -167,7 +167,7 @@ def test_round_trip_char0_series():
             c = ring.mul(c, ring.t_power(rng.randint(0, 3)))
             if c:
                 terms[mono] = c
-        x = UEAElement(U, terms)
+        x = U.element(terms)
         assert parse_element(format_element(x), U) == x
 
 

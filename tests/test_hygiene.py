@@ -19,7 +19,12 @@ variable of the same name does not hide it.  The fourth reports a private
 another module of the package: a helper that two modules share is public.
 The fifth reports a package module other than ``rings.py`` that tells a value
 by the ``Fraction`` class (``isinstance`` or ``type(...) is``): a rational ring
-value is an int when integral, so only the ring may look at its type.
+value is an int when integral, so only the ring may look at its type.  The
+sixth reports a module other than ``uea.py`` (in the package, the tests, the
+demos or the benchmark) that names the PBW monomial class ``_Monomial`` or
+calls ``tuple.__new__`` on anything but its own ``cls``: a monomial made that
+way is not the canonical one, so it would miss every dict keyed by monomials,
+and ``uea.monomial`` is the one way to make one.
 """
 from __future__ import annotations
 
@@ -285,3 +290,49 @@ def test_scan_finds_a_ring_value_typed_by_fraction():
 
 def test_no_ring_value_typed_by_fraction_outside_rings():
     assert fraction_type_tests({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def _builds_a_foreign_tuple(node) -> bool:
+    """Whether node calls ``tuple.__new__(c, ...)`` with c other than the name ``cls``."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    func, args = node.func, node.args
+    own = args and isinstance(args[0], ast.Name) and args[0].id == "cls"
+    return func.attr == "__new__" and isinstance(func.value, ast.Name) and func.value.id == "tuple" and not own
+
+
+def monomials_made_outside_uea(sources: dict) -> list:
+    """(module, line) of each place outside ``uea.py`` that names ``_Monomial`` or could
+    make a monomial without ``uea.monomial``: ``tuple.__new__`` on a class other than
+    its own ``cls``."""
+    flagged = []
+    for module, src in sources.items():
+        if module == "uea.py":
+            continue
+        for node in ast.walk(ast.parse(src)):
+            named = (isinstance(node, ast.Name) and node.id == "_Monomial") or (
+                isinstance(node, ast.Attribute) and node.attr == "_Monomial"
+            )
+            if named or _builds_a_foreign_tuple(node):
+                flagged.append((module, node.lineno))
+    return sorted(flagged)
+
+
+def test_scan_finds_a_monomial_made_outside_uea():
+    a = (
+        "from wittquant import uea\n"
+        "from wittquant.uea import monomial\n"
+        "m = uea._Monomial(((b, 1),))\n"
+        "n = tuple.__new__(type(m), ((b, 2),))\n"
+        "class K(tuple):\n"
+        "    def __new__(cls, key): return tuple.__new__(cls, key)\n"
+        "ok = monomial(((b, 1),)), type(m) is tuple, tuple(m)\n"
+    )
+    uea = "class _Monomial(tuple): pass\ndef monomial(p): return tuple.__new__(_Monomial, p)\n"
+    assert monomials_made_outside_uea({"a.py": a, "uea.py": uea}) == [("a.py", 3), ("a.py", 4)]
+
+
+def test_only_uea_makes_monomials():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in {*PACKAGE, *MODULES, *USERS}}
+    sources["uea.py"] = sources.pop("src/wittquant/uea.py")
+    assert monomials_made_outside_uea(sources) == []

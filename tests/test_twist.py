@@ -14,7 +14,7 @@ from wittquant.twist import (
     modular,
     modular_unrestricted,
 )
-from wittquant.uea import TensorElement
+from wittquant.uea import TensorElement, monomial
 
 
 # -- twist construction -----------------------------------------------------------------
@@ -348,7 +348,7 @@ def _monomials(H, degree: int) -> list:
     out = []
     for d in range(degree + 1):
         for word in itertools.combinations_with_replacement(symbols, d):
-            mono = tuple((bd, len(list(run))) for bd, run in itertools.groupby(word))
+            mono = monomial((bd, len(list(run))) for bd, run in itertools.groupby(word))
             if U.restricted and any(e >= U.alg.p for _, e in mono):
                 continue
             assert U.normalize_word(word) == {mono: 1}
@@ -389,7 +389,7 @@ def test_monomial_extensions_of_degree_1000():
     D = H.uea.alg.basis_symbol((0,), 1)
 
     def power(k):
-        return ((D, k),) if k else ()
+        return monomial(((D, k),)) if k else ()
 
     want = {(power(k), power(1000 - k)): (c,) for k in range(1001) if (c := math.comb(1000, k) % 3)}
     assert H.delta_mono(power(1000)).terms == want

@@ -2,6 +2,7 @@ import copy
 import gc
 import itertools
 import operator
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -25,7 +26,10 @@ from wittquant.liealg import (
     basic_pair,
 )
 from wittquant.rings import QQ, binom_int, gf, t_quotient, t_series
-from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement
+from wittquant import verify
+from wittquant.twist import modular
+from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement, monomial
+from wittquant.verify import Char0Config, check_hopf_axioms, check_twist_laws
 
 
 # -- fixtures ---------------------------------------------------------------------
@@ -177,7 +181,7 @@ def _random_mono(U, rng, pool, degree=5):
             e = rng.randint(1, min(top, degree))
             mono.append((g, e))
             degree -= e
-    return tuple(mono)
+    return monomial(mono)
 
 
 def _expand(mono):
@@ -224,6 +228,7 @@ def test_mono_mul_of_meeting_runs_matches_rewriting_oracle(p):
         (U, ((D, 1),), ((H, 1), (X, 2))),
     ]
     for uea, m1, m2 in cases:
+        m1, m2 = monomial(m1), monomial(m2)
         want = _fold(uea, rewrite_normalize(uea, _expand(m1) + _expand(m2)))
         assert _fold(uea, uea.mono_mul(m1, m2)) == want, (m1, m2)
 
@@ -273,7 +278,7 @@ def test_mono_mul_extends_a_cached_suffix_in_one_insertion_step():
     # inserting every symbol of D^1000 into D took 1000 insertion steps
     U = EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3))
     D = U.alg.basis_symbol((0,), 1)
-    U.mono_mul(((D, 999),), ((D, 1),))
+    U.mono_mul(monomial(((D, 999),)), monomial(((D, 1),)))
     calls = []
     left_multiply = U._left_multiply
 
@@ -282,7 +287,7 @@ def test_mono_mul_extends_a_cached_suffix_in_one_insertion_step():
         return left_multiply(calls[-1], terms)
 
     U._left_multiply = counted
-    assert U.mono_mul(((D, 1000),), ((D, 1),)) == {((D, 1001),): 1}
+    assert U.mono_mul(monomial(((D, 1000),)), monomial(((D, 1),))) == {monomial(((D, 1001),)): 1}
     assert calls == [(D,)]
 
 
@@ -355,7 +360,7 @@ def _random_element(uea, rng, pool, nterms=3, max_exp=2):
         gens = sorted(rng.sample(pool, rng.randint(1, 2)))
         mono = tuple((g, rng.randint(1, max_exp)) for g in gens)
         terms[mono] = uea.ring.from_int(rng.randint(1, 4))
-    return UEAElement(uea, {m: c for m, c in terms.items() if c})
+    return uea.element(terms)
 
 
 @pytest.mark.parametrize("cfg,seed", [("u31", 21), ("u51", 22), ("wplus", 23)])
@@ -825,3 +830,115 @@ def test_restricted_mode_validation():
         EnvelopingAlgebra(WPlusAlgebra(1), QQ, restricted=True)
     with pytest.raises(ValueError):
         EnvelopingAlgebra(JacobsonWitt(1, 3), gf(5), restricted=True)
+
+
+# -- canonical monomials ------------------------------------------------------------------
+
+
+def _canonical(mono) -> bool:
+    """Whether mono is the one object ``monomial`` gives for its pairs (the unit: ``()``)."""
+    return monomial(tuple(mono)) is mono
+
+
+def _held_monomials(U, values=(), keys=()) -> list:
+    """The monomials U's caches hold, as keys and in their values, plus keys and the
+    monomials in the terms of values: elements, tensors, or named tuples of them."""
+    monos = list(keys)
+    for (_, mono), out in U._insert_cache.items():
+        monos += [mono, *out]
+    for m2, row in U._mono_mul_rows.items():
+        monos.append(m2)
+        for m1, out in row.items():
+            monos += [m1, *out]
+    for mono, out in U._delta0_cache.items():
+        monos += [mono, *itertools.chain.from_iterable(out)]
+    for mono, out in U._antipode0_cache.items():
+        monos += [mono, *out]
+    values = [w for v in values for w in (v if isinstance(v, tuple) else (v,))]
+    for v in values:
+        if isinstance(v, TensorElement):
+            assert all(type(key) is tuple and len(key) == v.arity for key in v.terms)
+            monos += itertools.chain.from_iterable(v.terms)
+        else:
+            monos += v.terms
+    return monos
+
+
+def _hopf_monomials(hopf) -> list:
+    """The monomials held by a quantization's caches and memos and by its algebra's caches."""
+    caches = (hopf._delta_mono_cache, hopf._antipode_mono_cache)
+    values = [*caches[0].values(), *caches[1].values(), *hopf._memos.values()]
+    return _held_monomials(hopf.uea, values, keys=[*caches[0], *caches[1]])
+
+
+def test_a_hopf_run_leaves_only_canonical_monomials():
+    # an equal monomial that was not interned hashes differently and misses
+    # every cache silently; after the heaviest Hopf shape none may be held
+    hopf = modular(3, 2, (1, 1), 1)
+    assert check_hopf_axioms(hopf).passed
+    monos = _hopf_monomials(hopf)
+    assert len({id(m) for m in monos if m}) > 100
+    assert all(map(_canonical, monos))
+
+
+def test_char0_twist_laws_leave_only_canonical_monomials(monkeypatch):
+    built = []
+
+    def keep(factory):
+        def make(*args, **kwargs):
+            built.append(factory(*args, **kwargs))
+            return built[-1]
+
+        return make
+
+    monkeypatch.setattr(verify, "char0_general", keep(verify.char0_general))
+    monkeypatch.setattr(verify, "integral_eta", keep(verify.integral_eta))
+    assert check_twist_laws(Char0Config(d0=(1, 0), d0p=(0, 1), gamma=(1, 0), seed=1)).passed
+    assert len(built) == 4
+    for hopf in built:
+        monos = _hopf_monomials(hopf)
+        assert any(monos) and all(map(_canonical, monos)), hopf.name
+
+
+def test_reduction_from_w_plus_gives_canonical_monomials():
+    from wittquant.uea import reduce_tensor_mod_p
+
+    rng = random.Random(57)
+    WU = uw_plus(2)
+    MU = EnvelopingAlgebra(JacobsonWitt(2, 3), gf(3), restricted=True)
+    pool = [WU.alg.basis_symbol(a, i) for a in itertools.product(range(3), repeat=2) for i in (1, 2)]
+    images = []
+    for _ in range(20):
+        x = _random_element(WU, rng, pool, nterms=2, max_exp=4)
+        dx = reduce_tensor_mod_p(WU.coproduct0(x), MU)
+        images += [dx, dx * dx]  # the product fills MU's mono_mul rows from reduced keys
+    monos = _held_monomials(MU, images) + _held_monomials(WU)
+    assert any(monos) and all(map(_canonical, monos))
+
+
+def test_a_monomial_survives_copy_and_pickle():
+    U = EnvelopingAlgebra(JacobsonWitt(2, 3), t_quotient(3, 1), restricted=True)
+    g = U.alg.basis()
+    x = U.pbw_normalize([g[5], g[2], g[2], g[0], g[7]])
+    m = max(x.terms)
+    assert len(m) > 1 and _canonical(m)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    copies = [copy.copy(m), copy.deepcopy(m), *(pickle.loads(pickle.dumps(m, k)) for k in protocols)]
+    assert all(c is m for c in copies)
+    # an element pickles from protocol 2 on (its class has __slots__)
+    for y in [copy.deepcopy(x), *(pickle.loads(pickle.dumps(x, k)) for k in protocols if k >= 2)]:
+        assert y.terms == x.terms and all(map(_canonical, y.terms))
+    # the tuple's order, equality and repr; the unit monomial is the empty tuple
+    plain = tuple(m)
+    assert m == plain and repr(m) == repr(plain) and not m < plain and hash(m) != hash(plain)
+    assert monomial(()) == () and type(monomial([])) is tuple
+
+
+def test_a_plain_key_names_the_engine_monomial():
+    U = EnvelopingAlgebra(JacobsonWitt(2, 3), t_quotient(3, 1), restricted=True)
+    g = U.alg.basis()
+    built = U.pbw_normalize([g[0], g[2], g[2], g[7]])
+    (m,) = built.terms
+    given = U.element({tuple(m): U.ring.one})
+    assert given == built and next(iter(given.terms)) is m
+    assert U.element({tuple(m): U.ring.one, (): U.ring.one}) == built + U.one()
