@@ -33,11 +33,13 @@ Every twist is a product of basic one-direction twists
     inverse_a = sum_r  1/r!    h_a^<r> (x) e^r t^r,
 
 taken in ascending direction order (basic twists in distinct directions
-commute).  The antipode twistors are the same series with the two slots
-multiplied out: u_a from the forward series at -a and v_a from sign +1 with
-the falling factorial at a.  ``QuantizedHopf._series`` builds it for all
-four.  The closed-form coproduct and antipode of a basis symbol are sums over
-vectors ell of raising orders, one entry per direction;
+commute); ``QuantizedHopf.basic_twist_factor`` builds both series.  The
+antipode twistors follow their definitions, u_a = m(S0 (x) Id)(inverse_a) and
+v_a = m(Id (x) S0)(forward_a), read off the whole twist with the undeformed
+antipode of :mod:`wittquant.uea`.  The deformed coproduct and antipode reach a
+monomial by the same walk as the undeformed ones, from the closed forms of its
+basis symbols.  The closed-form coproduct and antipode of a basis symbol are
+sums over vectors ell of raising orders, one entry per direction;
 ``QuantizedHopf._raised_terms`` iterates the surviving terms for both.  The
 closed forms are checked against conjugation by the twist itself via
 :meth:`QuantizedHopf.conjugation_oracle`.
@@ -60,7 +62,7 @@ from .liealg import (
     pairing,
 )
 from .rings import QQ, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
-from .uea import EnvelopingAlgebra, TensorElement, UEAElement, cached_walk, monomial
+from .uea import EnvelopingAlgebra, TensorElement, UEAElement, cached_walk, drop_last
 
 
 class NonIntegralExponentError(ValueError):
@@ -140,12 +142,6 @@ class BasicDirection(NamedTuple):
             return {}
         coefficient = basic_coefficient(bd.alpha[k - 1], int(bd.i == k), ell, uea.ring.char or None)
         return {bd._replace(alpha=alpha): coefficient}
-
-
-def _drop_last(mono):
-    """mono without one factor of its last symbol."""
-    b, e = mono[-1]
-    return monomial(mono[:-1] + ((b, e - 1),) if e > 1 else mono[:-1])
 
 
 class TwistElement(NamedTuple):
@@ -288,7 +284,7 @@ class QuantizedHopf:
         """Delta(m) = Delta(prefix) * delta_basis(last symbol), the prefix being m
         without one factor of its last symbol; Delta(1) = 1 (x) 1."""
         step = lambda d, m: d * self.delta_basis(m[-1][0])
-        return cached_walk(self._delta_mono_cache, mono, _drop_last, step)
+        return cached_walk(self._delta_mono_cache, mono, drop_last, step)
 
     def delta(self, x: UEAElement) -> TensorElement:
         """Multiplicative extension of the deformed coproduct."""
@@ -299,7 +295,7 @@ class QuantizedHopf:
         """S(m) = antipode_basis(last symbol) * S(prefix), reversing the order
         since S is an anti-homomorphism; the prefix is as in delta_mono."""
         step = lambda s, m: self.uea.mul(self.antipode_basis(m[-1][0]), s)
-        return cached_walk(self._antipode_mono_cache, mono, _drop_last, step)
+        return cached_walk(self._antipode_mono_cache, mono, drop_last, step)
 
     def antipode(self, x: UEAElement) -> UEAElement:
         """Anti-multiplicative extension of the deformed antipode."""
@@ -312,21 +308,18 @@ class QuantizedHopf:
 
     # -- twists and twistors --------------------------------------------------------------
 
-    def _series(self, d: int, a, sign: int, kind: str) -> TensorElement:
-        """sum_{r<cap} sign^r/r! h_d^(r) (x) e_d^r t^r, h_d^(r) the ``kind`` factorial from the
-        exact shift a: the one Jordanian series behind every twist factor and twistor of direction d."""
+    def basic_twist_factor(self, d: int, a=0, forward: bool = True) -> TensorElement:
+        """The twist factor of direction index d at the exact shift a, or its inverse:
+        sum_{r<cap} (-1)^r/r! h_d^[r] (x) e_d^r t^r with the falling factorial forward,
+        sum_{r<cap} 1/r! h_d^<r> (x) e_d^r t^r with the rising one for the inverse."""
         ring = self.uea.ring
+        sign, kind = (-1, "falling") if forward else (1, "rising")
         out = TensorElement(self.uea, 2, {})
         for r in range(self.cap):
             c = ring.mul(ring.mul(inverse_factorial(ring, r), ring.from_int(sign**r)), ring.t_power(r))
             if c:
                 out = out + TensorElement.of(self._h_factorial(d, a, r, kind), self._e_power(d, r)).scale(c)
         return out
-
-    def basic_twist_factor(self, d: int, a=0, forward: bool = True) -> TensorElement:
-        """The single-direction twist factor for direction index d."""
-        sign, kind = (-1, "falling") if forward else (1, "rising")
-        return self._series(d, a, sign, kind)
 
     def build_twist(self, a=0) -> TwistElement:
         """The twist (product of basic twists, ascending direction) and its inverse."""
@@ -342,17 +335,13 @@ class QuantizedHopf:
         return self._memo(("build_twist", self.uea.ring.from_fraction(a)), compute)
 
     def antipode_twistors(self, a=0) -> TwistorPair:
-        """u_a and v_a, the antipode twistors of the twist with shift a."""
-        uea = self.uea
+        """u_a = m(S0 (x) Id)(inverse) and v_a = m(Id (x) S0)(forward), from the twist with shift a."""
 
         def compute():
-            u = v = uea.one()
-            for d in range(len(self.directions)):
-                u = u * self._series(d, -a, -1, "falling").multiply_out()
-                v = v * self._series(d, a, 1, "falling").multiply_out()
-            return TwistorPair(u_elem=u, v_elem=v)
+            tw, s0 = self.build_twist(a), self.uea.antipode0_mono
+            return TwistorPair(tw.inverse.map_slot(0, s0).multiply_out(), tw.forward.map_slot(1, s0).multiply_out())
 
-        return self._memo(("antipode_twistors", uea.ring.from_fraction(a)), compute)
+        return self._memo(("antipode_twistors", self.uea.ring.from_fraction(a)), compute)
 
     # -- conjugation oracle ------------------------------------------------------------------
 

@@ -51,9 +51,14 @@ the left one factor at a time, as the ``mono_mul`` rows do; ``delta_mono`` grows
 Each structure map is given on PBW monomials and extended linearly by the
 tensor slot maps over the one-slot view ``TensorElement.of(x)``: the coproducts
 through ``expand_slot``, the antipodes through ``map_slot``, and the mod-p
-reduction slot by slot.  The caches hold plain data (ring-valued dicts) and
-wrap them on return; an element points back at its context, so a cached
-element would keep the context alive until a full garbage collection.
+reduction slot by slot.  Every coproduct and antipode, undeformed here and
+deformed in :mod:`wittquant.twist`, reaches a monomial by one walk
+(``cached_walk`` over ``drop_last``): m is its prefix times its last symbol b,
+so Delta(m) = Delta(prefix) * Delta(b) and S(m) = S(b) * S(prefix), with
+Delta0(b) = b (x) 1 + 1 (x) b and S0(b) = -b here.  The caches hold plain data
+(ring-valued dicts) and wrap them on return; an element points back at its
+context, so a cached element would keep the context alive until a full
+garbage collection.
 
 All coefficient arithmetic goes through the ring descriptors of
 :mod:`wittquant.rings`; structure constants stay integers until they are
@@ -66,7 +71,7 @@ import math
 import operator
 
 from .liealg import JW, BasisDeriv, LieAlgebra, LieElement
-from .rings import SparseElement, accumulate, binom_int, inverse_factorial, multi_factorial
+from .rings import SparseElement, accumulate, inverse_factorial, multi_factorial
 
 
 def _power(x, k: int, one, mul):
@@ -135,6 +140,12 @@ def _drop_first(mono):
     return monomial(((b, e - 1),) + rest if e > 1 else rest)
 
 
+def drop_last(mono):
+    """mono without one factor of its last symbol."""
+    b, e = mono[-1]
+    return monomial(mono[:-1] + ((b, e - 1),) if e > 1 else mono[:-1])
+
+
 class EnvelopingAlgebra:
     """Context object: Lie algebra + coefficient ring + Free/Restricted mode.
 
@@ -154,10 +165,11 @@ class EnvelopingAlgebra:
         self.restricted = restricted
         # memo caches of plain data; per-context, results never depend on fill order.
         # _mono_mul_rows: right factor m2 -> {left factor m1 -> m1 * m2}
+        # _delta0_cache/_antipode0_cache: monomial -> terms of its Delta0/S0, from the unit up
         self._insert_cache: dict = {}
         self._mono_mul_rows: dict = {}
-        self._delta0_cache: dict = {}
-        self._antipode0_cache: dict = {}
+        self._delta0_cache: dict = {(): {((), ()): ring.one}}
+        self._antipode0_cache: dict = {(): {(): ring.one}}
 
     # -- element constructors -------------------------------------------------
 
@@ -281,22 +293,15 @@ class EnvelopingAlgebra:
     # -- standard Hopf structure ---------------------------------------------------
 
     def coproduct0_mono(self, mono) -> "TensorElement":
-        """Delta0 of a PBW monomial: each factor b^e splits as sum_j binom(e, j) b^j (x) b^(e-j)."""
-        hit = self._delta0_cache.get(mono)
-        if hit is None:
-            terms = {((), ()): 1}
-            for bd, e in mono:
-                # every split (j, e - j) of bd^e extends each key differently: no collisions
-                terms = {
-                    (a + ((bd, j),) if j else a, b + ((bd, e - j),) if e - j else b): c * binom_int(e, j)
-                    for (a, b), c in terms.items()
-                    for j in range(e + 1)
-                }
-            rint = self.ring.from_int
-            hit = self._delta0_cache[mono] = {
-                (monomial(a), monomial(b)): v for (a, b), c in terms.items() if (v := rint(c))
-            }
-        return TensorElement(self, 2, hit)
+        """Delta0(m) = Delta0(prefix) * (b (x) 1 + 1 (x) b), b the last symbol of m and
+        the prefix m without one factor of it; Delta0(1) = 1 (x) 1."""
+
+        def step(terms, m):
+            b = self.gen(m[-1][0])
+            primitive = TensorElement.of(b, self.one()) + TensorElement.of(self.one(), b)
+            return (TensorElement(self, 2, terms) * primitive).terms
+
+        return TensorElement(self, 2, cached_walk(self._delta0_cache, mono, drop_last, step))
 
     def coproduct0(self, x: "UEAElement") -> "TensorElement":
         """The undeformed coproduct, each generator primitive."""
@@ -304,18 +309,13 @@ class EnvelopingAlgebra:
         return TensorElement.of(x).expand_slot(0, self.coproduct0_mono)
 
     def antipode0_mono(self, mono) -> "UEAElement":
-        """S0 of a PBW monomial: the reversed word, renormalized, times (-1)^(its length)."""
-        hit = self._antipode0_cache.get(mono)
-        if hit is None:
-            word = [b for b, e in reversed(mono) for _ in range(e)]
-            sign = -1 if len(word) % 2 else 1
-            rint = self.ring.from_int
-            terms = self.normalize_word(word)
-            hit = self._antipode0_cache[mono] = {m: v for m, c in terms.items() if (v := rint(sign * c))}
-        return UEAElement(self, hit)
+        """S0(m) = (-b) * S0(prefix), with b and the prefix as in coproduct0_mono, since
+        S0 is an anti-homomorphism; S0(1) = 1."""
+        step = lambda terms, m: self.mul(-self.gen(m[-1][0]), UEAElement(self, terms)).terms
+        return UEAElement(self, cached_walk(self._antipode0_cache, mono, drop_last, step))
 
     def antipode0(self, x: "UEAElement") -> "UEAElement":
-        """The undeformed antipode: reverse, negate each generator, renormalize."""
+        """The undeformed antipode, each generator negated."""
         self._check(x)
         return TensorElement.of(x).map_slot(0, self.antipode0_mono).to_element()
 

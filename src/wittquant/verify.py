@@ -42,7 +42,7 @@ ENUMERATION_LIMIT = 5000  # largest dim u(W(n;1)) whose restricted PBW basis is 
 @dataclass
 class CheckResult:
     name: str
-    status: str  # pass | fail | skipped | structural
+    status: str  # pass | fail | structural
     counterexample: str | None = None
 
 

@@ -26,6 +26,17 @@ slot products before anything is dropped, with no early exit.
 
 ``binary_power`` is the reference power: repeated squaring, which groups the
 factors differently from the one-factor-at-a-time powers of the package.
+
+``binomial_coproduct0``, ``reversed_word_antipode0`` and ``series_twistors``
+are the reference undeformed coproduct, undeformed antipode and antipode
+twistors.  The package builds Delta0 and S0 of a monomial one factor at a
+time, and reads the twistors off the twist by their definitions
+u_a = m(S0 (x) Id)(F_a^-1) and v_a = m(Id (x) S0)(F_a).  These oracles use the
+closed rules instead: each factor b^e splits binomially under Delta0; S0
+reverses the word, negates each symbol and straightens by
+``rewrite_normalize``; and the twistors are products over the directions of
+the series whose S0 images were worked out by hand (S0 of a rising factorial
+is a signed falling factorial).
 """
 from __future__ import annotations
 
@@ -33,7 +44,7 @@ import itertools
 import operator
 
 from wittquant.liealg import WITT, BasisDeriv, JacobsonWitt, LieElement
-from wittquant.rings import accumulate, binom_int
+from wittquant.rings import accumulate, binom_int, inverse_factorial
 from wittquant.uea import TensorElement, UEAElement, monomial
 
 
@@ -126,6 +137,53 @@ def binary_power(x, k: int, one, mul):
         if k:
             x = mul(x, x)
     return out
+
+
+def binomial_coproduct0(uea, mono) -> TensorElement:
+    """Delta0 of a PBW monomial: each factor b^e splits as sum_j binom(e, j) b^j (x) b^(e-j)."""
+    terms = {((), ()): 1}
+    for bd, e in mono:
+        terms = {
+            (a + ((bd, j),) if j else a, b + ((bd, e - j),) if e - j else b): c * binom_int(e, j)
+            for (a, b), c in terms.items()
+            for j in range(e + 1)
+        }
+    rint = uea.ring.from_int
+    return TensorElement(uea, 2, {(monomial(a), monomial(b)): v for (a, b), c in terms.items() if (v := rint(c))})
+
+
+def reversed_word_antipode0(uea, mono) -> UEAElement:
+    """S0 of a PBW monomial: the reversed word, straightened by ``rewrite_normalize``,
+    times (-1)^(its length)."""
+    word = [b for b, e in reversed(mono) for _ in range(e)]
+    sign = -1 if len(word) % 2 else 1
+    rint = uea.ring.from_int
+    return UEAElement(uea, {m: v for m, c in rewrite_normalize(uea, word).items() if (v := rint(sign * c))})
+
+
+def series_twistors(hopf, a) -> tuple:
+    """(u_a, v_a) as products over the directions d of the series
+
+        u_a: sum_{r<cap} (-1)^r/r! (h_d - a)^[r] e_d^r t^r,
+        v_a: sum_{r<cap}      1/r! (h_d + a)^[r] e_d^r t^r,
+
+    with ^[r] the falling factorial."""
+    uea, ring = hopf.uea, hopf.uea.ring
+
+    def series(direction, shift, sign):
+        out = uea.zero()
+        for r in range(hopf.cap):
+            c = ring.mul(ring.mul(inverse_factorial(ring, r), ring.from_int(sign**r)), ring.t_power(r))
+            if c:
+                term = uea.factorial_element(direction.h, shift, r, "falling") * uea.power(direction.e, r)
+                out = out + term.scale(c)
+        return out
+
+    u = v = uea.one()
+    for direction in hopf.directions:
+        u = u * series(direction, -a, -1)
+        v = v * series(direction, a, 1)
+    return u, v
 
 
 def _trimmed(coeffs) -> tuple:

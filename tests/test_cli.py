@@ -384,18 +384,18 @@ def test_error_messages_name_the_algebra(capsys):
 
 @pytest.fixture
 def series_without_last_term(monkeypatch):
-    """QuantizedHopf._series without its last term r = cap - 1: the twist and its
+    """QuantizedHopf.basic_twist_factor without its last term r = cap - 1: the twist and its
     inverse no longer invert each other, at every shift and in every setting."""
-    series = QuantizedHopf._series
+    factor = QuantizedHopf.basic_twist_factor
 
-    def shortened(self, d, a, sign, kind):
+    def shortened(self, d, a=0, forward=True):
         cap, self.cap = self.cap, self.cap - 1
         try:
-            return series(self, d, a, sign, kind)
+            return factor(self, d, a, forward)
         finally:
             self.cap = cap
 
-    monkeypatch.setattr(QuantizedHopf, "_series", shortened)
+    monkeypatch.setattr(QuantizedHopf, "basic_twist_factor", shortened)
 
 
 @pytest.mark.usefixtures("series_without_last_term")

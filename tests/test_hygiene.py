@@ -24,7 +24,10 @@ sixth reports a module other than ``uea.py`` (in the package, the tests, the
 demos or the benchmark) that names the PBW monomial class ``_Monomial`` or
 calls ``tuple.__new__`` on anything but its own ``cls``: a monomial made that
 way is not the canonical one, so it would miss every dict keyed by monomials,
-and ``uea.monomial`` is the one way to make one.
+and ``uea.monomial`` is the one way to make one.  The seventh reports a package
+module other than ``uea.py`` that calls ``monomial``: the other modules take
+their monomials from ``uea``'s helpers and maps, so the engine builds monomial
+keys in one module.
 """
 from __future__ import annotations
 
@@ -336,3 +339,36 @@ def test_only_uea_makes_monomials():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in {*PACKAGE, *MODULES, *USERS}}
     sources["uea.py"] = sources.pop("src/wittquant/uea.py")
     assert monomials_made_outside_uea(sources) == []
+
+
+def monomial_calls_outside_uea(sources: dict) -> list:
+    """(module, line) of each call to ``monomial`` or ``<module>.monomial`` outside ``uea.py``."""
+    flagged = []
+    for module, src in sources.items():
+        if module == "uea.py":
+            continue
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id == "monomial") or (
+                    isinstance(func, ast.Attribute) and func.attr == "monomial"
+                ):
+                    flagged.append((module, node.lineno))
+    return sorted(flagged)
+
+
+def test_scan_finds_a_monomial_call_outside_uea():
+    a = (
+        "from wittquant import uea\n"
+        "from wittquant.uea import monomial\n"
+        "m = monomial(((b, 1),))\n"
+        "n = uea.monomial(m)\n"
+        "f = monomial\n"
+        "k = U.mono_mul(m, n), drop_last(m)\n"
+    )
+    uea = "def monomial(p): return p\nm = monomial(())\n"
+    assert monomial_calls_outside_uea({"a.py": a, "uea.py": uea}) == [("a.py", 3), ("a.py", 4)]
+
+
+def test_only_uea_calls_monomial_in_the_package():
+    assert monomial_calls_outside_uea({p.name: p.read_text() for p in PACKAGE}) == []

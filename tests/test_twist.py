@@ -4,6 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from oracles import series_twistors
 
 from wittquant.liealg import RMatrixData
 from wittquant.twist import (
@@ -130,6 +131,23 @@ def test_twistors_are_the_twist_with_one_slot_antipoded(make, shifts):
         tw, pair = H.build_twist(a), H.antipode_twistors(a)
         assert tw.inverse.map_slot(0, s0).multiply_out() == pair.u_elem, a
         assert tw.forward.map_slot(1, s0).multiply_out() == pair.v_elem, a
+
+
+@pytest.mark.parametrize(
+    "make,shifts",
+    [
+        (lambda: modular(3, 1, (1,), 0), range(3)),
+        (lambda: modular(3, 1, (1,), 1), range(3)),
+        (lambda: modular(3, 2, (1, 1), 1), range(3)),
+        (lambda: integral_eta((1, 1), 2, cap=4), [*range(-2, 3), Fraction(1, 2)]),
+        (lambda: char0_general(RMatrixData((1, 1), (0, 1), (2, 0)), cap=4), [*range(-2, 3), Fraction(1, 2)]),
+    ],
+)
+def test_twistors_match_the_series_identities(make, shifts):
+    H = make()
+    for a in shifts:
+        pair = H.antipode_twistors(a)
+        assert (pair.u_elem, pair.v_elem) == series_twistors(H, a), a
 
 
 def test_series_past_the_characteristic_has_one_error():

@@ -10,11 +10,13 @@ from fractions import Fraction
 import pytest
 from oracles import (
     binary_power,
+    binomial_coproduct0,
     keywise_multiply_out,
     mat_mul,
     mono_of_sorted_word,
     op_matrix,
     pairwise_tensor_product,
+    reversed_word_antipode0,
     rewrite_normalize,
 )
 
@@ -352,6 +354,29 @@ def test_antipode0_counit0_examples():
 
     s, eps = UW.antipode0(UW.one()), counit(UW.one())
     assert s == UW.one() and eps == Fraction(1)
+
+
+def _oracle_monomials(kind):
+    """A context and the monomials its Delta0 and S0 are checked on."""
+    if kind == "u(W(1;1)) p=3":
+        U = u31()
+        return U, list(U.enumerate_restricted_basis())
+    if kind == "U(W+(2)) QQ":
+        U, pool = _pool_uea(kind)
+    else:
+        U = EnvelopingAlgebra(WittAlgebra(2), t_series(QQ, 3))
+        pool = [U.alg.basis_symbol(a, i) for a in itertools.product(range(-1, 2), repeat=2) for i in (1, 2)]
+    rng = random.Random(len(kind))
+    return U, [_random_mono(U, rng, pool) for _ in range(100)]
+
+
+@pytest.mark.parametrize("kind", ["u(W(1;1)) p=3", "U(W+(2)) QQ", "U(W(2)) t_series(QQ,3)"])
+def test_coproduct0_and_antipode0_match_the_closed_rules(kind):
+    # the one-factor walks against the binomial split and the reversed, straightened word
+    U, monos = _oracle_monomials(kind)
+    for mono in monos:
+        assert U.coproduct0_mono(mono) == binomial_coproduct0(U, mono), mono
+        assert U.antipode0_mono(mono) == reversed_word_antipode0(U, mono), mono
 
 
 def _random_element(uea, rng, pool, nterms=3, max_exp=2):
