@@ -33,7 +33,10 @@ Every twist is a product of basic one-direction twists
     inverse_a = sum_r  1/r!    h_a^<r> (x) e^r t^r,
 
 taken in ascending direction order (basic twists in distinct directions
-commute); ``QuantizedHopf.basic_twist_factor`` builds both series.  The
+commute); ``QuantizedHopf.basic_twist_factor`` builds both series from the one
+shifted factorial, the rising h_a^<r> = (h+a)...(h+a+r-1), reading the falling
+h_a^[r] as h_{a-r+1}^<r>.  Each power (1 - e t)^m, for m of either sign, is the
+one binomial sum sum_{j<cap} C(m, j) (-e t)^j.  The
 antipode twistors follow their definitions, u_a = m(S0 (x) Id)(inverse_a) and
 v_a = m(Id (x) S0)(forward_a), read off the whole twist with the undeformed
 antipode of :mod:`wittquant.uea`.  The deformed coproduct and antipode reach a
@@ -193,27 +196,24 @@ class QuantizedHopf:
             hit = self._memos[key] = compute()
         return hit
 
-    def _h_factorial(self, d: int, a, ell: int, kind: str) -> UEAElement:
-        compute = lambda: self.uea.factorial_element(self.directions[d].h, a, ell, kind)
-        return self._memo(("h_factorial", d, self.uea.ring.from_fraction(a), ell, kind), compute)
+    def _h_factorial(self, d: int, a, ell: int) -> UEAElement:
+        compute = lambda: self.uea.factorial_element(self.directions[d].h, a, ell)
+        return self._memo(("h_factorial", d, self.uea.ring.from_fraction(a), ell), compute)
 
     def _e_power(self, d: int, j: int) -> UEAElement:
         return self._memo(("e_power", d, j), lambda: self.uea.power(self.directions[d].e, j))
 
     def one_minus_et_power(self, d: int, m: int) -> UEAElement:
-        """(1 - e_d t)^m: the |m|-th power of 1 - e_d t, or for m < 0 of its inverse
-        sum_{j<cap} (e_d t)^j, which needs no later term since t^cap = 0 in a series
-        ring and e_d^p = 0 in u(W(n;1))."""
+        """(1 - e_d t)^m for any integer m, as the binomial series sum_{j<cap} C(m, j) (-e_d t)^j,
+        which needs no later term since t^cap = 0 in a series ring and e_d^p = 0 in u(W(n;1))."""
 
         def compute():
-            uea, ring = self.uea, self.uea.ring
-            if m >= 0:
-                base = uea.one() - self._e_power(d, 1).scale(ring.t_power(1))
-            else:
-                base = uea.zero()
-                for j in range(self.cap):
-                    base = base + self._e_power(d, j).scale(ring.t_power(j))
-            return uea.power(base, abs(m))
+            ring, out = self.uea.ring, self.uea.zero()
+            for j in range(self.cap):
+                c = ring.mul(ring.from_int((-1) ** j * binom_int(m, j)), ring.t_power(j))
+                if c:
+                    out = out + self._e_power(d, j).scale(c)
+            return out
 
         return self._memo(("one_minus_et_power", d, m), compute)
 
@@ -254,7 +254,7 @@ class QuantizedHopf:
             invpow = uea.one()
             for d, l in enumerate(ell):
                 if l:
-                    left = left * self._h_factorial(d, 0, l, "rising")
+                    left = left * self._h_factorial(d, 0, l)
                     invpow = invpow * self.one_minus_et_power(d, -l)
             piece = (invpow * raised).scale(tpow)
             sign = -1 if sum(ell) % 2 else 1
@@ -274,7 +274,7 @@ class QuantizedHopf:
         for ell, tpow, piece in self._raised_terms(bd):
             for d, l in enumerate(ell):
                 if l:
-                    piece = piece * self._h_factorial(d, 1, l, "rising")
+                    piece = piece * self._h_factorial(d, 1, l)
             acc = acc + piece.scale(tpow)
         return (pre * acc).scale_int(-1)
 
@@ -310,15 +310,16 @@ class QuantizedHopf:
 
     def basic_twist_factor(self, d: int, a=0, forward: bool = True) -> TensorElement:
         """The twist factor of direction index d at the exact shift a, or its inverse:
-        sum_{r<cap} (-1)^r/r! h_d^[r] (x) e_d^r t^r with the falling factorial forward,
-        sum_{r<cap} 1/r! h_d^<r> (x) e_d^r t^r with the rising one for the inverse."""
+        sum_{r<cap} (-1)^r/r! h_{a-r+1}^<r> (x) e_d^r t^r forward, the falling h_a^[r] as a rising
+        factorial, and sum_{r<cap} 1/r! h_a^<r> (x) e_d^r t^r for the inverse."""
         ring = self.uea.ring
-        sign, kind = (-1, "falling") if forward else (1, "rising")
+        sign = -1 if forward else 1
         out = TensorElement(self.uea, 2, {})
         for r in range(self.cap):
             c = ring.mul(ring.mul(inverse_factorial(ring, r), ring.from_int(sign**r)), ring.t_power(r))
             if c:
-                out = out + TensorElement.of(self._h_factorial(d, a, r, kind), self._e_power(d, r)).scale(c)
+                shift = a - r + 1 if forward else a
+                out = out + TensorElement.of(self._h_factorial(d, shift, r), self._e_power(d, r)).scale(c)
         return out
 
     def build_twist(self, a=0) -> TwistElement:

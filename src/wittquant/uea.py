@@ -321,22 +321,16 @@ class EnvelopingAlgebra:
 
     # -- derived elements ----------------------------------------------------------
 
-    def factorial_element(self, base: "UEAElement", a, r: int, kind: str) -> "UEAElement":
-        """Shifted factorial product of a ring element.
-
-        rising:  (x+a)(x+a+1)...(x+a+r-1);  falling: (x+a)(x+a-1)...(x+a-r+1),
-        for an int or Fraction shift a.
-        """
+    def factorial_element(self, base: "UEAElement", a, r: int) -> "UEAElement":
+        """The rising factorial (x+a)(x+a+1)...(x+a+r-1) of a ring element x, for an int or
+        Fraction shift a.  Every falling factorial is one of these, read from its lowest
+        factor: (x+a)(x+a-1)...(x+a-r+1) = factorial_element(x, a-r+1, r)."""
         if r < 0:
             raise ValueError("r must be nonnegative")
-        if kind not in ("rising", "falling"):
-            raise ValueError("kind must be 'rising' or 'falling'")
-        step = 1 if kind == "rising" else -1
         a0 = self.ring.from_fraction(a)
         out = self.one()
         for j in range(r):
-            shift = self.ring.add(a0, self.ring.from_int(step * j))
-            out = self.mul(out, base + self.scalar(shift))
+            out = self.mul(out, base + self.scalar(self.ring.add(a0, self.ring.from_int(j))))
         return out
 
     def ad_divided_power(self, e: "UEAElement", ell: int, x: "UEAElement") -> "UEAElement":

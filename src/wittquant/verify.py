@@ -231,9 +231,9 @@ def _shift_sums(hopf, a, X):
     for ell, xl in enumerate(X):
         if not xl:
             continue
-        piece = TensorElement.of(U.factorial_element(h, a, ell, "rising"), xl.scale(ring.t_power(ell)))
+        piece = TensorElement.of(U.factorial_element(h, a, ell), xl.scale(ring.t_power(ell)))
         tensor = tensor + (hopf.build_twist(a + ell).inverse * piece).scale_int((-1) ** ell)
-        element = element + (xl * U.factorial_element(h, 1 - Fraction(a), ell, "rising")).scale(ring.t_power(ell))
+        element = element + (xl * U.factorial_element(h, 1 - Fraction(a), ell)).scale(ring.t_power(ell))
     return tensor, element
 
 
@@ -258,7 +258,7 @@ def _power_formulas(hopf, bd, s):
             continue
         left, right = powers[j], dl
         for d, (direction, l) in enumerate(zip(dirs, ell)):
-            left = left * U.factorial_element(direction.h, 0, l, "rising")
+            left = left * U.factorial_element(direction.h, 0, l)
             right = hopf.one_minus_et_power(d, j * direction.exponent(bd) - l) * right
         piece = TensorElement.of(left, right.scale(ring.t_power(sum(ell))))
         coproduct = coproduct + piece.scale_int(binom_int(s, j) * (-1) ** sum(ell))
@@ -268,7 +268,7 @@ def _power_formulas(hopf, bd, s):
         if not piece:
             continue
         for direction, l in zip(dirs, ell):
-            piece = piece * U.factorial_element(direction.h, 1, l, "rising")
+            piece = piece * U.factorial_element(direction.h, 1, l)
         acc = acc + piece.scale(ring.t_power(sum(ell)))
     factors = (hopf.one_minus_et_power(d, -s * direction.exponent(bd)) for d, direction in enumerate(dirs))
     return coproduct, (functools.reduce(operator.mul, factors) * acc).scale_int((-1) ** s)
@@ -288,8 +288,8 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
     shifts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
     alphas = _sample_alphas(rng, n, 5 if n == 1 else 8)
 
-    def hfact(a, m, kind):
-        return U.factorial_element(h, a, m, kind)
+    def hfact(a, m):  # the rising factorial h_a^<m>; the falling h_a^[m] is hfact(a - m + 1, m)
+        return U.factorial_element(h, a, m)
 
     for alpha in alphas:
         for i in range(1, n + 1):
@@ -297,17 +297,17 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
             N = pairing(rm.d0, alpha) / r
             for a in shifts:
                 for m in range(4):
-                    ok = x * hfact(a, m, "falling") == hfact(a - N, m, "falling") * x
+                    ok = x * hfact(a - m + 1, m) == hfact(a - N - m + 1, m) * x
                     col.record("generator-past-falling-factorial", ok, x)
-                    ok = x * hfact(a, m, "rising") == hfact(a - N, m, "rising") * x
+                    ok = x * hfact(a, m) == hfact(a - N, m) * x
                     col.record("generator-past-rising-factorial", ok, x)
     for a in shifts:
         for k in range(4):
             ek = U.power(e, k)
             for m in range(4):
-                ok = ek * hfact(a, m, "falling") == hfact(a - k, m, "falling") * ek
+                ok = ek * hfact(a - m + 1, m) == hfact(a - k - m + 1, m) * ek
                 col.record("e-power-past-falling-factorial", ok, f"a={a} k={k} m={m}")
-                ok = ek * hfact(a, m, "rising") == hfact(a - k, m, "rising") * ek
+                ok = ek * hfact(a, m) == hfact(a - k, m) * ek
                 col.record("e-power-past-rising-factorial", ok, f"a={a} k={k} m={m}")
 
     # straightening a generator past powers of another, and the iterated-ad form
@@ -342,11 +342,11 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
     # primitive falling-factorial coproduct with shifts
     for rr in range(7):
         for s in (-2, -1, 0, 1, 2):
-            lhs = U.coproduct0(hfact(0, rr, "falling"))
+            lhs = U.coproduct0(hfact(1 - rr, rr))
             rhs = TensorElement(U, 2, {})
             for i in range(rr + 1):
                 rhs = rhs + TensorElement.of(
-                    hfact(-s, i, "falling"), hfact(s, rr - i, "falling")
+                    hfact(1 - s - i, i), hfact(1 + s - rr + i, rr - i)
                 ).scale_int(binom_int(rr, i))
             col.record("falling-factorial-coproduct", lhs == rhs, f"r={rr} s={s}")
 
@@ -475,7 +475,8 @@ def check_twist_laws(cfg) -> CheckReport:
 
 
 def check_hopf_axioms(hopf: QuantizedHopf) -> CheckReport:
-    """Coassociativity, counit and antipode laws on generators and pair products."""
+    """Coassociativity, counit and antipode laws on generators and pair products, and the
+    (anti-)multiplicativity of Delta and S on g_j g_i for j > i, which straightens."""
     col = _Collector()
     U = hopf.uea
     gens = U.alg.basis()
@@ -499,11 +500,11 @@ def check_hopf_axioms(hopf: QuantizedHopf) -> CheckReport:
         deltas[b] = laws(x, "generators")
     for ii in range(len(gens)):
         for jj in range(ii, len(gens)):
-            x = gen_elems[ii] * gen_elems[jj]
-            dx = laws(x, "products")
-            col.record("coproduct-multiplicative", dx == deltas[gens[ii]] * deltas[gens[jj]], x)
-            sx = U.mul(hopf.antipode(gen_elems[jj]), hopf.antipode(gen_elems[ii]))
-            col.record("antipode-anti-multiplicative", hopf.antipode(x) == sx, x)
+            laws(gen_elems[ii] * gen_elems[jj], "products")
+            y = gen_elems[jj] * gen_elems[ii]
+            col.record("coproduct-multiplicative", hopf.delta(y) == deltas[gens[jj]] * deltas[gens[ii]], y)
+            sy = U.mul(hopf.antipode(gen_elems[ii]), hopf.antipode(gen_elems[jj]))
+            col.record("antipode-anti-multiplicative", hopf.antipode(y) == sy, y)
     cfgdict = {
         "p": getattr(U.alg, "p", None),
         "n": U.alg.n,
@@ -606,13 +607,13 @@ def check_restricted_structure(cfg: ModularConfig) -> CheckReport:
     one = U.one()
 
     for d, direction in enumerate(hopf.directions):
-        col.record("line-p-th-power-is-one", hopf.one_minus_et_power(d, p) == one, f"dir={d}")
+        col.record("line-p-th-power-is-one", U.power(hopf.one_minus_et_power(d, 1), p) == one, f"dir={d}")
         # (1 - et) sum_{j<p} (et)^j = 1 - e^p t^p = 1, since e^p = 0 in u(W(n;1))
         inverse = hopf.one_minus_et_power(d, -1) * hopf.one_minus_et_power(d, 1)
         col.record("truncated-geometric-inverse", inverse == one, f"dir={d}")
         for a in (0, 1, 2):
             for ell in (p, p + 1):
-                vanished = U.factorial_element(direction.h, a, ell, "rising")
+                vanished = U.factorial_element(direction.h, a, ell)
                 col.record("rising-factorial-vanishes-at-p", not vanished, f"dir={d} a={a} l={ell}")
 
     gens = alg.basis()

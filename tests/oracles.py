@@ -36,7 +36,12 @@ closed rules instead: each factor b^e splits binomially under Delta0; S0
 reverses the word, negates each symbol and straightens by
 ``rewrite_normalize``; and the twistors are products over the directions of
 the series whose S0 images were worked out by hand (S0 of a rising factorial
-is a signed falling factorial).
+is a signed falling factorial), each falling factorial formed as its own
+product rather than through ``EnvelopingAlgebra.factorial_element``.
+
+``one_minus_et_by_powers`` is the reference (1 - e t)^m: a power of 1 - e t,
+or for m < 0 of the truncated geometric series, where the package sums the
+binomial series sum_j C(m, j) (-e t)^j.
 """
 from __future__ import annotations
 
@@ -167,7 +172,7 @@ def series_twistors(hopf, a) -> tuple:
         u_a: sum_{r<cap} (-1)^r/r! (h_d - a)^[r] e_d^r t^r,
         v_a: sum_{r<cap}      1/r! (h_d + a)^[r] e_d^r t^r,
 
-    with ^[r] the falling factorial."""
+    with ^[r] the falling factorial (h + s)^[r] = prod_{j<r} (h + s - j)."""
     uea, ring = hopf.uea, hopf.uea.ring
 
     def series(direction, shift, sign):
@@ -175,7 +180,9 @@ def series_twistors(hopf, a) -> tuple:
         for r in range(hopf.cap):
             c = ring.mul(ring.mul(inverse_factorial(ring, r), ring.from_int(sign**r)), ring.t_power(r))
             if c:
-                term = uea.factorial_element(direction.h, shift, r, "falling") * uea.power(direction.e, r)
+                term = uea.power(direction.e, r)
+                for j in range(r):
+                    term = (direction.h + uea.scalar(ring.from_fraction(shift - j))) * term
                 out = out + term.scale(c)
         return out
 
@@ -184,6 +191,19 @@ def series_twistors(hopf, a) -> tuple:
         u = u * series(direction, -a, -1)
         v = v * series(direction, a, 1)
     return u, v
+
+
+def one_minus_et_by_powers(hopf, d: int, m: int) -> UEAElement:
+    """(1 - e_d t)^m as the |m|-th power of 1 - e_d t, or for m < 0 of its inverse, the
+    truncated geometric series sum_{j<cap} (e_d t)^j."""
+    uea, ring, e = hopf.uea, hopf.uea.ring, hopf.directions[d].e
+    if m >= 0:
+        base = uea.one() - e.scale(ring.t_power(1))
+    else:
+        base = uea.zero()
+        for j in range(hopf.cap):
+            base = base + uea.power(e, j).scale(ring.t_power(j))
+    return uea.power(base, abs(m))
 
 
 def _trimmed(coeffs) -> tuple:

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from oracles import series_twistors
+from oracles import one_minus_et_by_powers, series_twistors
 
 from wittquant.liealg import RMatrixData
 from wittquant.twist import (
@@ -52,7 +52,7 @@ def test_build_twist_modular_series_example():
     h = H.directions[0][1]
     e = H.directions[0][2]
     tw = H.build_twist(0)
-    h2 = U.factorial_element(h, 0, 2, "falling")
+    h2 = U.factorial_element(h, -1, 2)
     want = (
         TensorElement.unit(U)
         + TensorElement.of(h, e).scale(ring.mul(ring.from_int(-1), ring.t_power(1)))
@@ -102,7 +102,7 @@ def test_antipode_twistors_examples():
     U, ring = H.uea, H.uea.ring
     h, e = H.directions[0][1], H.directions[0][2]
     pair = H.antipode_twistors(0)
-    h2 = U.factorial_element(h, 0, 2, "falling")
+    h2 = U.factorial_element(h, -1, 2)
     want_v = (
         U.one()
         + (h * e).scale(ring.t_power(1))
@@ -291,33 +291,29 @@ def test_one_minus_et_power_examples():
     assert H.one_minus_et_power(0, -3) == U.one()
 
 
-def _binomial_series(H, m):
-    """(1-et)^m as the generalized binomial series sum_{j<cap} binom(m, j) (-et)^j."""
-    from wittquant.rings import binom_int
-
-    U, ring = H.uea, H.uea.ring
-    e = H.directions[0][2]
-    want = U.zero()
-    for j in range(H.cap):
-        c = binom_int(m, j) * (-1) ** j
-        want = want + U.power(e, j).scale(ring.mul(ring.from_int(c), ring.t_power(j)))
-    return want
+def _one_minus_et_contexts():
+    """(context, direction index) pairs on which (1 - et)^m is compared with the power route."""
+    yield from ((modular(3, 1, (1,), q=q), 0) for q in (0, 1))
+    yield modular(5, 1, (1,), q=1), 0
+    H = modular(3, 2, (1, 1), q=1)
+    yield from ((H, d) for d in (0, 1))
+    yield modular_unrestricted(3, 1, (1,), 3), 0
+    yield integral_eta((1,), 1, 5), 0
+    yield char0_general(RMatrixData((1, 1), (0, 1), (2, 0)), cap=4), 0
 
 
 def test_one_minus_et_negative_powers_match_binomial_series():
-    # independent route: (1-et)^m as the generalized binomial series
-    for make in (lambda: modular(3, 1, (1,)), lambda: integral_eta((1,), 1, cap=5)):
-        H = make()
-        for m in range(-4, 0):
-            assert H.one_minus_et_power(0, m) == _binomial_series(H, m), m
+    # independent route: the |m|-th power of the truncated geometric series
+    for H, d in _one_minus_et_contexts():
+        for m in range(-2 * H.cap, 0):
+            assert H.one_minus_et_power(d, m) == one_minus_et_by_powers(H, d, m), (H.name, d, m)
 
 
 def test_one_minus_et_nonnegative_powers_match_binomial_sum():
-    # (1-et)^m is formed as a power of 1 - et; the binomial sum is the independent route
-    for make in (lambda: modular(3, 1, (1,), q=1), lambda: integral_eta((1,), 1, cap=5)):
-        H = make()
-        for m in range(0, 7):
-            assert H.one_minus_et_power(0, m) == _binomial_series(H, m), m
+    # independent route: the m-th power of 1 - et
+    for H, d in _one_minus_et_contexts():
+        for m in range(0, 2 * H.cap + 1):
+            assert H.one_minus_et_power(d, m) == one_minus_et_by_powers(H, d, m), (H.name, d, m)
 
 
 # -- closed forms ------------------------------------------------------------------------------
@@ -343,7 +339,7 @@ def test_quantized_antipode_modular_examples():
     H = modular(3, 2, (1, 0))
     U, alg, ring = H.uea, H.uea.alg, H.uea.ring
     e = H.directions[0][2]
-    h1 = U.factorial_element(H.directions[0][1], 1, 1, "rising")
+    h1 = U.factorial_element(H.directions[0][1], 1, 1)
     for i in (1, 2):
         eps_i = tuple(1 if j == i - 1 else 0 for j in range(2))
         bd = alg.basis_symbol(eps_i, i)

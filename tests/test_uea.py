@@ -326,7 +326,7 @@ def test_coproduct0_examples():
     assert U.coproduct0(H) == TensorElement.of(H, U.one()) + TensorElement.of(U.one(), H)
     assert U.coproduct0(U.one()) == TensorElement.unit(U)
 
-    h2 = U.factorial_element(H, 0, 2, "falling")  # h(h-1)
+    h2 = U.factorial_element(H, -1, 2)  # h(h-1)
     want = (
         TensorElement.of(h2, U.one())
         + TensorElement.of(H, H).scale_int(2)
@@ -429,11 +429,11 @@ def test_falling_factorial_coproduct_binomial_expansion(which):
         H = U.gen(U.alg.basis_symbol((0,), 1))
     for r in range(0, 7):
         for s in (-2, -1, 0, 1, 2):
-            lhs = U.coproduct0(U.factorial_element(H, 0, r, "falling"))
+            lhs = U.coproduct0(U.factorial_element(H, 1 - r, r))
             rhs = TensorElement(U, 2, {})
             for i in range(r + 1):
-                a = U.factorial_element(H, -s, i, "falling")
-                b = U.factorial_element(H, s, r - i, "falling")
+                a = U.factorial_element(H, 1 - s - i, i)
+                b = U.factorial_element(H, 1 + s - r + i, r - i)
                 rhs = rhs + TensorElement.of(a, b).scale_int(binom_int(r, i))
             assert lhs == rhs, (r, s)
 
@@ -442,10 +442,10 @@ def test_factorial_element_examples():
     U = uw_plus()
     h, _ = basic_pair(U.alg, QQ, 1)
     H = U.lift(h)
-    assert U.factorial_element(H, 0, 2, "falling") == H * H - H
-    assert U.factorial_element(H, 1, 1, "rising") == H + U.one()
-    assert U.factorial_element(H, Fraction(7, 2), 0, "rising") == U.one()
-    assert U.factorial_element(H, Fraction(7, 2), 0, "falling") == U.one()
+    assert U.factorial_element(H, -1, 2) == H * H - H
+    assert U.factorial_element(H, 1, 1) == H + U.one()
+    assert U.factorial_element(H, Fraction(7, 2), 0) == U.one()
+    assert U.factorial_element(H, Fraction(9, 2), 0) == U.one()
 
 
 def test_ad_divided_power_basics():
@@ -462,10 +462,8 @@ def test_ad_divided_power_basics():
 def test_derived_elements_reject_bad_arguments():
     U = uw_plus()
     H = U.lift(basic_pair(U.alg, QQ, 1)[0])
-    with pytest.raises(ValueError, match="kind must be 'rising' or 'falling'"):
-        U.factorial_element(H, 0, 2, "upward")
     with pytest.raises(ValueError, match="r must be nonnegative"):
-        U.factorial_element(H, 0, -1, "rising")
+        U.factorial_element(H, 0, -1)
     with pytest.raises(ValueError, match="ell must be nonnegative"):
         U.ad_divided_power(H, -1, H)
     with pytest.raises(ValueError, match="negative powers are not defined here"):

@@ -196,6 +196,25 @@ def test_hopf_reduction_and_dims_run_every_check():
     assert names(structural) == DIMS_PAIR_CHECK_NAMES | {"restricted-basis-count", "pbw-exponent-bound"}
 
 
+def test_hopf_multiplicativity_checks_see_a_broken_closed_form(monkeypatch):
+    # g (x) g added to every closed-form coproduct and g * g to every closed-form antipode
+    delta_form, antipode_form = QuantizedHopf._delta_closed_form, QuantizedHopf._antipode_closed_form
+
+    def delta_broken(self, bd):
+        g = self.uea.gen(bd)
+        return delta_form(self, bd) + TensorElement.of(g, g)
+
+    def antipode_broken(self, bd):
+        g = self.uea.gen(bd)
+        return antipode_form(self, bd) + g * g
+
+    monkeypatch.setattr(QuantizedHopf, "_delta_closed_form", delta_broken)
+    monkeypatch.setattr(QuantizedHopf, "_antipode_closed_form", antipode_broken)
+    rows = {c.name: c.status for c in check_hopf_axioms(modular(3, 1, (1,), q=1)).checks}
+    assert rows["coproduct-multiplicative"] == "fail"
+    assert rows["antipode-anti-multiplicative"] == "fail"
+
+
 def test_dimensions_small_and_structural():
     rep = check_dimensions_radford(ModularConfig(3, 1, (1,)))
     assert rep.passed
