@@ -304,6 +304,7 @@ class QuantizedHopf:
 
     def counit(self, x: UEAElement):
         """The deformed counit, which is eps0: the coefficient of the empty monomial."""
+        self.uea._check(x)
         return x.terms.get((), self.uea.ring.zero)
 
     # -- twists and twistors --------------------------------------------------------------

@@ -40,13 +40,16 @@ the word-rewriting straightener (one adjacent swap at a time) as the
 reference the test suite compares against.
 
 Tensor powers of the algebra (used for coproducts and twists) share the same
-monomial keys, one per slot.  Tensors multiply slot by slot.  A pair of terms
-is first tested on its ring coefficient product, which vanishes under
-truncation in a series ring; then its slot products are formed as integer
-combinations of monomials, and the coefficient is rescaled only for the terms
-they keep.  A vanishing slot product (b^p = 0 off the torus in u(W(n;1)))
-drops the pair, so its remaining slots are never multiplied.  Powers grow on
-the left one factor at a time, as the ``mono_mul`` rows do; ``delta_mono`` grows on the right.
+monomial keys, one per slot.  A tensor product factors through the first slot,
+by bilinearity over the commutative ring: (a1 (x) r1)(a2 (x) r2) = a1 a2 (x)
+r1 r2.  Each pair of first-slot monomials is multiplied once and, when that
+product vanishes (b^p = 0 off the torus in u(W(n;1))), dropped with all its
+terms; the rests multiply the same way, and the last slot is the element
+product, which tests each pair's ring coefficient product first (it vanishes
+under truncation in a series ring).  Monomial products have integer
+coefficients, so a ring value is rescaled only by an integer other than 1.
+Powers grow on the left one factor at a time, as the ``mono_mul`` rows do;
+``delta_mono`` grows on the right.
 
 Each structure map is given on PBW monomials and extended linearly by the
 tensor slot maps over the one-slot view ``TensorElement.of(x)``: the coproducts
@@ -273,15 +276,39 @@ class EnvelopingAlgebra:
     def mul(self, x: "UEAElement", y: "UEAElement") -> "UEAElement":
         self._check(x)
         self._check(y)
+        return UEAElement(self, self._product(x.terms, y.terms))
+
+    def _product(self, x: dict, y: dict) -> dict:
+        """The product kernel on dicts mono -> ring value: each pair of terms with a
+        nonzero coefficient product, times the product of its monomials."""
         rmul, rint, mono_mul = self.ring.mul, self.ring.from_int, self.mono_mul
         pairs = (
             (m, c if k == 1 else rmul(c, rint(k)))
-            for m1, c1 in x.terms.items()
-            for m2, c2 in y.terms.items()
+            for m1, c1 in x.items()
+            for m2, c2 in y.items()
             if (c := rmul(c1, c2))
             for m, k in mono_mul(m1, m2).items()
         )
-        return UEAElement(self, accumulate(self.ring.add, {}, pairs))
+        return accumulate(self.ring.add, {}, pairs)
+
+    def _tensor_product(self, x: dict, y: dict, arity: int) -> dict:
+        """The product of two tensors of arity >= 2 nested by slot (``_nest``): dict key -> value.
+        Each pair of first-slot monomials is multiplied once; unless that vanishes, the rests
+        multiply (the last slot by ``_product``) and scatter over it with its integer rescale."""
+        rmul, rint, mono_mul = self.ring.mul, self.ring.from_int, self.mono_mul
+
+        def pairs():
+            for a1, x1 in x.items():
+                for a2, y1 in y.items():
+                    first = mono_mul(a1, a2)
+                    if not first:
+                        continue
+                    rest = self._product(x1, y1) if arity == 2 else self._tensor_product(x1, y1, arity - 1)
+                    for m, k in first.items():
+                        for r, c in rest.items():
+                            yield (m, r) if arity == 2 else (m,) + r, c if k == 1 else rmul(c, rint(k))
+
+        return accumulate(self.ring.add, {}, pairs())
 
     def power(self, x: "UEAElement", k: int) -> "UEAElement":
         return _power(x, k, self.one(), self.mul)
@@ -386,6 +413,17 @@ class UEAElement(SparseElement):
             return f"UEAElement({self.terms!r})"
 
 
+def _nest(terms: dict) -> dict:
+    """Tensor terms nested slot by slot: first monomial -> ... -> last monomial -> value."""
+    out: dict = {}
+    for key, c in terms.items():
+        node = out
+        for m in key[:-1]:
+            node = node.setdefault(m, {})
+        node[key[-1]] = c
+    return out
+
+
 class TensorElement(SparseElement):
     """A sparse element of the arity-fold tensor power of the algebra.
 
@@ -413,8 +451,12 @@ class TensorElement(SparseElement):
 
     @classmethod
     def of(cls, *factors: UEAElement):
-        """The pure tensor x1 (x) x2 (x) ... of enveloping-algebra elements."""
+        """The pure tensor x1 (x) x2 (x) ... of elements of one enveloping algebra."""
+        if not factors:
+            raise ValueError("a pure tensor needs at least one factor")
         uea = factors[0].uea
+        for f in factors:
+            uea._check(f)
         ring = uea.ring
         rmul = ring.mul
         keys = [((), ring.one)]
@@ -423,34 +465,14 @@ class TensorElement(SparseElement):
         return cls(uea, len(factors), accumulate(ring.add, {}, keys))
 
     def __mul__(self, other):
-        """Slotwise product.  A pair of terms is dropped when its coefficient
-        product vanishes; otherwise its slots are multiplied in turn, and the
-        pair is dropped at its first vanishing slot product."""
+        """Slotwise product, factored through the first slot (``EnvelopingAlgebra._tensor_product``);
+        a tensor of arity 0 or 1 gains unit slots on the right for it, stripped from the result."""
         self._same(other)
-        uea = self.uea
-        rmul, rint, mono_mul = uea.ring.mul, uea.ring.from_int, uea.mono_mul
-        slots = range(self.arity)
-
-        def products():
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    c = rmul(c1, c2)
-                    if not c:
-                        continue
-                    factors = []
-                    for s in slots:
-                        prod = mono_mul(k1[s], k2[s])
-                        if not prod:
-                            break
-                        factors.append(prod.items())
-                    else:
-                        for combo in itertools.product(*factors):
-                            k = 1
-                            for _, ki in combo:
-                                k *= ki
-                            yield tuple(m for m, _ in combo), c if k == 1 else rmul(c, rint(k))
-
-        return self._like(accumulate(uea.ring.add, {}, products()))
+        arity = self.arity
+        if arity >= 2:
+            return self._like(self.uea._tensor_product(_nest(self.terms), _nest(other.terms), arity))
+        x, y = (_nest(z.pad(right=2 - arity).terms) for z in (self, other))
+        return self._like({key[:arity]: c for key, c in self.uea._tensor_product(x, y, 2).items()})
 
     def __pow__(self, k: int):
         return _power(self, k, TensorElement.unit(self.uea, self.arity), operator.mul)

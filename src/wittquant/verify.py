@@ -288,6 +288,7 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
     shifts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
     alphas = _sample_alphas(rng, n, 5 if n == 1 else 8)
 
+    @functools.cache  # one memo per suite call: the laws below ask for the same few factorials many times
     def hfact(a, m):  # the rising factorial h_a^<m>; the falling h_a^[m] is hfact(a - m + 1, m)
         return U.factorial_element(h, a, m)
 

@@ -464,7 +464,7 @@ def test_char0_rejects_non_integral_exponent():
 def test_extensions_reject_an_element_of_another_context():
     H, other = modular(3, 1, (1,)), modular(3, 1, (1,)).uea
     x = other.gen(other.alg.basis_symbol((1,), 1))
-    for extension in (H.delta, H.antipode):
+    for extension in (H.delta, H.antipode, H.counit):
         with pytest.raises(ValueError, match="not an element of this enveloping algebra"):
             extension(x)
 

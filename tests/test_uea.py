@@ -1,3 +1,4 @@
+import collections
 import copy
 import gc
 import itertools
@@ -27,7 +28,7 @@ from wittquant.liealg import (
     WPlusAlgebra,
     basic_pair,
 )
-from wittquant.rings import QQ, binom_int, gf, t_quotient, t_series
+from wittquant.rings import QQ, accumulate, binom_int, gf, t_quotient, t_series
 from wittquant import verify
 from wittquant.twist import modular
 from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement, monomial
@@ -622,8 +623,9 @@ def _tensor_uea(kind):
     if kind == "U(W(1)) t_series(QQ,4)":
         U = EnvelopingAlgebra(WittAlgebra(1), t_series(QQ, 4))
         return U, [U.alg.basis_symbol((a,), 1) for a in range(-2, 3)]
-    if kind == "U(W(1;1)) t_series(GF(5),3)":
-        U = EnvelopingAlgebra(JacobsonWitt(1, 5), t_series(gf(5), 3))
+    if kind.startswith("U(W(1;1)) t_series(GF("):  # "U(W(1;1)) t_series(GF(<p>),3)", p = 3 or 5
+        p = 5 if "GF(5)" in kind else 3
+        U = EnvelopingAlgebra(JacobsonWitt(1, p), t_series(gf(p), 3))
         return U, U.alg.basis()
     q = int(kind[-1])  # "u(W(2;1)) p=3 q=<q>"
     U = EnvelopingAlgebra(JacobsonWitt(2, 3), t_quotient(3, q), restricted=True)
@@ -645,6 +647,21 @@ def _random_tensor(U, rng, pool, arity, nterms=4):
     return TensorElement(U, arity, {k: c for k, c in terms.items() if c})
 
 
+def _with_first_slots(x, shape, pool):
+    """x with the first slots of its keys rewritten: all one monomial ("one group"), one
+    symbol each ("distinct"), or alternately b and b^2 for a symbol b whose p-th power
+    vanishes in a restricted algebra ("powers"), so that first-slot products die."""
+    U = x.uea
+    b = next(b for b in pool if not U.restricted or not U.fold_exponent(b, U.alg.p))
+    firsts = {
+        "one group": itertools.repeat(monomial(((pool[-1], 1),))),
+        "distinct": (monomial(((g, 1),)) for g in pool),
+        "powers": (monomial(((b, 1 + i % 2),)) for i in itertools.count()),
+    }[shape]
+    terms = (((f,) + key[1:], c) for f, (key, c) in zip(firsts, x.terms.items()))
+    return x._like(accumulate(U.ring.add, {}, terms))
+
+
 @pytest.mark.parametrize(
     "kind,seed",
     [
@@ -652,27 +669,72 @@ def _random_tensor(U, rng, pool, arity, nterms=4):
         ("u(W(2;1)) p=3 q=1", 82),
         ("U(W(1)) t_series(QQ,4)", 83),
         ("U(W(1;1)) t_series(GF(5),3)", 84),
+        ("U(W(1;1)) t_series(GF(3),3)", 85),
     ],
 )
 def test_tensor_kernels_match_the_pairwise_oracles(kind, seed):
-    # the product drops a pair at its first vanishing slot product and
-    # multiply_out merges slots pairwise; the oracles expand every pair and key in full
+    # the product factors through the first slot and multiply_out merges slots
+    # pairwise; the oracles expand every pair and key in full
     U, pool = _tensor_uea(kind)
     rng = random.Random(seed)
     rmul = U.ring.mul
-    dead_coeffs = dead_slots = 0
+    dead_coeffs = dead_firsts = 0
     for arity in range(4):
-        for _ in range(12):
-            x, y = (_random_tensor(U, rng, pool, arity) for _ in range(2))
-            assert x * y == pairwise_tensor_product(x, y), (x, y)
-            assert x.multiply_out() == keywise_multiply_out(x), x
-            for (k1, c1), (k2, c2) in itertools.product(x.terms.items(), y.terms.items()):
-                dead_coeffs += not rmul(c1, c2)
-                dead_slots += not all(U.mono_mul(a, b) for a, b in zip(k1, k2))
-    # the samples reach both early exits: a coefficient product that vanishes,
-    # and, in the restricted algebra, a slot product that does
+        for shape in ("random", "one group", "distinct", "powers"):
+            for _ in range(6):
+                x, y = (_random_tensor(U, rng, pool, arity) for _ in range(2))
+                if arity and shape != "random":
+                    x, y = (_with_first_slots(z, shape, pool) for z in (x, y))
+                assert x * y == pairwise_tensor_product(x, y), (x, y)
+                assert x.multiply_out() == keywise_multiply_out(x), x
+                dead_coeffs += sum(not rmul(c1, c2) for c1 in x.terms.values() for c2 in y.terms.values())
+                firsts = [{key[0] for key in z.terms} for z in (x, y)] if arity else [(), ()]
+                dead_firsts += sum(not U.mono_mul(a1, a2) for a1 in firsts[0] for a2 in firsts[1])
+    # the samples reach both ways a pair of terms drops out: a coefficient product
+    # that vanishes, and, in the restricted algebra, a first-slot product that does
     assert dead_coeffs
-    assert dead_slots or not U.restricted
+    assert dead_firsts or not U.restricted
+
+
+def test_tensor_product_forms_each_first_slot_product_once():
+    U = EnvelopingAlgebra(JacobsonWitt(2, 3), t_quotient(3, 1), restricted=True)
+    pool = U.alg.basis()
+    rng = random.Random(86)
+    # first slots from three symbols, last slots from the others, so that the two
+    # slots' monomial products are told apart by their factors
+    firsts, lasts = pool[:3], pool[3:]
+    calls = collections.Counter()
+    mono_mul = U.mono_mul
+
+    def counting(m1, m2):
+        calls[m1, m2] += 1
+        return mono_mul(m1, m2)
+
+    def tensor():
+        # no empty monomials, which both slots could hold
+        first = lambda: monomial(((rng.choice(firsts), rng.randint(1, 2)),))
+        last = lambda: _random_mono(U, rng, lasts, 3) or monomial(((lasts[0], 1),))
+        keys = ((first(), last()) for _ in range(12))
+        return TensorElement(U, 2, {key: U.ring.t_power(rng.randrange(2)) for key in keys})
+
+    x, y = tensor(), tensor()
+    groups = [{key[0] for key in z.terms} for z in (x, y)]
+    assert len(groups[0]) < len(x.terms) and len(groups[1]) < len(y.terms)  # some groups hold several terms
+    expected = pairwise_tensor_product(x, y)
+    U.mono_mul = counting
+    assert x * y == expected
+    first_slot_calls = {pair: k for pair, k in calls.items() if pair[0] in groups[0] and pair[1] in groups[1]}
+    assert first_slot_calls == {(a1, a2): 1 for a1 in groups[0] for a2 in groups[1]}
+
+
+def test_pure_tensor_needs_factors_of_one_algebra():
+    U3, U5 = (EnvelopingAlgebra(JacobsonWitt(1, p), gf(p), restricted=True) for p in (3, 5))
+    x3, x5 = (U.gen(U.alg.basis_symbol((1,), 1)) for U in (U3, U5))
+    assert TensorElement.of(x3, x3).uea is U3
+    with pytest.raises(ValueError, match="not an element of this enveloping algebra"):
+        TensorElement.of(x3, x5)
+    with pytest.raises(ValueError, match="at least one factor"):
+        TensorElement.of()
 
 
 def test_tensor_kernels_at_arity_zero_and_one():
