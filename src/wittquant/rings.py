@@ -30,6 +30,18 @@ immutable, so sharing a cached result is safe and fill order changes nothing.
 Series rings are not memoized: over QQ they are infinite, and a memo would
 grow with every new value, costing more memory than it saves time.
 
+Every descriptor states its truncation as ``keep``: the series cap, below
+which a product forms every degree and at or above which it forms none, and
+None for QQ, GF(p) and the quotient ring, which drop no degree (the quotient
+folds t^p = q t down).  The t-rings also give ``order(v)``, the lowest degree
+with a nonzero coefficient of a nonzero value.  In a series ring order(ab) >=
+order(a) + order(b), so a product of two values whose orders sum to ``keep``
+or more is zero, and the kernels of :mod:`wittquant.uea` skip such a pair
+before any product is formed.  That reads the order of each operand once per
+kernel call instead of remembering products, so it holds no memory and needs
+no lookup; over an integral domain (QQ, GF(p)) the skipped pairs are exactly
+the products that vanish.
+
 ``SparseElement`` is the one sparse-combination core (dict key -> nonzero ring
 value) under Lie, enveloping-algebra and tensor elements, and ``accumulate``
 the one place such a dict is summed into.
@@ -119,6 +131,7 @@ class RationalField:
     """
 
     char = 0
+    keep = None
     zero = 0
     one = 1
 
@@ -145,6 +158,8 @@ QQ = RationalField()
 
 class PrimeField:
     """GF(p) for an odd prime p; values are ints in [0, p)."""
+
+    keep = None
 
     def __init__(self, p: int):
         _check_odd_prime(p)
@@ -227,6 +242,13 @@ class _TRingBase:
     def t_power(self, r: int):
         """The value t^r, reduced; a negative r raises ValueError."""
         raise NotImplementedError
+
+    def order(self, v) -> int:
+        """The lowest t-degree with a nonzero coefficient in a nonzero value."""
+        for d, c in enumerate(v):
+            if c:
+                return d
+        raise ValueError("the zero value has no order")
 
     def t_terms(self, v) -> list:
         """Sparse view [(degree, base scalar), ...] of a value."""
@@ -339,9 +361,15 @@ def t_series(base, cap: int) -> TSeriesRing:
     return TSeriesRing(base, cap)
 
 
-@lru_cache(maxsize=None)
 def t_quotient(p: int, q: int) -> TQuotientRing:
-    return TQuotientRing(p, q % p)
+    """The one descriptor of GF(p)[t]/(t^p - q t); every q of one residue mod p names it."""
+    gf(p)  # validates the prime before q is reduced mod it
+    return _t_quotient(p, q % p)
+
+
+@lru_cache(maxsize=None)
+def _t_quotient(p: int, q: int) -> TQuotientRing:
+    return TQuotientRing(p, q)
 
 
 # -- sparse combinations over a ring ----------------------------------------------------

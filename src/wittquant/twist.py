@@ -262,11 +262,13 @@ class QuantizedHopf:
         return out
 
     def antipode_basis(self, bd: BasisDeriv) -> UEAElement:
-        """The deformed antipode of a basis symbol, in closed form."""
+        """The deformed antipode of a basis symbol, in closed form; a symbol the algebra
+        rejects raises ValueError and leaves no memo entry."""
         return self._memo(("antipode_basis", bd), lambda: self._antipode_closed_form(bd))
 
     def _antipode_closed_form(self, bd: BasisDeriv) -> UEAElement:
         uea = self.uea
+        uea.alg.validate(bd)
         pre = uea.one()
         for d, direction in enumerate(self.directions):
             pre = pre * self.one_minus_et_power(d, -direction.exponent(bd))

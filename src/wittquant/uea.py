@@ -45,9 +45,13 @@ by bilinearity over the commutative ring: (a1 (x) r1)(a2 (x) r2) = a1 a2 (x)
 r1 r2.  Each pair of first-slot monomials is multiplied once and, when that
 product vanishes (b^p = 0 off the torus in u(W(n;1))), dropped with all its
 terms; the rests multiply the same way, and the last slot is the element
-product, which tests each pair's ring coefficient product first (it vanishes
-under truncation in a series ring).  Monomial products have integer
-coefficients, so a ring value is rescaled only by an integer other than 1.
+product, which drops a pair of terms whose ring coefficient product is zero.
+In a series ring both kernels first drop the pairs that the truncation kills
+(``_blocks``): a pair of terms, or of first-slot groups, whose lowest t-orders
+sum to the ring's ``keep`` or more is never multiplied, neither its
+coefficients nor its monomials.  A ring that drops no degree pays no per-pair
+test for this.  Monomial products have integer coefficients, so a ring value
+is rescaled only by an integer other than 1.
 Powers grow on the left one factor at a time, as the ``mono_mul`` rows do;
 ``delta_mono`` grows on the right.
 
@@ -279,13 +283,17 @@ class EnvelopingAlgebra:
         return UEAElement(self, self._product(x.terms, y.terms))
 
     def _product(self, x: dict, y: dict) -> dict:
-        """The product kernel on dicts mono -> ring value: each pair of terms with a
-        nonzero coefficient product, times the product of its monomials."""
+        """The product kernel on dicts mono -> ring value: each pair of terms with a nonzero
+        coefficient product, times the product of its monomials.  A series ring never
+        multiplies a pair of terms that its truncation kills (``_blocks``); a ring that drops
+        no degree runs over all pairs as one block, with no test for it."""
         rmul, rint, mono_mul = self.ring.mul, self.ring.from_int, self.mono_mul
+        blocks = ((x.items(), y.items()),) if self.ring.keep is None else self._blocks(x, y, 0)
         pairs = (
             (m, c if k == 1 else rmul(c, rint(k)))
-            for m1, c1 in x.items()
-            for m2, c2 in y.items()
+            for xs, ys in blocks
+            for m1, c1 in xs
+            for m2, c2 in ys
             if (c := rmul(c1, c2))
             for m, k in mono_mul(m1, m2).items()
         )
@@ -293,22 +301,43 @@ class EnvelopingAlgebra:
 
     def _tensor_product(self, x: dict, y: dict, arity: int) -> dict:
         """The product of two tensors of arity >= 2 nested by slot (``_nest``): dict key -> value.
-        Each pair of first-slot monomials is multiplied once; unless that vanishes, the rests
-        multiply (the last slot by ``_product``) and scatter over it with its integer rescale."""
+        Each pair of first-slot groups, less those that a series ring's truncation kills
+        (``_blocks``, by the lowest order in each group), multiplies its first-slot monomials
+        once; unless that vanishes, the rests multiply (the last slot by ``_product``) and
+        scatter over it with its integer rescale."""
         rmul, rint, mono_mul = self.ring.mul, self.ring.from_int, self.mono_mul
+        blocks = ((x.items(), y.items()),) if self.ring.keep is None else self._blocks(x, y, arity - 1)
 
         def pairs():
-            for a1, x1 in x.items():
-                for a2, y1 in y.items():
-                    first = mono_mul(a1, a2)
-                    if not first:
-                        continue
-                    rest = self._product(x1, y1) if arity == 2 else self._tensor_product(x1, y1, arity - 1)
-                    for m, k in first.items():
-                        for r, c in rest.items():
-                            yield (m, r) if arity == 2 else (m,) + r, c if k == 1 else rmul(c, rint(k))
+            for xs, ys in blocks:
+                for a1, x1 in xs:
+                    for a2, y1 in ys:
+                        first = mono_mul(a1, a2)
+                        if not first:
+                            continue
+                        rest = self._product(x1, y1) if arity == 2 else self._tensor_product(x1, y1, arity - 1)
+                        for m, k in first.items():
+                            for r, c in rest.items():
+                                yield (m, r) if arity == 2 else (m,) + r, c if k == 1 else rmul(c, rint(k))
 
         return accumulate(self.ring.add, {}, pairs())
+
+    def _blocks(self, x: dict, y: dict, depth: int) -> list:
+        """For a series ring: pairs (left items, right items) that hold every pair of items
+        whose coefficient products its truncation keeps, and no other pair.  An item's order
+        is the lowest order over the ring values ``depth`` nesting levels under it (``_nest``).
+        The ring forms no degree >= keep and order(ab) >= order(a) + order(b), so the left
+        items of order o meet only the right items of order below keep - o."""
+        keep, order = self.ring.keep, self.ring.order
+        low = order if not depth else lambda node: _lowest(order, node, depth)
+        rights = [[] for _ in range(keep)]
+        for item in y.items():
+            rights[low(item[1])].append(item)
+        below = list(itertools.accumulate(rights, operator.add))  # below[o]: right items of order <= o
+        lefts: dict = {}
+        for item in x.items():
+            lefts.setdefault(low(item[1]), []).append(item)
+        return [(items, below[keep - 1 - o]) for o, items in lefts.items()]
 
     def power(self, x: "UEAElement", k: int) -> "UEAElement":
         return _power(x, k, self.one(), self.mul)
@@ -411,6 +440,13 @@ class UEAElement(SparseElement):
             return f"<UEA {format_element(self)}>"
         except Exception:
             return f"UEAElement({self.terms!r})"
+
+
+def _lowest(order, node: dict, depth: int) -> int:
+    """The lowest order over the ring values ``depth`` >= 1 nesting levels under node."""
+    if depth == 1:
+        return min(map(order, node.values()))
+    return min(_lowest(order, v, depth - 1) for v in node.values())
 
 
 def _nest(terms: dict) -> dict:

@@ -135,6 +135,18 @@ def test_t_power_folding():
     assert R0.t_power(3) == ()
 
 
+@pytest.mark.parametrize("q", [4, -2])
+def test_one_quotient_descriptor_per_residue_of_q(q):
+    assert t_quotient(3, q) is t_quotient(3, 1)
+    assert t_quotient(3, q).q == 1
+
+
+@pytest.mark.parametrize("p", [0, 4, 2, -3])
+def test_quotient_ring_rejects_a_bad_prime_before_reducing_q(p):
+    with pytest.raises(ValueError):
+        t_quotient(p, 1)
+
+
 def test_tpoly_coefficients_view():
     R = t_series(QQ, 5)
     f = _tp(R, {0: Fraction(1, 2), 3: Fraction(-2)})
@@ -322,3 +334,52 @@ def test_an_int_and_an_equal_fraction_are_one_dict_key():
     summed = accumulate(QQ.add, {(Fraction(1),): Fraction(1, 2)}, [((1,), Fraction(1, 2)), ((2,), Fraction(2))])
     assert summed == {(1,): 1, (2,): 2}
     assert type(summed[1,]) is int
+
+
+# -- truncation: keep and order ---------------------------------------------------------------
+
+KEEPS = [
+    (QQ, None),
+    (gf(3), None),
+    (gf(5), None),
+    (t_quotient(3, 0), None),
+    (t_quotient(5, 2), None),
+    (t_series(QQ, 1), 1),
+    (t_series(QQ, 4), 4),
+    (t_series(gf(5), 3), 3),
+]
+
+
+@pytest.mark.parametrize("R,keep", KEEPS, ids=[repr(R) for R, _ in KEEPS])
+def test_keep_is_the_series_cap_and_none_for_every_other_ring(R, keep):
+    assert R.keep == keep
+
+
+T_RINGS = [R for R, _ in KEEPS[3:]]
+
+
+@pytest.mark.parametrize("R", T_RINGS, ids=repr)
+def test_order_is_the_lowest_t_degree_of_a_nonzero_value(R):
+    for r in range(R.cap):
+        assert R.order(R.t_power(r)) == r
+        assert R.order(R.add(R.t_power(r), R.t_power(R.cap - 1))) == r
+    assert R.order(R.from_int(2)) == R.order(R.one) == 0
+    with pytest.raises(ValueError, match="no order"):
+        R.order(R.zero)
+
+
+@st.composite
+def _nonzero_series(draw, R):
+    """A nonzero value of the series ring R: nonzero coefficients in a nonempty set of degrees."""
+    fractions = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 5))
+    nonzero = st.integers(1, R.char - 1) if R.char else fractions
+    return _tp(R, draw(st.dictionaries(st.integers(0, R.cap - 1), nonzero, min_size=1)))
+
+
+@pytest.mark.parametrize("R", [t_series(QQ, 4), t_series(gf(5), 3)], ids=repr)
+@given(data=st.data())
+def test_a_series_product_vanishes_exactly_when_the_orders_reach_keep(R, data):
+    a, b = data.draw(_nonzero_series(R)), data.draw(_nonzero_series(R))
+    assert (not R.mul(a, b)) == (R.order(a) + R.order(b) >= R.keep)
+    if R.mul(a, b):
+        assert R.order(R.mul(a, b)) == R.order(a) + R.order(b)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from oracles import one_minus_et_by_powers, series_twistors
 
-from wittquant.liealg import RMatrixData
+from wittquant.liealg import BasisDeriv, RMatrixData
 from wittquant.twist import (
     NonIntegralExponentError,
     QuantizedHopf,
@@ -467,6 +467,21 @@ def test_extensions_reject_an_element_of_another_context():
     for extension in (H.delta, H.antipode, H.counit):
         with pytest.raises(ValueError, match="not an element of this enveloping algebra"):
             extension(x)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [("jw", (5,), 1), ("witt", (1,), 1), ("jw", (1, 1), 1), ("jw", (1,), 2)],
+    ids=["exponent-out-of-range", "witt-flavor", "two-exponents", "index-2"],
+)
+def test_closed_forms_reject_a_symbol_of_another_algebra(fields):
+    H = modular(3, 1, (1,), q=1)
+    bd = BasisDeriv(*fields)
+    for closed_form in (H.antipode_basis, H.delta_basis):
+        for _ in range(2):  # a rejected symbol is not memoized
+            with pytest.raises(ValueError):
+                closed_form(bd)
+    assert not {("antipode_basis", bd), ("delta_basis", bd)} & H._memos.keys()
 
 
 # -- closed form vs conjugation --------------------------------------------------------------

@@ -28,7 +28,7 @@ from wittquant.liealg import (
     WPlusAlgebra,
     basic_pair,
 )
-from wittquant.rings import QQ, accumulate, binom_int, gf, t_quotient, t_series
+from wittquant.rings import QQ, TSeriesRing, accumulate, binom_int, gf, t_quotient, t_series
 from wittquant import verify
 from wittquant.twist import modular
 from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement, monomial
@@ -677,8 +677,8 @@ def test_tensor_kernels_match_the_pairwise_oracles(kind, seed):
     # pairwise; the oracles expand every pair and key in full
     U, pool = _tensor_uea(kind)
     rng = random.Random(seed)
-    rmul = U.ring.mul
-    dead_coeffs = dead_firsts = 0
+    rmul, keep = U.ring.mul, U.ring.keep
+    dead_coeffs = dead_firsts = skipped_groups = 0
     for arity in range(4):
         for shape in ("random", "one group", "distinct", "powers"):
             for _ in range(6):
@@ -690,10 +690,69 @@ def test_tensor_kernels_match_the_pairwise_oracles(kind, seed):
                 dead_coeffs += sum(not rmul(c1, c2) for c1 in x.terms.values() for c2 in y.terms.values())
                 firsts = [{key[0] for key in z.terms} for z in (x, y)] if arity else [(), ()]
                 dead_firsts += sum(not U.mono_mul(a1, a2) for a1 in firsts[0] for a2 in firsts[1])
-    # the samples reach both ways a pair of terms drops out: a coefficient product
-    # that vanishes, and, in the restricted algebra, a first-slot product that does
+                if keep is not None and arity:
+                    lows = [_lowest_orders(z, 0).values() for z in (x, y)]
+                    skipped_groups += sum(o1 + o2 >= keep for o1 in lows[0] for o2 in lows[1])
+    # the samples reach every way a pair of terms drops out: a coefficient product
+    # that vanishes; in the restricted algebra, a first-slot product that does; and
+    # in a series ring, a pair of first-slot groups that the truncation kills
     assert dead_coeffs
     assert dead_firsts or not U.restricted
+    assert skipped_groups or keep is None
+
+
+def _lowest_orders(x, slot: int) -> dict:
+    """Monomial -> the lowest order over the terms of x holding it in that slot."""
+    out: dict = {}
+    for key, c in x.terms.items():
+        o = x.ring.order(c)
+        out[key[slot]] = min(o, out.get(key[slot], o))
+    return out
+
+
+def test_products_skip_the_pairs_that_the_series_truncation_kills(monkeypatch):
+    # in t_series(QQ, 3), values whose orders sum to 3 or more multiply to zero: no
+    # product multiplies their coefficients, nor the monomials of a pair of slot groups
+    # whose lowest orders do
+    U = EnvelopingAlgebra(WittAlgebra(1), t_series(QQ, 3))
+    ring = U.ring
+    rng = random.Random(87)
+    # one symbol pool per slot, so that each monomial product names its slot
+    pools = [[U.alg.basis_symbol((a,), 1) for a in (2 * s - 1, 2 * s)] for s in range(3)]
+    firsts = [monomial(((b, e),)) for b in pools[0] for e in (1, 2)]
+
+    def tensor(arity):
+        # the j-th first-slot monomial sets the lowest order of its terms: 0, 1, 2 or 2
+        terms = {}
+        for j in itertools.islice(itertools.cycle(range(4)), 10):
+            rest = (monomial(((rng.choice(pool), rng.randint(1, 2)),)) for pool in pools[1:arity])
+            d = rng.choice((min(j, 2), 2))
+            c = ring.add(ring.mul(ring.from_int(rng.randint(1, 4)), ring.t_power(d)), ring.t_power(d + 1))
+            terms[(firsts[j], *rest)] = c
+        return TensorElement(U, arity, terms)
+
+    cases = [(tensor(arity), tensor(arity)) for arity in (1, 2, 3)]
+    expected = [pairwise_tensor_product(x, y) for x, y in cases]
+    order, series_mul, mono_mul = ring.order, TSeriesRing.mul, U.mono_mul
+    muls, monos = [], []
+    monkeypatch.setattr(TSeriesRing, "mul", lambda R, a, b: muls.append((a, b)) or series_mul(R, a, b))
+    monkeypatch.setattr(U, "mono_mul", lambda m1, m2: monos.append((m1, m2)) or mono_mul(m1, m2))
+    for (x, y), xy in zip(cases, expected):
+        muls.clear()
+        monos.clear()
+        if x.arity == 1:  # the element product
+            assert x.to_element() * y.to_element() == xy.to_element()
+        else:
+            assert x * y == xy
+        pairs = [(order(c1), order(c2)) for c1 in x.terms.values() for c2 in y.terms.values()]
+        assert any(o1 + o2 >= 3 for o1, o2 in pairs)
+        assert muls and all(order(a) + order(b) < 3 for a, b in muls)
+        lows = [[_lowest_orders(z, slot) for slot in range(x.arity)] for z in (x, y)]
+        assert any(o1 + o2 >= 3 for o1 in lows[0][0].values() for o2 in lows[1][0].values())
+        assert monos
+        for m1, m2 in monos:
+            slot = next(s for s, pool in enumerate(pools) if m1[0][0] in pool)
+            assert lows[0][slot][m1] + lows[1][slot][m2] < 3, (slot, m1, m2)
 
 
 def test_tensor_product_forms_each_first_slot_product_once():
@@ -891,6 +950,10 @@ def test_lift_rejects_foreign_algebra_or_ring():
     same = JacobsonWitt(2, 5)  # an equal algebra built separately
     h, _ = basic_pair(same, gf(5), 1)
     assert U.lift(h) == U.gen(next(iter(h.terms)))
+    # q = 4 and q = 1 name one quotient ring mod 3
+    Uq = EnvelopingAlgebra(JacobsonWitt(1, 3), t_quotient(3, 1), restricted=True)
+    h, _ = basic_pair(JacobsonWitt(1, 3), t_quotient(3, 4), 1)
+    assert Uq.lift(h) == Uq.gen(next(iter(h.terms)))
 
 
 def test_restricted_dimension_counts():
