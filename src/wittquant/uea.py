@@ -40,18 +40,18 @@ the word-rewriting straightener (one adjacent swap at a time) as the
 reference the test suite compares against.
 
 Tensor powers of the algebra (used for coproducts and twists) share the same
-monomial keys, one per slot.  A tensor product factors through the first slot,
-by bilinearity over the commutative ring: (a1 (x) r1)(a2 (x) r2) = a1 a2 (x)
-r1 r2.  Each pair of first-slot monomials is multiplied once and, when that
-product vanishes (b^p = 0 off the torus in u(W(n;1))), dropped with all its
-terms; the rests multiply the same way, and the last slot is the element
-product, which drops a pair of terms whose ring coefficient product is zero.
-In a series ring both kernels first drop the pairs that the truncation kills
-(``_blocks``): a pair of terms, or of first-slot groups, whose lowest t-orders
-sum to the ring's ``keep`` or more is never multiplied, neither its
-coefficients nor its monomials.  A ring that drops no degree pays no per-pair
-test for this.  Monomial products have integer coefficients, so a ring value
-is rescaled only by an integer other than 1.
+monomial keys, one per slot.  Elements and tensors of every arity multiply in
+one kernel, ``_product``, which factors through the first monomial by
+bilinearity over the commutative ring: (a1 (x) r1)(a2 (x) r2) = a1 a2 (x) r1 r2,
+r the rest of a tensor's slots or an element's coefficient.  Each pair of first
+monomials is multiplied first, once, and a pair whose product vanishes (b^p = 0
+off the torus in u(W(n;1))) is dropped before its rests multiply, by the ring
+or by the kernel one slot down.  In a series ring the kernel first drops the
+pairs that the truncation kills (``_blocks``): a pair of terms, or of first-slot
+groups, whose lowest t-orders sum to the ring's ``keep`` or more is never
+multiplied.  A ring that drops no degree pays no per-pair test for this.
+Monomial products have integer coefficients, so a ring value is rescaled only
+by an integer other than 1.
 Powers grow on the left one factor at a time, as the ``mono_mul`` rows do;
 ``delta_mono`` grows on the right.
 
@@ -280,55 +280,45 @@ class EnvelopingAlgebra:
     def mul(self, x: "UEAElement", y: "UEAElement") -> "UEAElement":
         self._check(x)
         self._check(y)
-        return UEAElement(self, self._product(x.terms, y.terms))
+        return UEAElement(self, self._product(x.terms, y.terms, 0))
 
-    def _product(self, x: dict, y: dict) -> dict:
-        """The product kernel on dicts mono -> ring value: each pair of terms with a nonzero
-        coefficient product, times the product of its monomials.  A series ring never
-        multiplies a pair of terms that its truncation kills (``_blocks``); a ring that drops
-        no degree runs over all pairs as one block, with no test for it."""
+    def _product(self, x: dict, y: dict, depth: int) -> dict:
+        """The one product kernel, on terms nested ``depth`` levels below their first monomial
+        (``_nest``; depth 0: an element's terms): dict key -> value.  Each pair of first
+        monomials left by ``_blocks`` is multiplied once, and dropped if that vanishes; else
+        the values multiply (by the ring at depth 0, by this kernel one level down past it)
+        and scatter over the first monomials with their integer rescale."""
         rmul, rint, mono_mul = self.ring.mul, self.ring.from_int, self.mono_mul
-        blocks = ((x.items(), y.items()),) if self.ring.keep is None else self._blocks(x, y, 0)
-        pairs = (
-            (m, c if k == 1 else rmul(c, rint(k)))
-            for xs, ys in blocks
-            for m1, c1 in xs
-            for m2, c2 in ys
-            if (c := rmul(c1, c2))
-            for m, k in mono_mul(m1, m2).items()
-        )
-        return accumulate(self.ring.add, {}, pairs)
-
-    def _tensor_product(self, x: dict, y: dict, arity: int) -> dict:
-        """The product of two tensors of arity >= 2 nested by slot (``_nest``): dict key -> value.
-        Each pair of first-slot groups, less those that a series ring's truncation kills
-        (``_blocks``, by the lowest order in each group), multiplies its first-slot monomials
-        once; unless that vanishes, the rests multiply (the last slot by ``_product``) and
-        scatter over it with its integer rescale."""
-        rmul, rint, mono_mul = self.ring.mul, self.ring.from_int, self.mono_mul
-        blocks = ((x.items(), y.items()),) if self.ring.keep is None else self._blocks(x, y, arity - 1)
 
         def pairs():
-            for xs, ys in blocks:
-                for a1, x1 in xs:
-                    for a2, y1 in ys:
-                        first = mono_mul(a1, a2)
+            for xs, ys in self._blocks(x, y, depth):
+                for m1, v1 in xs:
+                    for m2, v2 in ys:
+                        first = mono_mul(m1, m2)
                         if not first:
                             continue
-                        rest = self._product(x1, y1) if arity == 2 else self._tensor_product(x1, y1, arity - 1)
+                        if not depth:
+                            c = rmul(v1, v2)
+                            for m, k in first.items():
+                                yield m, c if k == 1 else rmul(c, rint(k))
+                            continue
+                        rest = self._product(v1, v2, depth - 1)
                         for m, k in first.items():
                             for r, c in rest.items():
-                                yield (m, r) if arity == 2 else (m,) + r, c if k == 1 else rmul(c, rint(k))
+                                yield (m, r) if depth == 1 else (m,) + r, c if k == 1 else rmul(c, rint(k))
 
         return accumulate(self.ring.add, {}, pairs())
 
-    def _blocks(self, x: dict, y: dict, depth: int) -> list:
-        """For a series ring: pairs (left items, right items) that hold every pair of items
-        whose coefficient products its truncation keeps, and no other pair.  An item's order
-        is the lowest order over the ring values ``depth`` nesting levels under it (``_nest``).
-        The ring forms no degree >= keep and order(ab) >= order(a) + order(b), so the left
-        items of order o meet only the right items of order below keep - o."""
-        keep, order = self.ring.keep, self.ring.order
+    def _blocks(self, x: dict, y: dict, depth: int):
+        """Pairs (left items, right items) that hold every pair of items whose coefficient
+        products the ring's truncation keeps, and no other pair; all items when ``keep`` is
+        None.  An item's order is the lowest over the ring values ``depth`` nesting levels
+        under it (``_nest``).  The ring forms no degree >= keep and order(ab) >= order(a) +
+        order(b), so the left items of order o meet only the right items of order below keep - o."""
+        keep = self.ring.keep
+        if keep is None:
+            return ((x.items(), y.items()),)
+        order = self.ring.order
         low = order if not depth else lambda node: _lowest(order, node, depth)
         rights = [[] for _ in range(keep)]
         for item in y.items():
@@ -501,20 +491,20 @@ class TensorElement(SparseElement):
         return cls(uea, len(factors), accumulate(ring.add, {}, keys))
 
     def __mul__(self, other):
-        """Slotwise product, factored through the first slot (``EnvelopingAlgebra._tensor_product``);
-        a tensor of arity 0 or 1 gains unit slots on the right for it, stripped from the result."""
+        """Slotwise product: the product kernel at depth arity - 1 on the terms nested by slot.
+        Arity 0 gains a unit slot for it; the kernel's bare monomial keys get their tuple back."""
         self._same(other)
         arity = self.arity
-        if arity >= 2:
-            return self._like(self.uea._tensor_product(_nest(self.terms), _nest(other.terms), arity))
-        x, y = (_nest(z.pad(right=2 - arity).terms) for z in (self, other))
-        return self._like({key[:arity]: c for key, c in self.uea._tensor_product(x, y, 2).items()})
+        x, y = (_nest(z.terms if arity else z.pad(right=1).terms) for z in (self, other))
+        terms = self.uea._product(x, y, max(arity - 1, 0))
+        return self._like(terms if arity >= 2 else {(m,)[:arity]: c for m, c in terms.items()})
 
     def __pow__(self, k: int):
         return _power(self, k, TensorElement.unit(self.uea, self.arity), operator.mul)
 
     def map_slot(self, slot: int, f) -> "TensorElement":
         """Apply a linear map (mono -> UEAElement) to one slot."""
+        self._check_slot(slot)
         rmul = self.ring.mul
         pairs = (
             (key[:slot] + (m,) + key[slot + 1 :], rmul(c, cf))
@@ -525,6 +515,7 @@ class TensorElement(SparseElement):
 
     def expand_slot(self, slot: int, f) -> "TensorElement":
         """Replace one slot through a map (mono -> TensorElement of arity 2)."""
+        self._check_slot(slot)
         rmul = self.ring.mul
         pairs = (
             (key[:slot] + kk + key[slot + 1 :], rmul(c, cf))
@@ -535,6 +526,8 @@ class TensorElement(SparseElement):
 
     def pad(self, left: int = 0, right: int = 0) -> "TensorElement":
         """Tensor with unit slots added on the left/right (e.g. F (x) 1)."""
+        if left < 0 or right < 0:
+            raise ValueError("a tensor is padded by a nonnegative number of slots")
         lk, rk = ((),) * left, ((),) * right
         return TensorElement(
             self.uea, self.arity + left + right, {lk + k + rk: c for k, c in self.terms.items()}
@@ -543,8 +536,13 @@ class TensorElement(SparseElement):
     def contract(self, slot: int) -> "TensorElement":
         """Apply eps0, the one counit (``QuantizedHopf.counit`` too), to one slot:
         keep the terms whose monomial in that slot is the empty one."""
+        self._check_slot(slot)
         terms = {key[:slot] + key[slot + 1 :]: c for key, c in self.terms.items() if not key[slot]}
         return TensorElement(self.uea, self.arity - 1, terms)
+
+    def _check_slot(self, slot: int):
+        if not 0 <= slot < self.arity:
+            raise ValueError(f"slot {slot} is outside a tensor of arity {self.arity}")
 
     def multiply_out(self) -> UEAElement:
         """The image under slotwise multiplication m: A⊗...⊗A -> A.

@@ -39,6 +39,11 @@ from .uea import EnvelopingAlgebra, TensorElement, reduce_element_mod_p, reduce_
 ENUMERATION_LIMIT = 5000  # largest dim u(W(n;1)) whose restricted PBW basis is enumerated
 
 
+def _report_params(p=None, n=None, eta=None, q=None, cap=None, seed=None) -> dict:
+    """The six params every report carries, in report order; a param not given is None."""
+    return {"p": p, "n": n, "eta": eta, "q": q, "cap": cap, "seed": seed}
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -64,8 +69,8 @@ class CheckReport:
             if c.counterexample is not None:
                 row["counterexample"] = c.counterexample
             checks.append(row)
-        params = {k: self.config.get(k) for k in ("p", "n", "eta", "q", "cap", "seed")}
-        if isinstance(params.get("eta"), tuple):
+        params = _report_params(**self.config)
+        if isinstance(params["eta"], tuple):
             params["eta"] = list(params["eta"])
         return {
             "suite": self.suite,
@@ -121,7 +126,7 @@ class ModularConfig:
     seed: int = 0
 
     def as_dict(self) -> dict:
-        return {"p": self.p, "n": self.n, "eta": tuple(self.eta), "q": self.q, "cap": self.p, "seed": self.seed}
+        return _report_params(p=self.p, n=self.n, eta=tuple(self.eta), q=self.q, cap=self.p, seed=self.seed)
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ class Char0Config:
         return RMatrixData(self.d0, self.d0p, self.gamma)
 
     def as_dict(self) -> dict:
-        return {"p": None, "n": self.n, "eta": None, "q": None, "cap": self.cap, "seed": self.seed}
+        return _report_params(n=self.n, cap=self.cap, seed=self.seed)
 
 
 # -- shifted factorial identities over a polynomial ring -----------------------------------------
@@ -506,15 +511,10 @@ def check_hopf_axioms(hopf: QuantizedHopf) -> CheckReport:
             col.record("coproduct-multiplicative", hopf.delta(y) == deltas[gens[jj]] * deltas[gens[ii]], y)
             sy = U.mul(hopf.antipode(gen_elems[ii]), hopf.antipode(gen_elems[jj]))
             col.record("antipode-anti-multiplicative", hopf.antipode(y) == sy, y)
-    cfgdict = {
-        "p": getattr(U.alg, "p", None),
-        "n": U.alg.n,
-        "eta": hopf.eta,
-        "q": getattr(U.ring, "q", None),
-        "cap": hopf.cap,
-        "seed": 0,
-    }
-    return col.report("hopf", cfgdict)
+    params = _report_params(
+        p=getattr(U.alg, "p", None), n=U.alg.n, eta=hopf.eta, q=getattr(U.ring, "q", None), cap=hopf.cap, seed=0
+    )
+    return col.report("hopf", params)
 
 
 # -- the modular reduction chain -----------------------------------------------------------------
@@ -591,8 +591,7 @@ def check_modular_reduction(p: int, n: int, k: int, seed: int = 0) -> CheckRepor
     col.record("distinguished-h-reduces", reduce_element_mod_p(h_int, MU) == h_mod, h_int)
     col.record("distinguished-e-reduces-with-factor-2", reduce_element_mod_p(e_int, MU) == e_mod, e_int)
 
-    cfg = {"p": p, "n": n, "eta": eta, "q": None, "cap": p, "seed": seed}
-    return col.report("reduction", cfg)
+    return col.report("reduction", _report_params(p=p, n=n, eta=eta, cap=p, seed=seed))
 
 
 # -- restricted structure ------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from wittquant.liealg import (
     WPlusAlgebra,
     basic_pair,
 )
-from wittquant.rings import QQ, TSeriesRing, accumulate, binom_int, gf, t_quotient, t_series
+from wittquant.rings import QQ, TQuotientRing, TSeriesRing, accumulate, binom_int, gf, t_quotient, t_series
 from wittquant import verify
 from wittquant.twist import modular
 from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement, monomial
@@ -796,7 +796,27 @@ def test_pure_tensor_needs_factors_of_one_algebra():
         TensorElement.of()
 
 
-def test_tensor_kernels_at_arity_zero_and_one():
+def test_tensor_slot_maps_reject_slots_outside_the_tensor():
+    U = EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3), restricted=True)
+    H, X = U.gen(U.alg.basis_symbol((1,), 1)), U.gen(U.alg.basis_symbol((2,), 1))
+    z = TensorElement.of(H, X)
+    for slot in (-1, 2):
+        with pytest.raises(ValueError, match=f"slot {slot} is outside a tensor of arity 2"):
+            z.map_slot(slot, U.antipode0_mono)
+        with pytest.raises(ValueError, match=f"slot {slot} is outside a tensor of arity 2"):
+            z.expand_slot(slot, U.coproduct0_mono)
+        with pytest.raises(ValueError, match=f"slot {slot} is outside a tensor of arity 2"):
+            z.contract(slot)
+    with pytest.raises(ValueError, match="outside a tensor of arity 0"):
+        TensorElement.unit(U, 0).contract(0)
+    for left, right in ((-1, 0), (0, -1), (2, -1)):
+        with pytest.raises(ValueError, match="nonnegative number of slots"):
+            z.pad(left, right)
+    assert z.map_slot(1, U.antipode0_mono) == TensorElement.of(H, -X)
+    assert z.contract(1) == TensorElement(U, 1, {}) and z.pad(1, 1).arity == 4
+
+
+def test_tensor_kernels_at_arity_zero_and_one(monkeypatch):
     U = EnvelopingAlgebra(JacobsonWitt(1, 3), t_quotient(3, 1), restricted=True)
     one = TensorElement.unit(U, 0)
     assert one * one == one and one.terms == {(): U.ring.one}
@@ -810,6 +830,18 @@ def test_tensor_kernels_at_arity_zero_and_one():
     assert (TensorElement.of(x) * TensorElement.of(y)).to_element() == x * y
     assert TensorElement.of(x).multiply_out() == x
     assert TensorElement.of(X * X) * TensorElement.of(X) == TensorElement(U, 1, {})  # X^3 = 0
+    # the monomial product comes first: a pair whose monomials vanish forms no ring product
+    XX, rmul, muls = X * X, TQuotientRing.mul, []
+    of = TensorElement.of
+    pairs = [(XX, X), (of(XX), of(X)), (of(XX, H), of(X, H)), (of(H, XX), of(H, X))]
+
+    def counting(ring, a, b):
+        muls.append((a, b))
+        return rmul(ring, a, b)
+
+    monkeypatch.setattr(TQuotientRing, "mul", counting)
+    assert not any(left * right for left, right in pairs)
+    assert muls == []
 
 
 def _power_uea(kind):
