@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import decimal
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from .grammar import format_element
 from .liealg import JacobsonWitt, RMatrixData
 from .rings import gf
 from .twist import char0_general, modular
-from .verify import ENUMERATION_LIMIT, Char0Config, ModularConfig, run_suites, suite_names
+from .verify import SUITES, Char0Config, ModularConfig, is_enumerable, power_text, run_suites, suite_names
 
 
 class UsageError(ValueError):
@@ -77,16 +76,6 @@ def _dims_exponent(p: int, n: int, verb: str = "dims") -> int:
     return n * p**n
 
 
-def _power_text(p: int, e: int) -> str:
-    """p**e in decimal; past Python's int-to-str digit limit, p^e and its digit count."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = e.bit_length() // 3 + 20  # e * log10(p) to well below one unit
-        digits = int(decimal.Decimal(p).log10() * e) + 1  # p**e is never a power of 10
-    if digits > (sys.get_int_max_str_digits() or digits):
-        return f"{p}^{e} ({digits} digits)"
-    return str(p**e)
-
-
 def _default_char0(n: int, cap: int, seed: int) -> Char0Config:
     d0 = tuple(1 if j == 0 else 0 for j in range(n))
     d0p = tuple(1 if j == min(1, n - 1) else 0 for j in range(n))
@@ -121,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     modular_flags(p, f"number of variables, 1..{MAX_N}")
-    p.add_argument("--suite", default="all", help="'all' or comma list: factorial,commutation,twist,hopf,reduction,restricted,dims")
+    p.add_argument("--suite", default="all", help="'all' or comma list: " + ",".join(SUITES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trunc", type=int, default=4, help=f"char-0 series truncation order, 1..{MAX_TRUNC}")
     p.add_argument("--json-path", default=None, help="write the JSON report here")
@@ -154,11 +143,9 @@ def run_command(args: argparse.Namespace) -> int:
     if args.verb == "dims":
         p, n = args.p, args.n
         e = _dims_exponent(p, n)
-        # p >= 3 > 2, so p**e exceeds the limit once e reaches its bit length; no large power is built
-        enumerable = e < ENUMERATION_LIMIT.bit_length() and p**e <= ENUMERATION_LIMIT
-        status = "enumerable" if enumerable else "structural (enumeration skipped)"
-        print(f"dim u(W({n};1)) = {p}^({n}*{p}^{n}) = {_power_text(p, e)} [{status}]")
-        print(f"dim over K[t]_{p}^(q) = {p}^(1+{n}*{p}^{n}) = {_power_text(p, 1 + e)}")
+        status = "enumerable" if is_enumerable(p, e) else "structural (enumeration skipped)"
+        print(f"dim u(W({n};1)) = {p}^({n}*{p}^{n}) = {power_text(p, e)} [{status}]")
+        print(f"dim over K[t]_{p}^(q) = {p}^(1+{n}*{p}^{n}) = {power_text(p, 1 + e)}")
         return 0
 
     # verify, the one verb left: argparse rejects any other

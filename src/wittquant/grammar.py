@@ -17,8 +17,10 @@ is reduced by the ring, so any t-degree is accepted.
 The canonical form produced by :func:`format_element` sorts terms by monomial
 key and then t-degree, prints coefficients minimally (1 omitted, signs pulled
 into the separators), and attaches the coefficient to the first tensor slot,
-the t-power to the last.  ``parse_element`` accepts any grammar-conformant
-string and reports syntax errors with a byte offset.
+the t-power to the last.  An arity-0 tensor, a scalar, renders as the one
+chunk that the same scalar times 1 in the algebra gives (``2*t``), so its text
+reads back as an element, not as a tensor.  ``parse_element`` accepts any
+grammar-conformant string and reports syntax errors with a byte offset.
 """
 from __future__ import annotations
 
@@ -247,7 +249,8 @@ def _mono_str(mono) -> str:
 
 
 def _term_str(monos, tdeg: int, mag: str) -> str:
-    slot_strs = [_mono_str(m) if m else "" for m in monos]
+    """One term; an arity-0 key () renders its scalar as one chunk, as an element's would."""
+    slot_strs = [_mono_str(m) if m else "" for m in monos] or [""]
     if mag != "1" and slot_strs[0]:
         slot_strs[0] = mag + "*" + slot_strs[0]
     elif mag != "1":

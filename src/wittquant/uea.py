@@ -473,6 +473,8 @@ class TensorElement(SparseElement):
 
     @classmethod
     def unit(cls, uea, arity=2):
+        if arity < 0:
+            raise ValueError("a tensor has a nonnegative number of slots")
         return cls(uea, arity, {((),) * arity: uea.ring.one})
 
     @classmethod
@@ -514,13 +516,14 @@ class TensorElement(SparseElement):
         return self._like(accumulate(self.ring.add, {}, pairs))
 
     def expand_slot(self, slot: int, f) -> "TensorElement":
-        """Replace one slot through a map (mono -> TensorElement of arity 2)."""
+        """Replace one slot through a map (mono -> TensorElement of arity 2); an image
+        of another arity raises ValueError."""
         self._check_slot(slot)
         rmul = self.ring.mul
         pairs = (
             (key[:slot] + kk + key[slot + 1 :], rmul(c, cf))
             for key, c in self.terms.items()
-            for kk, cf in f(key[slot]).terms.items()
+            for kk, cf in _arity_two(f(key[slot])).terms.items()
         )
         return TensorElement(self.uea, self.arity + 1, accumulate(self.ring.add, {}, pairs))
 
@@ -574,6 +577,13 @@ class TensorElement(SparseElement):
             return f"<Tensor {format_element(self)}>"
         except Exception:
             return f"TensorElement({self.terms!r})"
+
+
+def _arity_two(image: TensorElement) -> TensorElement:
+    """image, the value of an ``expand_slot`` map, once it is checked to have arity 2."""
+    if image.arity != 2:
+        raise ValueError(f"expand_slot needs images of arity 2, got arity {image.arity}")
+    return image
 
 
 # -- reduction of integral-form elements mod p ----------------------------------------

@@ -15,11 +15,13 @@ oracle, the restricted suite with the extended closed forms.
 """
 from __future__ import annotations
 
+import decimal
 import functools
 import itertools
 import math
 import operator
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,6 +39,22 @@ from .twist import (
 from .uea import EnvelopingAlgebra, TensorElement, reduce_element_mod_p, reduce_tensor_mod_p
 
 ENUMERATION_LIMIT = 5000  # largest dim u(W(n;1)) whose restricted PBW basis is enumerated
+
+
+def is_enumerable(p: int, e: int) -> bool:
+    """Whether dim u(W(n;1)) = p^e, with e = n*p^n, is at most ENUMERATION_LIMIT."""
+    # p >= 3 > 2, so p**e exceeds the limit once e reaches its bit length; no large power is built
+    return e < ENUMERATION_LIMIT.bit_length() and p**e <= ENUMERATION_LIMIT
+
+
+def power_text(p: int, e: int) -> str:
+    """p**e in decimal; past Python's int-to-str digit limit, p^e and its digit count."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = e.bit_length() // 3 + 20  # e * log10(p) to well below one unit
+        digits = int(decimal.Decimal(p).log10() * e) + 1  # p**e is never a power of 10
+    if digits > (sys.get_int_max_str_digits() or digits):
+        return f"{p}^{e} ({digits} digits)"
+    return str(p**e)
 
 
 def _report_params(p=None, n=None, eta=None, q=None, cap=None, seed=None) -> dict:
@@ -668,13 +686,14 @@ def check_dimensions_radford(cfg: ModularConfig) -> CheckReport:
     hopf = modular(p, n, cfg.eta, cfg.q)
     U = hopf.uea
     ring = U.ring
-    dim = p ** (n * p**n)
-    if dim <= ENUMERATION_LIMIT:
+    e = n * p**n
+    if is_enumerable(p, e):
+        dim = p**e
         count = sum(1 for _ in U.enumerate_restricted_basis())
         col.record("restricted-basis-count", count == dim, f"count={count} want={dim}")
-        col.record("t-extended-dimension", count * p == p ** (1 + n * p**n), f"{count * p}")
+        col.record("t-extended-dimension", count * p == p ** (1 + e), f"{count * p}")
     else:
-        col.mark("restricted-basis-count", "structural", f"enumeration skipped (p^(np^n) = {dim})")
+        col.mark("restricted-basis-count", "structural", f"enumeration skipped (p^(np^n) = {power_text(p, e)})")
         rng = random.Random(cfg.seed)
         gens = U.alg.basis()
         ok = True

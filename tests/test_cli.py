@@ -12,7 +12,7 @@ import wittquant.cli
 from wittquant.cli import main
 from wittquant.grammar import parse_element
 from wittquant.twist import QuantizedHopf, modular
-from wittquant.verify import SUITES
+from wittquant.verify import SUITES, ModularConfig, check_dimensions_radford
 
 
 def run(capsys, *argv):
@@ -313,6 +313,15 @@ def test_dims_output(capsys, p, n, want):
     # past Python's 4300-digit int-to-str limit the power is given as p^e and its digit count
     code, out, err = run(capsys, "dims", "--p", str(p), "--n", str(n))
     assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (7, 1)])
+def test_dims_verb_and_suite_agree_on_enumeration(capsys, p, n):
+    code, out, _ = run(capsys, "dims", "--p", str(p), "--n", str(n))
+    assert code == 0
+    rows = {c.name: c for c in check_dimensions_radford(ModularConfig(p, n, (1,) + (0,) * (n - 1))).checks}
+    structural = rows["restricted-basis-count"].status == "structural"
+    assert out.splitlines()[0].endswith("[structural (enumeration skipped)]" if structural else "[enumerable]")
 
 
 @pytest.mark.parametrize("n", [9100, 9000, 2089, 10**9])

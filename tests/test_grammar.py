@@ -67,6 +67,17 @@ def test_format_zero_and_canonical_snapshot():
     assert got == "1 (x) x(1)D1 + x(1)D1 (x) 1 + 2*x(1)D1 (x) x(2)D1*t + x(1)D1 (x) x(2)D1^2*t^2"
 
 
+def test_an_arity_zero_tensor_renders_as_its_scalar():
+    U = u31()
+    t = U.ring.t_power(1)
+    scalars = {"1": U.ring.one, "2": U.ring.from_int(2), "t": t, "2*t": U.ring.mul(U.ring.from_int(2), t)}
+    for text, c in scalars.items():
+        got = format_element(TensorElement.unit(U, 0).scale(c))
+        assert got == format_element(U.scalar(c)) == text
+        assert parse_element(got, U) == U.scalar(c)
+    assert format_element(TensorElement.unit(U, 0).scale_int(2)) == "2"
+
+
 def test_syntax_errors_carry_offsets():
     U = u31()
     with pytest.raises(ElementSyntaxError) as ex:

@@ -27,7 +27,11 @@ way is not the canonical one, so it would miss every dict keyed by monomials,
 and ``uea.monomial`` is the one way to make one.  The seventh reports a package
 module other than ``uea.py`` that calls ``monomial``: the other modules take
 their monomials from ``uea``'s helpers and maps, so the engine builds monomial
-keys in one module.
+keys in one module.  The eighth reports a module other than ``verify.py`` (in
+the package, the tests, the demos or the benchmark) that names
+``ENUMERATION_LIMIT``: ``verify.is_enumerable`` is the one rule for which
+shapes have their restricted basis enumerated, and the ``dims`` verb and the
+``dims`` suite both ask it.
 """
 from __future__ import annotations
 
@@ -372,3 +376,39 @@ def test_scan_finds_a_monomial_call_outside_uea():
 
 def test_only_uea_calls_monomial_in_the_package():
     assert monomial_calls_outside_uea({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def enumeration_limit_uses(sources: dict) -> list:
+    """(module, line) of each place outside ``verify.py`` that names ``ENUMERATION_LIMIT``:
+    as a plain name, as an attribute or in an import."""
+    flagged = []
+    for module, src in sources.items():
+        if module == "verify.py":
+            continue
+        for node in ast.walk(ast.parse(src)):
+            named = (
+                (isinstance(node, ast.Name) and node.id == "ENUMERATION_LIMIT")
+                or (isinstance(node, ast.Attribute) and node.attr == "ENUMERATION_LIMIT")
+                or (isinstance(node, ast.ImportFrom) and any(a.name == "ENUMERATION_LIMIT" for a in node.names))
+            )
+            if named:
+                flagged.append((module, node.lineno))
+    return sorted(flagged)
+
+
+def test_scan_finds_the_enumeration_limit_outside_verify():
+    a = (
+        "from wittquant.verify import ENUMERATION_LIMIT\n"
+        "from wittquant import verify\n"
+        "ok = 3**2 <= ENUMERATION_LIMIT\n"
+        "big = verify.ENUMERATION_LIMIT + 1\n"
+        "fine = verify.is_enumerable(3, 2), DIMS_ENUMERATION_LIMIT\n"
+    )
+    verify = "ENUMERATION_LIMIT = 5000\ndef is_enumerable(p, e): return p**e <= ENUMERATION_LIMIT\n"
+    assert enumeration_limit_uses({"a.py": a, "verify.py": verify}) == [("a.py", 1), ("a.py", 3), ("a.py", 4)]
+
+
+def test_only_verify_names_the_enumeration_limit():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in {*PACKAGE, *MODULES, *USERS}}
+    sources["verify.py"] = sources.pop("src/wittquant/verify.py")
+    assert enumeration_limit_uses(sources) == []

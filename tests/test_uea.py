@@ -812,8 +812,22 @@ def test_tensor_slot_maps_reject_slots_outside_the_tensor():
     for left, right in ((-1, 0), (0, -1), (2, -1)):
         with pytest.raises(ValueError, match="nonnegative number of slots"):
             z.pad(left, right)
+    with pytest.raises(ValueError, match="nonnegative number of slots"):
+        TensorElement.unit(U, -1)
     assert z.map_slot(1, U.antipode0_mono) == TensorElement.of(H, -X)
     assert z.contract(1) == TensorElement(U, 1, {}) and z.pad(1, 1).arity == 4
+
+
+def test_expand_slot_rejects_an_image_not_of_arity_two():
+    U = EnvelopingAlgebra(JacobsonWitt(1, 3), t_quotient(3, 1), restricted=True)
+    H = U.gen(U.alg.basis_symbol((1,), 1))
+    maps = {
+        1: lambda m: TensorElement.of(U.element({m: U.ring.one})),
+        3: lambda m: TensorElement.of(U.element({m: U.ring.one}), U.one(), U.one()),
+    }
+    for arity, f in maps.items():
+        with pytest.raises(ValueError, match=f"images of arity 2, got arity {arity}"):
+            TensorElement.of(H).expand_slot(0, f)
 
 
 def test_tensor_kernels_at_arity_zero_and_one(monkeypatch):

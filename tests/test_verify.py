@@ -196,6 +196,21 @@ def test_hopf_reduction_and_dims_run_every_check():
     assert names(structural) == DIMS_PAIR_CHECK_NAMES | {"restricted-basis-count", "pbw-exponent-bound"}
 
 
+@pytest.mark.parametrize(
+    "p,n,note",
+    [
+        (3, 2, "enumeration skipped (p^(np^n) = 387420489)"),
+        # 13^6591 is past Python's 4300-digit int-to-str limit
+        (13, 3, "enumeration skipped (p^(np^n) = 13^6591 (7343 digits))"),
+    ],
+)
+def test_dims_suite_notes_a_shape_it_does_not_enumerate(p, n, note):
+    rep = check_dimensions_radford(ModularConfig(p, n, (1,) + (0,) * (n - 1)))
+    assert rep.passed
+    row = {c.name: c for c in rep.checks}["restricted-basis-count"]
+    assert (row.status, row.counterexample) == ("structural", note)
+
+
 def test_hopf_multiplicativity_checks_see_a_broken_closed_form(monkeypatch):
     # g (x) g added to every closed-form coproduct and g * g to every closed-form antipode
     delta_form, antipode_form = QuantizedHopf._delta_closed_form, QuantizedHopf._antipode_closed_form
