@@ -7,7 +7,9 @@ Verbs:
   dims                        dimension anchors for a (p, n) configuration
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
-141 stdout closed by its reader (128 + SIGPIPE, as ``cat`` reports it).
+3 an error raised while computing (a traceback goes to stderr), 141 stdout
+closed by its reader (128 + SIGPIPE, as ``cat`` reports it).  Every argument
+is read and checked before any computation starts, so 2 means bad input only.
 Identical invocations print byte-identical stdout (fixed seeds, canonical
 element ordering); wall-clock timing appears only in the JSON report file.
 """
@@ -19,6 +21,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 from .grammar import format_element
 from .liealg import JacobsonWitt, RMatrixData
@@ -29,6 +32,18 @@ from .verify import SUITES, Char0Config, ModularConfig, is_enumerable, power_tex
 
 class UsageError(ValueError):
     pass
+
+
+INTERNAL_ERROR = 3  # the exit code of an error raised after the arguments are accepted
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ValueError raised while the arguments are read as a usage error."""
+    try:
+        yield
+    except ValueError as ex:
+        raise UsageError(str(ex)) from None
 
 
 def _csv_ints(text: str):
@@ -64,7 +79,7 @@ MAX_TRUNC = 8  # largest char-0 series cap (--trunc); the commutation suite's co
 MAX_N = 3  # largest verify --n; the commutation suite already takes tens of seconds at n = 3 with --trunc 8
 
 
-def _dims_exponent(p: int, n: int, verb: str = "dims") -> int:
+def _dims_exponent(p: int, n: int, verb: str) -> int:
     """n*p^n, the exponent of dim u(W(n;1)), for a shape whose exponent has at most
     _MAX_EXPONENT_DIGITS digits; larger shapes are rejected before p^n, or any
     sequence of n entries, is formed.  verb names the command in the message."""
@@ -122,38 +137,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(args: argparse.Namespace) -> int:
-    if args.verb in ("char0-delta", "char0-antipode", "verify") and not 1 <= args.trunc <= MAX_TRUNC:
-        raise UsageError(f"--trunc must be between 1 and {MAX_TRUNC}, got {args.trunc}")
-    if args.verb in ("delta", "antipode", "verify"):
-        _dims_exponent(args.p, args.n, args.verb)
-    if args.verb == "verify" and args.n > MAX_N:
-        raise UsageError(f"verify --n must be at most {MAX_N}, got {args.n}")
+    with _usage_errors():
+        if args.verb in ("char0-delta", "char0-antipode", "verify") and not 1 <= args.trunc <= MAX_TRUNC:
+            raise UsageError(f"--trunc must be between 1 and {MAX_TRUNC}, got {args.trunc}")
+        if not args.verb.startswith("char0-"):
+            e = _dims_exponent(args.p, args.n, args.verb)
+        if args.verb == "verify" and args.n > MAX_N:
+            raise UsageError(f"verify --n must be at most {MAX_N}, got {args.n}")
+        if args.verb in ("delta", "antipode", "char0-delta", "char0-antipode"):
+            if args.verb.startswith("char0-"):
+                rm = RMatrixData(_csv_ints(args.d0), _csv_ints(args.d0p), _csv_ints(args.gamma))
+                hopf = char0_general(rm, cap=args.trunc)
+            else:
+                hopf = modular(args.p, args.n, _eta_from_directions(args.eta, args.n), args.q)
+            bd = hopf.uea.alg.basis_symbol(_csv_ints(args.alpha), args.i)
+            for direction in hopf.directions:
+                direction.exponent(bd)  # an r-matrix exponent of bd must be an integer
+        elif args.verb == "verify":
+            eta = _eta_from_directions(args.eta, args.n)
+            mcfg = ModularConfig(args.p, args.n, eta, args.q, seed=args.seed)
+            ccfg = _default_char0(args.n, args.trunc, args.seed)
+            suites = suite_names(args.suite)
+            report_file = _open_report(args.json_path)
 
     if args.verb in ("delta", "antipode", "char0-delta", "char0-antipode"):
-        if args.verb.startswith("char0-"):
-            rm = RMatrixData(_csv_ints(args.d0), _csv_ints(args.d0p), _csv_ints(args.gamma))
-            hopf = char0_general(rm, cap=args.trunc)
-        else:
-            hopf = modular(args.p, args.n, _eta_from_directions(args.eta, args.n), args.q)
-        bd = hopf.uea.alg.basis_symbol(_csv_ints(args.alpha), args.i)
         out = hopf.delta_basis(bd) if args.verb.endswith("delta") else hopf.antipode_basis(bd)
         print(format_element(out))
         return 0
 
     if args.verb == "dims":
         p, n = args.p, args.n
-        e = _dims_exponent(p, n)
         status = "enumerable" if is_enumerable(p, e) else "structural (enumeration skipped)"
         print(f"dim u(W({n};1)) = {p}^({n}*{p}^{n}) = {power_text(p, e)} [{status}]")
         print(f"dim over K[t]_{p}^(q) = {p}^(1+{n}*{p}^{n}) = {power_text(p, 1 + e)}")
         return 0
 
     # verify, the one verb left: argparse rejects any other
-    eta = _eta_from_directions(args.eta, args.n)
-    mcfg = ModularConfig(args.p, args.n, eta, args.q, seed=args.seed)
-    ccfg = _default_char0(args.n, args.trunc, args.seed)
-    suites = suite_names(args.suite)
-    with _open_report(args.json_path) as report:
+    with report_file as report:
         reports = run_suites(suites, modular_cfg=mcfg, char0_cfg=ccfg)
         if report is not None:
             json.dump([rep.to_json_dict() for rep in reports], report, indent=2)
@@ -184,7 +204,7 @@ def main(argv=None) -> int:
         code = run_command(args)
         sys.stdout.flush()
         return code
-    except (UsageError, ValueError) as ex:
+    except UsageError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -192,6 +212,9 @@ def main(argv=None) -> int:
         # interpreter's final flush cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -38,10 +38,11 @@ shifted factorial, the rising h_a^<r> = (h+a)...(h+a+r-1), reading the falling
 h_a^[r] as h_{a-r+1}^<r>.  Each power (1 - e t)^m, for m of either sign, is the
 one binomial sum sum_{j<cap} C(m, j) (-e t)^j.  The
 antipode twistors follow their definitions, u_a = m(S0 (x) Id)(inverse_a) and
-v_a = m(Id (x) S0)(forward_a), read off the whole twist with the undeformed
-antipode of :mod:`wittquant.uea`.  The deformed coproduct and antipode reach a
-monomial by the same walk as the undeformed ones, from the closed forms of its
-basis symbols.  The closed-form coproduct and antipode of a basis symbol are
+v_a = m(Id (x) S0)(forward_a), read off the whole twist by the slot-antipode
+kernel ``TensorElement.antipode_out`` of :mod:`wittquant.uea`, with the
+undeformed S0(b) = -b on basis symbols.  The deformed coproduct and antipode
+reach a monomial by the same walk as the undeformed ones, from the closed forms
+of its basis symbols.  The closed-form coproduct and antipode of a basis symbol are
 sums over vectors ell of raising orders, one entry per direction;
 ``QuantizedHopf._raised_terms`` iterates the surviving terms for both.  The
 closed forms are checked against conjugation by the twist itself via
@@ -342,8 +343,8 @@ class QuantizedHopf:
         """u_a = m(S0 (x) Id)(inverse) and v_a = m(Id (x) S0)(forward), from the twist with shift a."""
 
         def compute():
-            tw, s0 = self.build_twist(a), self.uea.antipode0_mono
-            return TwistorPair(tw.inverse.map_slot(0, s0).multiply_out(), tw.forward.map_slot(1, s0).multiply_out())
+            tw, s0 = self.build_twist(a), lambda b: -self.uea.gen(b)
+            return TwistorPair(tw.inverse.antipode_out(0, s0), tw.forward.antipode_out(1, s0))
 
         return self._memo(("antipode_twistors", self.uea.ring.from_fraction(a)), compute)
 

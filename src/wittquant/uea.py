@@ -67,6 +67,16 @@ Delta0(b) = b (x) 1 + 1 (x) b and S0(b) = -b here.  The caches hold plain data
 context, so a cached element would keep the context alive until a full
 garbage collection.
 
+An antipode applied to one slot of a 2-tensor and multiplied out, m(S (x) Id)
+or m(Id (x) S) as in the antipode laws and twistors, has one kernel of its own,
+``TensorElement.antipode_out``.  It takes S on basis symbols only and forms no S
+of a whole monomial: the terms are grouped by their slot monomial, and from the
+highest degree down each group's element multiplies one image S(b) and moves to
+the monomial without b, as in Horner's rule.  For slot 1, b is the last symbol
+and S(b) goes on the right, since a S(prefix b) = (a S(b)) S(prefix); for slot 0,
+b is the first symbol and S(b) goes on the left, since S(b rest) a =
+S(rest) (S(b) a).  The unit's group is the answer.
+
 All coefficient arithmetic goes through the ring descriptors of
 :mod:`wittquant.rings`; structure constants stay integers until they are
 folded into ring values at the element level.
@@ -424,12 +434,9 @@ class UEAElement(SparseElement):
         return self.uea.power(self, k)
 
     def __repr__(self):
-        try:
-            from .grammar import format_element
+        from .grammar import format_element
 
-            return f"<UEA {format_element(self)}>"
-        except Exception:
-            return f"UEAElement({self.terms!r})"
+        return f"<UEA {format_element(self)}>"
 
 
 def _lowest(order, node: dict, depth: int) -> int:
@@ -547,6 +554,28 @@ class TensorElement(SparseElement):
         if not 0 <= slot < self.arity:
             raise ValueError(f"slot {slot} is outside a tensor of arity {self.arity}")
 
+    def antipode_out(self, slot: int, image) -> UEAElement:
+        """m(S (x) Id) of a 2-tensor for slot 0, m(Id (x) S) for slot 1, S the
+        anti-multiplicative map with S(b) = image(b) on basis symbols, by Horner's
+        rule over the slot's monomials (see the module docstring): the element
+        ``map_slot(slot, S).multiply_out()``, associated the other way."""
+        if self.arity != 2 or slot not in (0, 1):
+            raise ValueError(f"antipode_out maps slot 0 or 1 of a 2-tensor, got slot {slot} of arity {self.arity}")
+        uea, radd = self.uea, self.ring.add
+        levels: dict = {}  # degree -> slot monomial -> terms of the other slot
+        for key, c in self.terms.items():
+            m = key[slot]
+            levels.setdefault(sum(e for _, e in m), {}).setdefault(m, {})[key[1 - slot]] = c
+        for degree in range(max(levels, default=0), 0, -1):
+            up = levels.setdefault(degree - 1, {})
+            for m, terms in levels.pop(degree, {}).items():
+                if slot:
+                    parent, product = drop_last(m), uea._product(terms, image(m[-1][0]).terms, 0)
+                else:
+                    parent, product = _drop_first(m), uea._product(image(m[0][0]).terms, terms, 0)
+                accumulate(radd, up.setdefault(parent, {}), product.items())
+        return UEAElement(uea, levels.get(0, {}).get((), {}))
+
     def multiply_out(self) -> UEAElement:
         """The image under slotwise multiplication m: A⊗...⊗A -> A.
 
@@ -571,12 +600,9 @@ class TensorElement(SparseElement):
         return UEAElement(self.uea, {k[0]: c for k, c in self.terms.items()})
 
     def __repr__(self):
-        try:
-            from .grammar import format_element
+        from .grammar import format_element
 
-            return f"<Tensor {format_element(self)}>"
-        except Exception:
-            return f"TensorElement({self.terms!r})"
+        return f"<Tensor {format_element(self)}>"
 
 
 def _arity_two(image: TensorElement) -> TensorElement:

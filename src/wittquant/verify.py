@@ -129,10 +129,7 @@ def _render(witness) -> str | None:
         return witness
     from .grammar import format_element
 
-    try:
-        return format_element(witness)
-    except Exception:
-        return repr(witness)
+    return format_element(witness)
 
 
 @dataclass(frozen=True)
@@ -513,8 +510,8 @@ def check_hopf_axioms(hopf: QuantizedHopf) -> CheckReport:
         rhs = dx.expand_slot(1, hopf.delta_mono)
         col.record(f"coassociativity-{tag}", lhs == rhs, x)
         want = U.one().scale(hopf.counit(x))
-        left = dx.map_slot(0, hopf.antipode_mono).multiply_out()
-        right = dx.map_slot(1, hopf.antipode_mono).multiply_out()
+        left = dx.antipode_out(0, hopf.antipode_basis)
+        right = dx.antipode_out(1, hopf.antipode_basis)
         col.record(f"antipode-law-{tag}", left == want and right == want, x)
         return dx
 

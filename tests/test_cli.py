@@ -155,6 +155,20 @@ def test_dims_rejects_bad_p_or_n(capsys, p, n):
     assert err.startswith("error:")
 
 
+def test_an_error_raised_inside_a_suite_exits_3_with_a_traceback(tmp_path, capsys, monkeypatch):
+    # exit 2 is bad input and exit 1 a failed check; an engine error mid-run is neither
+    def broken(*args, **kwargs):
+        raise ValueError("an engine guard tripped")
+
+    monkeypatch.setattr(wittquant.verify, "check_factorial_identities", broken)
+    path = tmp_path / "r.json"
+    code, out, err = run(
+        capsys, "verify", "--p", "3", "--n", "1", "--suite", "dims,factorial", "--json-path", str(path)
+    )
+    assert code == wittquant.cli.INTERNAL_ERROR == 3 and code not in (1, 2)
+    assert out == "" and err.startswith("Traceback") and err.endswith("ValueError: an engine guard tripped\n")
+
+
 def test_verify_unwritable_json_path_exits_2_before_any_suite(tmp_path, capsys, monkeypatch):
     def no_suites(*args, **kwargs):
         raise AssertionError("a suite ran before the report path was checked")

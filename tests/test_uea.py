@@ -24,13 +24,14 @@ from oracles import (
 from wittquant.liealg import (
     JacobsonWitt,
     LieElement,
+    RMatrixData,
     WittAlgebra,
     WPlusAlgebra,
     basic_pair,
 )
 from wittquant.rings import QQ, TQuotientRing, TSeriesRing, accumulate, binom_int, gf, t_quotient, t_series
 from wittquant import verify
-from wittquant.twist import modular
+from wittquant.twist import char0_general, integral_eta, modular
 from wittquant.uea import EnvelopingAlgebra, TensorElement, UEAElement, monomial
 from wittquant.verify import Char0Config, check_hopf_axioms, check_twist_laws
 
@@ -416,6 +417,49 @@ def test_coassoc_counit_antipode_on_random_elements(cfg, seed):
         want = U.one().scale(counit(x))
         assert d.map_slot(0, U.antipode0_mono).multiply_out() == want
         assert d.map_slot(1, U.antipode0_mono).multiply_out() == want
+
+
+@pytest.mark.parametrize("setting,seed", [("u(W(2;1))", 31), ("U(W(1))", 32), ("U(W+(2))", 33)])
+def test_antipode_out_matches_the_slot_map_then_multiply_out(setting, seed):
+    # u(W(2;1)) over GF(3)[t]/(t^3 - t), U(W(1)) over QQ[t]/t^4, the integral form of U(W+(2))
+    if setting == "u(W(2;1))":
+        hopf = modular(3, 2, (1, 1), q=1)
+        pool = hopf.uea.alg.basis()
+    elif setting == "U(W(1))":
+        hopf = char0_general(RMatrixData((1,), (1,), (1,)), cap=4)
+        pool = [hopf.uea.alg.basis_symbol((a,), 1) for a in range(-1, 3)]
+    else:
+        hopf = integral_eta((1, 1), 2, cap=4)
+        alphas = [a for a in itertools.product(range(3), repeat=2) if sum(a) <= 2]
+        pool = [hopf.uea.alg.basis_symbol(a, i) for a in alphas for i in (1, 2)]
+    U, rng = hopf.uea, random.Random(seed)
+    gens = [U.gen(b) for b in rng.sample(pool, 3)]
+    tensors = [hopf.delta(x * y) for x in gens for y in gens]
+    for _ in range(4):
+        z = TensorElement(U, 2, {})
+        for k in range(3):
+            pure = TensorElement.of(*(_random_element(U, rng, pool, nterms=2, max_exp=1) for _ in range(2)))
+            z = z + pure.scale(U.ring.t_power(k))
+        tensors.append(z)
+    s0 = lambda b: -U.gen(b)
+    for z in tensors:
+        for slot in (0, 1):
+            assert z.antipode_out(slot, hopf.antipode_basis) == z.map_slot(slot, hopf.antipode_mono).multiply_out()
+            assert z.antipode_out(slot, s0) == z.map_slot(slot, U.antipode0_mono).multiply_out()
+
+
+def test_antipode_out_takes_slot_zero_or_one_of_a_two_tensor():
+    U = u31()
+    H = U.gen(U.alg.basis_symbol((1,), 1))
+    s0 = lambda b: -U.gen(b)
+    bad = [(TensorElement.of(H), 0), (TensorElement.of(H, H, H), 1), (TensorElement.of(H, H), 2)]
+    for z, slot in bad + [(TensorElement.of(H, H), -1), (TensorElement.unit(U, 0), 0)]:
+        with pytest.raises(ValueError, match=f"slot 0 or 1 of a 2-tensor, got slot {slot} of arity {z.arity}"):
+            z.antipode_out(slot, s0)
+    for slot in (0, 1):
+        assert TensorElement(U, 2, {}).antipode_out(slot, s0) == U.zero()
+        assert TensorElement.unit(U).antipode_out(slot, s0) == U.one()
+        assert TensorElement.of(H * H, U.one()).antipode_out(slot, s0) == H * H
 
 
 @pytest.mark.parametrize("which", ["wplus", "witt"])

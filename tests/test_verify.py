@@ -230,6 +230,26 @@ def test_hopf_multiplicativity_checks_see_a_broken_closed_form(monkeypatch):
     assert rows["antipode-anti-multiplicative"] == "fail"
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_antipode_missing_one_term_fails_the_antipode_laws(monkeypatch, n):
+    # the laws go through antipode_out, never through the slot map and multiply_out
+    hopf = modular(3, n, (1,) + (0,) * (n - 1), q=1)
+    target = hopf.uea.alg.basis()[0]
+    image = hopf.antipode_basis(target)
+    dropped = max(image.terms)
+    perturbed = hopf.uea.element({m: c for m, c in image.terms.items() if m != dropped})
+    original = hopf.antipode_basis
+    monkeypatch.setattr(hopf, "antipode_basis", lambda bd: perturbed if bd == target else original(bd))
+
+    def no_multiply_out(self):
+        raise AssertionError("an antipode law multiplied a mapped tensor out")
+
+    monkeypatch.setattr(TensorElement, "multiply_out", no_multiply_out)
+    rows = {c.name: c.status for c in check_hopf_axioms(hopf).checks}
+    assert rows["antipode-law-generators"] == "fail" and rows["antipode-law-products"] == "fail"
+    assert rows["counit-law-generators"] == rows["coassociativity-generators"] == "pass"
+
+
 def test_dimensions_small_and_structural():
     rep = check_dimensions_radford(ModularConfig(3, 1, (1,)))
     assert rep.passed
