@@ -53,14 +53,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 
-def binom_int(a: int, r: int) -> int:
-    """Generalized binomial a(a-1)...(a-r+1)/r!, exact for any integer a."""
+def binom_int(a, r: int):
+    """Generalized binomial a(a-1)...(a-r+1)/r!, exact for any int or Fraction a;
+    an int for an int a."""
     if r < 0:
         raise ValueError("r must be nonnegative")
     num = 1
     for j in range(r):
         num *= a - j
-    return num // math.factorial(r)
+    return num // math.factorial(r) if type(num) is int else num / math.factorial(r)
 
 
 def multi_factorial(alpha) -> int:

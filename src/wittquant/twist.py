@@ -36,14 +36,17 @@ taken in ascending direction order (basic twists in distinct directions
 commute); ``QuantizedHopf.basic_twist_factor`` builds both series from the one
 shifted factorial, the rising h_a^<r> = (h+a)...(h+a+r-1), reading the falling
 h_a^[r] as h_{a-r+1}^<r>.  Each power (1 - e t)^m, for m of either sign, is the
-one binomial sum sum_{j<cap} C(m, j) (-e t)^j.  The
-antipode twistors follow their definitions, u_a = m(S0 (x) Id)(inverse_a) and
-v_a = m(Id (x) S0)(forward_a), read off the whole twist by the slot-antipode
+one binomial sum sum_{j<cap} C(m, j) (-e t)^j.
+
+The antipode twistors follow their definitions, u_a = m(S0 (x) Id)(inverse_a)
+and v_a = m(Id (x) S0)(forward_a), read off the whole twist by the slot-antipode
 kernel ``TensorElement.antipode_out`` of :mod:`wittquant.uea`, with the
-undeformed S0(b) = -b on basis symbols.  The deformed coproduct and antipode
-reach a monomial by the same walk as the undeformed ones, from the closed forms
-of its basis symbols.  The closed-form coproduct and antipode of a basis symbol are
-sums over vectors ell of raising orders, one entry per direction;
+undeformed S0(b) = -b on basis symbols.  The deformed antipode goes through the
+same kernel, S(x) = m(S (x) Id)(x (x) 1) with the closed forms on basis
+symbols, and caches no monomial image.  The deformed coproduct reaches a
+monomial by the same cached walk as the undeformed one, from the closed forms
+of its basis symbols.  The closed-form coproduct and antipode of a basis symbol
+are sums over vectors ell of raising orders, one entry per direction;
 ``QuantizedHopf._raised_terms`` iterates the surviving terms for both.  The
 closed forms are checked against conjugation by the twist itself via
 :meth:`QuantizedHopf.conjugation_oracle`.
@@ -185,7 +188,6 @@ class QuantizedHopf:
         self.name = "r-matrix twist" if self.eta is None else "eta=" + "".join(map(str, self.eta))
         self._memos: dict = {}  # (method name, *arguments) -> value
         self._delta_mono_cache: dict = {(): TensorElement.unit(uea)}
-        self._antipode_mono_cache: dict = {(): uea.one()}
 
     # -- direction data -------------------------------------------------------------
 
@@ -295,15 +297,13 @@ class QuantizedHopf:
         return TensorElement.of(x).expand_slot(0, self.delta_mono)
 
     def antipode_mono(self, mono) -> UEAElement:
-        """S(m) = antipode_basis(last symbol) * S(prefix), reversing the order
-        since S is an anti-homomorphism; the prefix is as in delta_mono."""
-        step = lambda s, m: self.uea.mul(self.antipode_basis(m[-1][0]), s)
-        return cached_walk(self._antipode_mono_cache, mono, drop_last, step)
+        """S of the one monomial mono."""
+        return self.antipode(self.uea.element({mono: self.uea.ring.one}))
 
     def antipode(self, x: UEAElement) -> UEAElement:
-        """Anti-multiplicative extension of the deformed antipode."""
+        """Anti-multiplicative extension of the deformed antipode: m(S (x) Id)(x (x) 1)."""
         self.uea._check(x)
-        return TensorElement.of(x).map_slot(0, self.antipode_mono).to_element()
+        return TensorElement.of(x, self.uea.one()).antipode_out(0, self.antipode_basis)
 
     def counit(self, x: UEAElement):
         """The deformed counit, which is eps0: the coefficient of the empty monomial."""

@@ -55,27 +55,27 @@ by an integer other than 1.
 Powers grow on the left one factor at a time, as the ``mono_mul`` rows do;
 ``delta_mono`` grows on the right.
 
-Each structure map is given on PBW monomials and extended linearly by the
-tensor slot maps over the one-slot view ``TensorElement.of(x)``: the coproducts
-through ``expand_slot``, the antipodes through ``map_slot``, and the mod-p
-reduction slot by slot.  Every coproduct and antipode, undeformed here and
-deformed in :mod:`wittquant.twist`, reaches a monomial by one walk
-(``cached_walk`` over ``drop_last``): m is its prefix times its last symbol b,
-so Delta(m) = Delta(prefix) * Delta(b) and S(m) = S(b) * S(prefix), with
-Delta0(b) = b (x) 1 + 1 (x) b and S0(b) = -b here.  The caches hold plain data
-(ring-valued dicts) and wrap them on return; an element points back at its
-context, so a cached element would keep the context alive until a full
-garbage collection.
+Each coproduct is given on PBW monomials and extended linearly by
+``expand_slot`` over the one-slot view ``TensorElement.of(x)``, and the mod-p
+reduction goes slot by slot.  Every coproduct, undeformed here and deformed in
+:mod:`wittquant.twist`, reaches a monomial by one walk (``cached_walk`` over
+``drop_last``): m is its prefix times its last symbol b, so
+Delta(m) = Delta(prefix) * Delta(b), with Delta0(b) = b (x) 1 + 1 (x) b here.
+The caches hold plain data (ring-valued dicts) and wrap them on return; an
+element points back at its context, so a cached element would keep the context
+alive until a full garbage collection.
 
-An antipode applied to one slot of a 2-tensor and multiplied out, m(S (x) Id)
-or m(Id (x) S) as in the antipode laws and twistors, has one kernel of its own,
-``TensorElement.antipode_out``.  It takes S on basis symbols only and forms no S
-of a whole monomial: the terms are grouped by their slot monomial, and from the
-highest degree down each group's element multiplies one image S(b) and moves to
-the monomial without b, as in Horner's rule.  For slot 1, b is the last symbol
-and S(b) goes on the right, since a S(prefix b) = (a S(b)) S(prefix); for slot 0,
-b is the first symbol and S(b) goes on the left, since S(b rest) a =
-S(rest) (S(b) a).  The unit's group is the answer.
+Every antipode, undeformed here (S0(b) = -b) and deformed in
+:mod:`wittquant.twist`, is given on basis symbols only and goes through one
+kernel, ``TensorElement.antipode_out``: m(S (x) Id) or m(Id (x) S) of a
+2-tensor, as in the antipode laws and twistors, and S(x) itself as
+m(S (x) Id)(x (x) 1).  It forms no S of a whole monomial and caches none: the
+terms are grouped by their slot monomial, and from the highest degree down each
+group's element multiplies one image S(b) and moves to the monomial without b,
+as in Horner's rule.  For slot 1, b is the last symbol and S(b) goes on the
+right, since a S(prefix b) = (a S(b)) S(prefix); for slot 0, b is the first
+symbol and S(b) goes on the left, since S(b rest) a = S(rest) (S(b) a).  The
+unit's group is the answer.
 
 All coefficient arithmetic goes through the ring descriptors of
 :mod:`wittquant.rings`; structure constants stay integers until they are
@@ -182,11 +182,10 @@ class EnvelopingAlgebra:
         self.restricted = restricted
         # memo caches of plain data; per-context, results never depend on fill order.
         # _mono_mul_rows: right factor m2 -> {left factor m1 -> m1 * m2}
-        # _delta0_cache/_antipode0_cache: monomial -> terms of its Delta0/S0, from the unit up
+        # _delta0_cache: monomial -> terms of its Delta0, from the unit up
         self._insert_cache: dict = {}
         self._mono_mul_rows: dict = {}
         self._delta0_cache: dict = {(): {((), ()): ring.one}}
-        self._antipode0_cache: dict = {(): {(): ring.one}}
 
     # -- element constructors -------------------------------------------------
 
@@ -340,6 +339,7 @@ class EnvelopingAlgebra:
         return [(items, below[keep - 1 - o]) for o, items in lefts.items()]
 
     def power(self, x: "UEAElement", k: int) -> "UEAElement":
+        self._check(x)
         return _power(x, k, self.one(), self.mul)
 
     def _check(self, x):
@@ -364,16 +364,10 @@ class EnvelopingAlgebra:
         self._check(x)
         return TensorElement.of(x).expand_slot(0, self.coproduct0_mono)
 
-    def antipode0_mono(self, mono) -> "UEAElement":
-        """S0(m) = (-b) * S0(prefix), with b and the prefix as in coproduct0_mono, since
-        S0 is an anti-homomorphism; S0(1) = 1."""
-        step = lambda terms, m: self.mul(-self.gen(m[-1][0]), UEAElement(self, terms)).terms
-        return UEAElement(self, cached_walk(self._antipode0_cache, mono, drop_last, step))
-
     def antipode0(self, x: "UEAElement") -> "UEAElement":
-        """The undeformed antipode, each generator negated."""
+        """The undeformed antipode, each generator negated: m(S0 (x) Id)(x (x) 1)."""
         self._check(x)
-        return TensorElement.of(x).map_slot(0, self.antipode0_mono).to_element()
+        return TensorElement.of(x, self.one()).antipode_out(0, lambda b: -self.gen(b))
 
     # -- derived elements ----------------------------------------------------------
 
@@ -558,7 +552,8 @@ class TensorElement(SparseElement):
         """m(S (x) Id) of a 2-tensor for slot 0, m(Id (x) S) for slot 1, S the
         anti-multiplicative map with S(b) = image(b) on basis symbols, by Horner's
         rule over the slot's monomials (see the module docstring): the element
-        ``map_slot(slot, S).multiply_out()``, associated the other way."""
+        ``map_slot(slot, S).multiply_out()``, associated the other way.  Every
+        antipode goes through here; S(x) is ``of(x, one).antipode_out(0, image)``."""
         if self.arity != 2 or slot not in (0, 1):
             raise ValueError(f"antipode_out maps slot 0 or 1 of a 2-tensor, got slot {slot} of arity {self.arity}")
         uea, radd = self.uea, self.ring.add

@@ -166,13 +166,6 @@ class Char0Config:
 # -- shifted factorial identities over a polynomial ring -----------------------------------------
 
 
-def _binom_frac(z: Fraction, r: int) -> Fraction:
-    out = Fraction(1)
-    for j in range(r):
-        out *= z - j
-    return out / math.factorial(r)
-
-
 def check_factorial_identities(max_order: int = 8) -> CheckReport:
     """Splitting/conversion/collapse laws of the shifted factorials, as polynomial identities."""
     col = _Collector()
@@ -211,7 +204,7 @@ def check_factorial_identities(max_order: int = 8) -> CheckReport:
                     t = r - s
                     c = R.from_fraction(Fraction((-1) ** t, math.factorial(s) * math.factorial(t)))
                     acc = R.add(acc, R.mul(c, R.mul(fact(a, s, "falling"), fact(b, t, "rising"))))
-                ok = acc == R.from_fraction(_binom_frac(a - b, r))
+                ok = acc == R.from_fraction(binom_int(a - b, r))
                 col.record("mixed-collapse-to-binomial", ok, f"a={a} b={b} r={r}")
 
                 acc = R.zero
@@ -219,7 +212,7 @@ def check_factorial_identities(max_order: int = 8) -> CheckReport:
                     t = r - s
                     c = R.from_fraction(Fraction((-1) ** t, math.factorial(s) * math.factorial(t)))
                     acc = R.add(acc, R.mul(c, R.mul(fact(a, s, "falling"), fact(b - s, t, "falling"))))
-                ok = acc == R.from_fraction(_binom_frac(a - b + r - 1, r))
+                ok = acc == R.from_fraction(binom_int(a - b + r - 1, r))
                 col.record("falling-collapse-to-binomial", ok, f"a={a} b={b} r={r}")
     return col.report("factorial", {"cap": max_order})
 

@@ -29,8 +29,9 @@ factors differently from the one-factor-at-a-time powers of the package.
 
 ``binomial_coproduct0``, ``reversed_word_antipode0`` and ``series_twistors``
 are the reference undeformed coproduct, undeformed antipode and antipode
-twistors.  The package builds Delta0 and S0 of a monomial one factor at a
-time, and reads the twistors off the twist by their definitions
+twistors.  The package builds Delta0 of a monomial one factor at a time by a
+cached walk, applies S0 by the Horner kernel ``TensorElement.antipode_out``,
+and reads the twistors off the twist by their definitions
 u_a = m(S0 (x) Id)(F_a^-1) and v_a = m(Id (x) S0)(F_a).  These oracles use the
 closed rules instead: each factor b^e splits binomially under Delta0; S0
 reverses the word, negates each symbol and straightens by
@@ -38,6 +39,11 @@ reverses the word, negates each symbol and straightens by
 the series whose S0 images were worked out by hand (S0 of a rising factorial
 is a signed falling factorial), each falling factorial formed as its own
 product rather than through ``EnvelopingAlgebra.factorial_element``.
+
+``reversed_word_antipode`` is the reference deformed antipode of a monomial:
+the closed forms ``antipode_basis`` of its symbols multiplied over the reversed
+word, left to right with ``uea.mul``, where the package goes through the Horner
+kernel.
 
 ``one_minus_et_by_powers`` is the reference (1 - e t)^m: a power of 1 - e t,
 or for m < 0 of the truncated geometric series, where the package sums the
@@ -164,6 +170,17 @@ def reversed_word_antipode0(uea, mono) -> UEAElement:
     sign = -1 if len(word) % 2 else 1
     rint = uea.ring.from_int
     return UEAElement(uea, {m: v for m, c in rewrite_normalize(uea, word).items() if (v := rint(sign * c))})
+
+
+def reversed_word_antipode(hopf, mono) -> UEAElement:
+    """S of a PBW monomial b1^e1 ... bk^ek: S(bk)^ek ... S(b1)^e1 from the closed
+    forms, multiplied left to right from the unit."""
+    uea = hopf.uea
+    out = uea.one()
+    for b, e in reversed(mono):
+        for _ in range(e):
+            out = uea.mul(out, hopf.antipode_basis(b))
+    return out
 
 
 def series_twistors(hopf, a) -> tuple:

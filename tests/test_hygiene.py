@@ -31,7 +31,10 @@ keys in one module.  The eighth reports a module other than ``verify.py`` (in
 the package, the tests, the demos or the benchmark) that names
 ``ENUMERATION_LIMIT``: ``verify.is_enumerable`` is the one rule for which
 shapes have their restricted basis enumerated, and the ``dims`` verb and the
-``dims`` suite both ask it.
+``dims`` suite both ask it.  The ninth pins the public names that only the
+benchmark keeps alive: the third scan with the demos as the only users outside
+the tests, so that a new one shows, and a change to the benchmark that stops
+tracing one deletes it with its span.
 """
 from __future__ import annotations
 
@@ -211,6 +214,19 @@ def test_scan_finds_a_public_name_only_tests_use():
 def test_no_public_names_that_only_tests_use():
     package = {p.name: p.read_text() for p in PACKAGE}
     assert names_only_tests_use(package, {str(p): p.read_text() for p in USERS}) == []
+
+
+BENCHMARK_ONLY = [  # kept only because perfbench/spans.py traces them by name
+    ("twist.py", "QuantizedHopf.antipode_mono"),
+    ("uea.py", "TensorElement.map_slot"),
+    ("uea.py", "TensorElement.multiply_out"),
+]
+
+
+def test_the_names_only_the_benchmark_keeps_alive_are_pinned():
+    package = {p.name: p.read_text() for p in PACKAGE}
+    demos = {str(p): p.read_text() for p in USERS if p.parent.name == "demos"}
+    assert names_only_tests_use(package, demos) == BENCHMARK_ONLY
 
 
 def private_imports(sources: dict) -> list:

@@ -23,6 +23,16 @@ def test_binom_int_pascal():
             assert binom_int(a, r) == binom_int(a - 1, r) + binom_int(a - 1, r - 1)
 
 
+def test_binom_int_is_exact_for_a_rational_top():
+    assert binom_int(Fraction(1, 2), 2) == Fraction(-1, 8)  # (1/2)(-1/2)/2
+    assert binom_int(Fraction(-1, 3), 3) == Fraction(-14, 81)  # (-1/3)(-4/3)(-7/3)/6
+    assert binom_int(Fraction(1, 2), 0) == 1 and binom_int(Fraction(7, 2), 1) == Fraction(7, 2)
+    for a in (Fraction(k, 6) for k in range(-30, 31)):
+        for r in range(1, 8):
+            assert binom_int(a, r) == binom_int(a - 1, r) + binom_int(a - 1, r - 1)
+    assert all(type(binom_int(a, r)) is int for a in range(-5, 6) for r in range(6))
+
+
 def test_binom_int_negative_r_rejected():
     with pytest.raises(ValueError):
         binom_int(3, -1)

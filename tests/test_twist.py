@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from oracles import one_minus_et_by_powers, series_twistors
+from oracles import one_minus_et_by_powers, reversed_word_antipode0, series_twistors
 
 from wittquant.liealg import BasisDeriv, RMatrixData
 from wittquant.twist import (
@@ -123,10 +123,11 @@ def test_antipode_twistors_examples():
     ],
 )
 def test_twistors_are_the_twist_with_one_slot_antipoded(make, shifts):
-    # u_a = m(S0 (x) Id)(F_a^-1) and v_a = m(Id (x) S0)(F_a), built from the twist
+    # u_a = m(S0 (x) Id)(F_a^-1) and v_a = m(Id (x) S0)(F_a), built from the twist;
+    # the slot map applies the reference S0 to each monomial, then the slots multiply
     H = make()
     U = H.uea
-    s0 = U.antipode0_mono
+    s0 = lambda m: reversed_word_antipode0(U, m)
     for a in shifts:
         tw, pair = H.build_twist(a), H.antipode_twistors(a)
         assert tw.inverse.map_slot(0, s0).multiply_out() == pair.u_elem, a

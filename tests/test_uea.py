@@ -17,6 +17,7 @@ from oracles import (
     mono_of_sorted_word,
     op_matrix,
     pairwise_tensor_product,
+    reversed_word_antipode,
     reversed_word_antipode0,
     rewrite_normalize,
 )
@@ -374,11 +375,12 @@ def _oracle_monomials(kind):
 
 @pytest.mark.parametrize("kind", ["u(W(1;1)) p=3", "U(W+(2)) QQ", "U(W(2)) t_series(QQ,3)"])
 def test_coproduct0_and_antipode0_match_the_closed_rules(kind):
-    # the one-factor walks against the binomial split and the reversed, straightened word
+    # the one-factor walk and the Horner kernel against the binomial split and the
+    # reversed, straightened word
     U, monos = _oracle_monomials(kind)
     for mono in monos:
         assert U.coproduct0_mono(mono) == binomial_coproduct0(U, mono), mono
-        assert U.antipode0_mono(mono) == reversed_word_antipode0(U, mono), mono
+        assert U.antipode0(U.element({mono: U.ring.one})) == reversed_word_antipode0(U, mono), mono
 
 
 def _random_element(uea, rng, pool, nterms=3, max_exp=2):
@@ -413,25 +415,47 @@ def test_coassoc_counit_antipode_on_random_elements(cfg, seed):
         # counit law
         assert d.contract(0).to_element() == x
         assert d.contract(1).to_element() == x
-        # antipode axiom
+        # antipode axiom, with the reference S0 on each monomial of the slot
         want = U.one().scale(counit(x))
-        assert d.map_slot(0, U.antipode0_mono).multiply_out() == want
-        assert d.map_slot(1, U.antipode0_mono).multiply_out() == want
+        s0 = lambda m: reversed_word_antipode0(U, m)
+        assert d.map_slot(0, s0).multiply_out() == want
+        assert d.map_slot(1, s0).multiply_out() == want
 
 
-@pytest.mark.parametrize("setting,seed", [("u(W(2;1))", 31), ("U(W(1))", 32), ("U(W+(2))", 33)])
-def test_antipode_out_matches_the_slot_map_then_multiply_out(setting, seed):
-    # u(W(2;1)) over GF(3)[t]/(t^3 - t), U(W(1)) over QQ[t]/t^4, the integral form of U(W+(2))
+_ANTIPODE_SETTINGS = [("u(W(2;1))", 31), ("U(W(1))", 32), ("U(W+(2))", 33)]
+
+
+def _antipode_setting(setting):
+    """A quantization and a pool of its basis symbols: u(W(2;1)) over GF(3)[t]/(t^3 - t),
+    U(W(1)) over QQ[t]/t^4, or the integral form of U(W+(2))."""
     if setting == "u(W(2;1))":
         hopf = modular(3, 2, (1, 1), q=1)
-        pool = hopf.uea.alg.basis()
-    elif setting == "U(W(1))":
+        return hopf, hopf.uea.alg.basis()
+    if setting == "U(W(1))":
         hopf = char0_general(RMatrixData((1,), (1,), (1,)), cap=4)
-        pool = [hopf.uea.alg.basis_symbol((a,), 1) for a in range(-1, 3)]
-    else:
-        hopf = integral_eta((1, 1), 2, cap=4)
-        alphas = [a for a in itertools.product(range(3), repeat=2) if sum(a) <= 2]
-        pool = [hopf.uea.alg.basis_symbol(a, i) for a in alphas for i in (1, 2)]
+        return hopf, [hopf.uea.alg.basis_symbol((a,), 1) for a in range(-1, 3)]
+    hopf = integral_eta((1, 1), 2, cap=4)
+    alphas = [a for a in itertools.product(range(3), repeat=2) if sum(a) <= 2]
+    return hopf, [hopf.uea.alg.basis_symbol(a, i) for a in alphas for i in (1, 2)]
+
+
+@pytest.mark.parametrize("setting,seed", _ANTIPODE_SETTINGS)
+def test_antipodes_match_the_reversed_word_references(setting, seed):
+    # S and S0 of whole elements, through antipode_out, against the reversed words
+    hopf, pool = _antipode_setting(setting)
+    U, rng = hopf.uea, random.Random(seed)
+    elements = [_random_element(U, rng, pool, nterms=3, max_exp=2) for _ in range(6)]
+    elements += [U.one(), U.zero(), U.gen(pool[0]) * U.gen(pool[-1]) * U.gen(pool[1])]
+    s_word = lambda m: reversed_word_antipode(hopf, m)
+    s0_word = lambda m: reversed_word_antipode0(U, m)
+    for x in elements:  # the references extended linearly by the one-slot map
+        assert hopf.antipode(x) == TensorElement.of(x).map_slot(0, s_word).to_element(), x
+        assert U.antipode0(x) == TensorElement.of(x).map_slot(0, s0_word).to_element(), x
+
+
+@pytest.mark.parametrize("setting,seed", _ANTIPODE_SETTINGS)
+def test_antipode_out_matches_the_slot_map_then_multiply_out(setting, seed):
+    hopf, pool = _antipode_setting(setting)
     U, rng = hopf.uea, random.Random(seed)
     gens = [U.gen(b) for b in rng.sample(pool, 3)]
     tensors = [hopf.delta(x * y) for x in gens for y in gens]
@@ -442,10 +466,12 @@ def test_antipode_out_matches_the_slot_map_then_multiply_out(setting, seed):
             z = z + pure.scale(U.ring.t_power(k))
         tensors.append(z)
     s0 = lambda b: -U.gen(b)
+    s_word = lambda m: reversed_word_antipode(hopf, m)
+    s0_word = lambda m: reversed_word_antipode0(U, m)
     for z in tensors:
         for slot in (0, 1):
-            assert z.antipode_out(slot, hopf.antipode_basis) == z.map_slot(slot, hopf.antipode_mono).multiply_out()
-            assert z.antipode_out(slot, s0) == z.map_slot(slot, U.antipode0_mono).multiply_out()
+            assert z.antipode_out(slot, hopf.antipode_basis) == z.map_slot(slot, s_word).multiply_out()
+            assert z.antipode_out(slot, s0) == z.map_slot(slot, s0_word).multiply_out()
 
 
 def test_antipode_out_takes_slot_zero_or_one_of_a_two_tensor():
@@ -612,6 +638,9 @@ def test_cross_context_operations_rejected():
         TensorElement.of(x, x) * TensorElement.of(y, y)
     with pytest.raises(ValueError):
         U1.one() * TensorElement.of(x, x)  # a tensor is no operand of the algebra's product
+    for k in (0, 1, 2):  # the operand is checked for every exponent, k = 0 too
+        with pytest.raises(ValueError, match="not an element of this enveloping algebra"):
+            U1.power(y, k)
 
 
 def _mixed_pair(cls, change):
@@ -843,10 +872,10 @@ def test_pure_tensor_needs_factors_of_one_algebra():
 def test_tensor_slot_maps_reject_slots_outside_the_tensor():
     U = EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3), restricted=True)
     H, X = U.gen(U.alg.basis_symbol((1,), 1)), U.gen(U.alg.basis_symbol((2,), 1))
-    z = TensorElement.of(H, X)
+    z, s0 = TensorElement.of(H, X), lambda m: reversed_word_antipode0(U, m)
     for slot in (-1, 2):
         with pytest.raises(ValueError, match=f"slot {slot} is outside a tensor of arity 2"):
-            z.map_slot(slot, U.antipode0_mono)
+            z.map_slot(slot, s0)
         with pytest.raises(ValueError, match=f"slot {slot} is outside a tensor of arity 2"):
             z.expand_slot(slot, U.coproduct0_mono)
         with pytest.raises(ValueError, match=f"slot {slot} is outside a tensor of arity 2"):
@@ -858,7 +887,7 @@ def test_tensor_slot_maps_reject_slots_outside_the_tensor():
             z.pad(left, right)
     with pytest.raises(ValueError, match="nonnegative number of slots"):
         TensorElement.unit(U, -1)
-    assert z.map_slot(1, U.antipode0_mono) == TensorElement.of(H, -X)
+    assert z.map_slot(1, s0) == TensorElement.of(H, -X)
     assert z.contract(1) == TensorElement(U, 1, {}) and z.pad(1, 1).arity == 4
 
 
@@ -1090,8 +1119,6 @@ def _held_monomials(U, values=(), keys=()) -> list:
             monos += [m1, *out]
     for mono, out in U._delta0_cache.items():
         monos += [mono, *itertools.chain.from_iterable(out)]
-    for mono, out in U._antipode0_cache.items():
-        monos += [mono, *out]
     values = [w for v in values for w in (v if isinstance(v, tuple) else (v,))]
     for v in values:
         if isinstance(v, TensorElement):
@@ -1104,9 +1131,8 @@ def _held_monomials(U, values=(), keys=()) -> list:
 
 def _hopf_monomials(hopf) -> list:
     """The monomials held by a quantization's caches and memos and by its algebra's caches."""
-    caches = (hopf._delta_mono_cache, hopf._antipode_mono_cache)
-    values = [*caches[0].values(), *caches[1].values(), *hopf._memos.values()]
-    return _held_monomials(hopf.uea, values, keys=[*caches[0], *caches[1]])
+    cache = hopf._delta_mono_cache
+    return _held_monomials(hopf.uea, [*cache.values(), *hopf._memos.values()], keys=cache)
 
 
 def test_a_hopf_run_leaves_only_canonical_monomials():
