@@ -28,6 +28,17 @@ symbol b1 of m1.  The products with one right factor m2 share a row of cached
 entries s * m2, so a product whose suffix is cached costs one insertion step,
 and tails that several left factors share are multiplied once.
 
+Straightening coefficients are integers.  In a context whose ring has
+characteristic p > 0 they are residues in 1..p-1: each sum is reduced mod p and
+a term that is 0 mod p is dropped where it arises, as the ring would drop it
+later (the diamond lemma below fixes the normal form, not the integer that
+stands for a coefficient).  A characteristic-0 context keeps exact integers.
+The caches hold each small result once: every insertion or row entry that is 0
+is the context's one empty dict, and every one that is a single term with
+coefficient 1 is the context's one dict {m: 1} of its monomial.  A row step on
+one unit term returns the cached insertion itself.  Cached results are shared
+and never mutated; an insertion sums its parts into a dict of its own.
+
 The recursion terminates by induction on filtration degree.  For mono of
 degree d it recurses into b rest and [b, b1] rest, of degree d, one less than
 b mono; a fold lowers the degree by p - 1; and the top-degree terms of b rest
@@ -87,7 +98,7 @@ import itertools
 import math
 import operator
 
-from .liealg import JW, BasisDeriv, LieAlgebra, LieElement
+from .liealg import JW, WPLUS, BasisDeriv, LieAlgebra, LieElement
 from .rings import SparseElement, accumulate, inverse_factorial, multi_factorial
 
 
@@ -182,9 +193,13 @@ class EnvelopingAlgebra:
         self.restricted = restricted
         # memo caches of plain data; per-context, results never depend on fill order.
         # _mono_mul_rows: right factor m2 -> {left factor m1 -> m1 * m2}
+        # _units: monomial m -> {m: 1}, the one dict of that unit term
+        # _vanished: the one dict of every straightening result that is 0
         # _delta0_cache: monomial -> terms of its Delta0, from the unit up
         self._insert_cache: dict = {}
         self._mono_mul_rows: dict = {}
+        self._units: dict = {}
+        self._vanished: dict = {}
         self._delta0_cache: dict = {(): {((), ()): ring.one}}
 
     # -- element constructors -------------------------------------------------
@@ -224,7 +239,10 @@ class EnvelopingAlgebra:
         return 1 + (e - 1) % (p - 1) if self.alg.p_power(b) is not None else 0
 
     def _insert(self, b: BasisDeriv, mono) -> dict:
-        """Normal form of b * mono for a normal monomial: dict mono -> int coeff."""
+        """Normal form of b * mono for a normal monomial: dict mono -> int coeff, a
+        residue in 1..p-1 in characteristic p.  A prepended symbol gives a fresh
+        dict; every other result is cached, shared (``_shared``) and must not be
+        mutated, so the swap sums its parts into a dict of its own (``_combine``)."""
         if not mono or b < mono[0][0]:
             return {monomial(((b, 1),) + mono): 1}
         key = (b, mono)
@@ -234,46 +252,85 @@ class EnvelopingAlgebra:
         b1, e1 = mono[0]
         if b == b1:
             e = self.fold_exponent(b, e1 + 1)
-            out = {monomial(((b, e),) + mono[1:]): 1} if e else {}
+            out = self._unit(monomial(((b, e),) + mono[1:])) if e else self._vanished
         else:
             # b b1 rest = b1 (b rest) + [b, b1] rest
             rest = _drop_first(mono)
-            out = self._left_multiply((b1,), self._insert(b, rest))
-            brackets = (
-                (m, k * c) for s, k in self.alg.bracket_basis(b, b1).items() for m, c in self._insert(s, rest).items()
-            )
-            accumulate(operator.add, out, brackets)
+            ins = self._insert
+            parts = [(c, ins(b1, m)) for m, c in ins(b, rest).items()]
+            parts += [(k, ins(s, rest)) for s, k in self.alg.bracket_basis(b, b1).items()]
+            out = self._shared(self._combine(parts))
         self._insert_cache[key] = out
         return out
 
     def _left_multiply(self, symbols, terms: dict) -> dict:
-        """Multiply normal terms on the left by each symbol in turn."""
+        """Multiply normal terms on the left by each symbol in turn.  One unit term's
+        product is its insertion as cached, so the result may be shared."""
         for b in symbols:
-            products = ((m2, c * k) for m, c in terms.items() for m2, k in self._insert(b, m).items())
-            terms = accumulate(operator.add, {}, products)
+            if not terms:
+                break
+            if len(terms) == 1 and 1 in terms.values():
+                terms = self._insert(b, next(iter(terms)))
+            else:
+                terms = self._combine([(c, self._insert(b, m)) for m, c in terms.items()])
+        return terms
+
+    def _combine(self, parts) -> dict:
+        """The sum of k * terms over the (int k, int terms) pairs of parts, as a fresh
+        dict whose coefficients are reduced mod p in characteristic p, zeros dropped."""
+        out: dict = {}
+        get = out.get
+        for k, terms in parts:
+            for m, c in terms.items():
+                out[m] = get(m, 0) + k * c
+        p = self.ring.char
+        if p:
+            return {m: r for m, c in out.items() if (r := c % p)}
+        return {m: c for m, c in out.items() if c} if 0 in out.values() else out
+
+    def _unit(self, m) -> dict:
+        """The context's one dict {m: 1}."""
+        hit = self._units.get(m)
+        if hit is None:
+            hit = self._units[m] = {m: 1}
+        return hit
+
+    def _shared(self, terms: dict) -> dict:
+        """terms, or the context's one dict with its content when it is 0 or one unit term."""
+        if not terms:
+            return self._vanished
+        if len(terms) == 1:
+            ((m, c),) = terms.items()
+            if c == 1:
+                return self._unit(m)
         return terms
 
     def normalize_word(self, word) -> dict:
-        """Normal form of a product of basis symbols: dict mono -> int coeff."""
+        """Normal form of a product of basis symbols: dict mono -> int coeff, a residue
+        in 1..p-1 in characteristic p.  The result may be a cached insertion and
+        must not be mutated."""
         return self._left_multiply(reversed(tuple(word)), {(): 1})
 
     def mono_mul(self, m1, m2) -> dict:
-        """Normalized product of two PBW monomials: dict mono -> int coeff.
+        """Normalized product of two PBW monomials: dict mono -> int coeff, a residue
+        in 1..p-1 in characteristic p.
 
         Row m2 maps m1 -> m1 * m2 and holds the unit.  A miss walks m1 back,
         one factor of its first symbol b1 at a time, to its longest suffix s in
         the row, then goes forward by b1 * (s * m2), one insertion step per
         entry (``cached_walk``).  Returned dicts are shared and must not be
-        mutated.
+        mutated: a row entry that is 0 or one unit term is the context's one
+        dict of that content (``_shared``), and a cached insertion is the row
+        entry itself.
         """
         if not m2:
             return {m1: 1}
         row = self._mono_mul_rows.get(m2)
         if row is None:
-            row = self._mono_mul_rows[m2] = {(): {m2: 1}}
+            row = self._mono_mul_rows[m2] = {(): self._unit(m2)}
         hit = row.get(m1)
         if hit is None:
-            hit = cached_walk(row, m1, _drop_first, lambda s, m: self._left_multiply((m[0][0],), s))
+            hit = cached_walk(row, m1, _drop_first, lambda s, m: self._shared(self._left_multiply((m[0][0],), s)))
         return hit
 
     def pbw_normalize(self, word) -> "UEAElement":
@@ -632,8 +689,11 @@ def reduce_tensor_mod_p(x: TensorElement, target: EnvelopingAlgebra) -> TensorEl
     """Reduce a W+ tensor element slotwise to the Jacobson-Witt side: x^a D_i -> a! x^(a) D_i.
 
     A term dies with any slot (``_reduce_mono``); a surviving term picks up the
-    factorial scalars of every slot, and its coefficient is reduced mod p.
+    factorial scalars of every slot, and its coefficient is reduced mod p.  The
+    source must be a tensor over U(W+); any other raises ValueError.
     """
+    if x.uea.alg.flavor != WPLUS:
+        raise ValueError(f"reduction mod p maps U(W+), not an element over {x.uea.alg!r}")
     ring = target.ring
     pairs = []
     for key, c in x.terms.items():

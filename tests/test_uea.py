@@ -1057,6 +1057,20 @@ def test_reduction_rejects_a_target_of_another_shape():
         reduce_element_mod_p(x, EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3)))
 
 
+def test_reduction_rejects_a_source_outside_w_plus():
+    from wittquant.uea import reduce_element_mod_p, reduce_tensor_mod_p
+
+    MU = EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3))
+    x = MU.gen(MU.alg.basis_symbol((2,), 1))  # x^(2) D_1, which once "reduced" to 2 x^(2) D_1
+    with pytest.raises(ValueError, match=r"U\(W\+\)"):
+        reduce_element_mod_p(x, MU)
+    with pytest.raises(ValueError, match=r"U\(W\+\)"):
+        reduce_tensor_mod_p(MU.coproduct0(x), MU)
+    WU = uwitt(1)
+    with pytest.raises(ValueError, match=r"U\(W\+\)"):
+        reduce_element_mod_p(WU.gen(WU.alg.basis_symbol((2,), 1)), MU)
+
+
 def test_lift_rejects_foreign_algebra_or_ring():
     U = EnvelopingAlgebra(JacobsonWitt(2, 5), gf(5))
     small = JacobsonWitt(1, 3)
@@ -1135,14 +1149,75 @@ def _hopf_monomials(hopf) -> list:
     return _held_monomials(hopf.uea, [*cache.values(), *hopf._memos.values()], keys=cache)
 
 
-def test_a_hopf_run_leaves_only_canonical_monomials():
+@pytest.fixture(scope="module")
+def hopf_runs():
+    """n -> the quantization at (3,n), eta all 1, q = 1, after its Hopf suite passed."""
+    runs = {}
+    for n in (1, 2):
+        runs[n] = modular(3, n, (1,) * n, 1)
+        assert check_hopf_axioms(runs[n]).passed
+    return runs
+
+
+def test_a_hopf_run_leaves_only_canonical_monomials(hopf_runs):
     # an equal monomial that was not interned hashes differently and misses
     # every cache silently; after the heaviest Hopf shape none may be held
-    hopf = modular(3, 2, (1, 1), 1)
-    assert check_hopf_axioms(hopf).passed
+    hopf = hopf_runs[2]
     monos = _hopf_monomials(hopf)
     assert len({id(m) for m in monos if m}) > 100
     assert all(map(_canonical, monos))
+
+
+# -- shared straightening results --------------------------------------------------
+
+
+def _straightening_results(U) -> list:
+    """The dicts U's straightening caches hold: the insertions and the mono_mul row entries."""
+    return [*U._insert_cache.values(), *(out for row in U._mono_mul_rows.values() for out in row.values())]
+
+
+def test_straightening_coefficients_are_residues_mod_p(hopf_runs):
+    for hopf in hopf_runs.values():
+        p = hopf.uea.ring.char
+        coeffs = [c for out in _straightening_results(hopf.uea) for c in out.values()]
+        assert all(type(c) is int for c in coeffs) and set(coeffs) == set(range(1, p))
+
+
+def test_char0_straightening_keeps_exact_integers():
+    # (x1^3 D1) D1 D1 = D1^2 (x1^3 D1) - 6 D1 (x1^2 D1) + 6 x1 D1, and 6 is 0 mod 2 and mod 3
+    U = uw_plus(2)
+    d1, x1d1, x3d1 = (U.alg.basis_symbol((a, 0), 1) for a in (0, 1, 3))
+    word = (x3d1, d1, d1)
+    got = U.normalize_word(word)
+    assert got == rewrite_normalize(U, word)
+    assert got[monomial(((x1d1, 1),))] == 6 and sorted(got.values()) == [-6, 1, 6]
+    assert U.mono_mul(monomial(((x3d1, 1),)), monomial(((d1, 2),))) == got
+    coeffs = [c for out in _straightening_results(U) for c in out.values()]
+    assert 6 in coeffs and all(type(c) is int for c in coeffs)
+
+
+def test_straightening_results_are_shared(hopf_runs):
+    # every product that vanishes is one dict, and so is every unit term of one monomial
+    for hopf in hopf_runs.values():
+        results = _straightening_results(hopf.uea)
+        assert len({id(out) for out in results if not out}) == 1
+        units = collections.defaultdict(set)
+        for out in results:
+            if len(out) == 1 and 1 in out.values():
+                units[next(iter(out))].add(id(out))
+        assert units and all(len(ids) == 1 for ids in units.values())
+
+
+def test_a_hopf_run_mutates_no_shared_straightening_result(hopf_runs):
+    U = hopf_runs[1].uea
+    fresh = EnvelopingAlgebra(U.alg, U.ring, restricted=U.restricted)
+    rows = U._mono_mul_rows
+    assert sum(map(len, rows.values())) > 100
+    for m2, row in rows.items():
+        for m1, out in row.items():
+            assert out == fresh.mono_mul(m1, m2), (m1, m2)
+    for (b, mono), out in U._insert_cache.items():
+        assert out == fresh._insert(b, mono), (b, mono)
 
 
 def test_char0_twist_laws_leave_only_canonical_monomials(monkeypatch):
