@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .rings import ReductionError
+from .rings import ReductionError, accumulate
 from .uea import EnvelopingAlgebra, TensorElement, UEAElement
 
 
@@ -215,15 +215,9 @@ class _Parser:
         for start, slots in terms:
             if len(slots) != arity:
                 raise ElementSyntaxError("inconsistent tensor arity across terms", start)
-        if arity == 1:
-            out = self.uea.zero()
-            for _, (x,) in terms:
-                out = out + x
-            return out
-        out = TensorElement(self.uea, arity, {})
-        for _, slots in terms:
-            out = out + TensorElement.of(*slots)
-        return out
+        pairs = (item for _, slots in terms for item in TensorElement.of(*slots).terms.items())
+        out = TensorElement(self.uea, arity, accumulate(self.uea.ring.add, {}, pairs))
+        return out.to_element() if arity == 1 else out
 
 
 def parse_element(text: str, uea: EnvelopingAlgebra):

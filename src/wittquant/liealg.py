@@ -183,7 +183,6 @@ class JacobsonWitt(LieAlgebra):
         gf(p)  # validates the prime
         super().__init__(n)
         self.p = p
-        self._p_powers = {}  # symbol -> its p-th power, filled as symbols are asked about
 
     def __repr__(self):
         return f"W({self.n};1) over GF({self.p})"
@@ -222,14 +221,10 @@ class JacobsonWitt(LieAlgebra):
     def p_power(self, b: BasisDeriv) -> Optional[BasisDeriv]:
         """The restricted p-th power of a basis symbol: H_i for H_i, else 0 (None).
 
-        A symbol is validated the first time it is asked about; the answer is then
-        a lookup, by identity, since symbols are interned."""
-        try:
-            return self._p_powers[b]
-        except KeyError:
-            self.validate(b)
-            eps = tuple(1 if j == b.i - 1 else 0 for j in range(self.n))
-            return self._p_powers.setdefault(b, b if b.alpha == eps else None)
+        Every call validates b and applies the rule, so a foreign or out-of-range
+        symbol raises ValueError each time it is asked about."""
+        self.validate(b)
+        return b if b.alpha == tuple(int(j == b.i - 1) for j in range(self.n)) else None
 
 
 class LieElement(SparseElement):

@@ -20,8 +20,10 @@ mismatches.
 ``from_fraction`` is the one rule that turns rationals into ring values, and
 so carries the reduction of the integral form mod p: an int or ``Fraction``
 has a value in GF(p) exactly when p does not divide its denominator (else
-``ReductionError``), and a t-ring also maps a value of a rational t-ring one
-degree at a time.  ``inverse_factorial`` is the one place 1/r! is formed.
+``ReductionError``), and a t-ring maps a value of a rational t-ring coefficient
+by coefficient and hands the list to its own ``_reduce``: the series ring cuts
+it at the cap, the quotient ring folds t^p = q t from the top degree down.
+``inverse_factorial`` is the one place 1/r! is formed.
 
 The quotient ring GF(p)[t]/(t^p - q t) is finite, with p^p values, so each
 descriptor memoizes ``mul`` and ``add`` in two plain dicts keyed by the operand
@@ -230,15 +232,13 @@ class _TRingBase:
         return (c,) if c else ()
 
     def from_fraction(self, x):
-        """Embed an int or Fraction, or map a value of a rational t-ring degree by degree."""
+        """Embed an int or Fraction, or map a value of a rational t-ring degree by degree:
+        every coefficient goes to the base ring, and ``_reduce`` folds or drops the degrees
+        past ``keep``."""
         if not isinstance(x, tuple):
             c = self.base.from_fraction(x)
             return (c,) if c else ()
-        out = self.zero
-        for d, c in enumerate(x):
-            if c:
-                out = self.add(out, self.mul(self.from_fraction(c), self.t_power(d)))
-        return out
+        return self._reduce([self.base.from_fraction(c) for c in x][: self.keep])
 
     def t_power(self, r: int):
         """The value t^r, reduced; a negative r raises ValueError."""

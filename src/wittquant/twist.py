@@ -220,7 +220,7 @@ class QuantizedHopf:
 
         return self._memo(("one_minus_et_power", d, m), compute)
 
-    def _raised(self, bd: BasisDeriv, ell) -> UEAElement:
+    def raised(self, bd: BasisDeriv, ell) -> UEAElement:
         """bd raised ell[d] times along each direction d, with the directions' coefficients."""
         terms = {bd: Fraction(1)}
         for direction, l in zip(self.directions, ell):
@@ -232,13 +232,13 @@ class QuantizedHopf:
     # -- closed-form deformed structure maps ---------------------------------------------
 
     def _raised_terms(self, bd: BasisDeriv):
-        """(ell, t^|ell|, raised) for each ell vector whose term survives: t^|ell|
-        is not truncated away and bd raised along ell is nonzero."""
-        ring = self.uea.ring
-        for ell in itertools.product(range(ring.char or self.cap), repeat=len(self.directions)):
-            tpow = ring.t_power(sum(ell))
+        """(ell, t^|ell|, raised) for each ell vector below the cap whose term survives:
+        t^|ell| is not truncated away and bd raised along ell is nonzero, which W(n;1)'s
+        range rules out for an entry at or past p."""
+        for ell in itertools.product(range(self.cap), repeat=len(self.directions)):
+            tpow = self.uea.ring.t_power(sum(ell))
             if tpow:
-                raised = self._raised(bd, ell)
+                raised = self.raised(bd, ell)
                 if raised:
                     yield ell, tpow, raised
 
@@ -293,7 +293,7 @@ class QuantizedHopf:
 
     def delta(self, x: UEAElement) -> TensorElement:
         """Multiplicative extension of the deformed coproduct."""
-        self.uea._check(x)
+        self.uea.check(x)
         return TensorElement.of(x).expand_slot(0, self.delta_mono)
 
     def antipode_mono(self, mono) -> UEAElement:
@@ -302,12 +302,12 @@ class QuantizedHopf:
 
     def antipode(self, x: UEAElement) -> UEAElement:
         """Anti-multiplicative extension of the deformed antipode: m(S (x) Id)(x (x) 1)."""
-        self.uea._check(x)
+        self.uea.check(x)
         return TensorElement.of(x, self.uea.one()).antipode_out(0, self.antipode_basis)
 
     def counit(self, x: UEAElement):
         """The deformed counit, which is eps0: the coefficient of the empty monomial."""
-        self.uea._check(x)
+        self.uea.check(x)
         return x.terms.get((), self.uea.ring.zero)
 
     # -- twists and twistors --------------------------------------------------------------

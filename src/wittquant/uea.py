@@ -344,8 +344,8 @@ class EnvelopingAlgebra:
     # -- products ----------------------------------------------------------------
 
     def mul(self, x: "UEAElement", y: "UEAElement") -> "UEAElement":
-        self._check(x)
-        self._check(y)
+        self.check(x)
+        self.check(y)
         return UEAElement(self, self._product(x.terms, y.terms, 0))
 
     def _product(self, x: dict, y: dict, depth: int) -> dict:
@@ -396,10 +396,11 @@ class EnvelopingAlgebra:
         return [(items, below[keep - 1 - o]) for o, items in lefts.items()]
 
     def power(self, x: "UEAElement", k: int) -> "UEAElement":
-        self._check(x)
+        self.check(x)
         return _power(x, k, self.one(), self.mul)
 
-    def _check(self, x):
+    def check(self, x):
+        """Raise ValueError unless x is an element of this enveloping algebra."""
         if type(x) is not UEAElement or x.uea is not self:
             raise ValueError("operand is not an element of this enveloping algebra")
 
@@ -418,12 +419,12 @@ class EnvelopingAlgebra:
 
     def coproduct0(self, x: "UEAElement") -> "TensorElement":
         """The undeformed coproduct, each generator primitive."""
-        self._check(x)
+        self.check(x)
         return TensorElement.of(x).expand_slot(0, self.coproduct0_mono)
 
     def antipode0(self, x: "UEAElement") -> "UEAElement":
         """The undeformed antipode, each generator negated: m(S0 (x) Id)(x (x) 1)."""
-        self._check(x)
+        self.check(x)
         return TensorElement.of(x, self.one()).antipode_out(0, lambda b: -self.gen(b))
 
     # -- derived elements ----------------------------------------------------------
@@ -542,7 +543,7 @@ class TensorElement(SparseElement):
             raise ValueError("a pure tensor needs at least one factor")
         uea = factors[0].uea
         for f in factors:
-            uea._check(f)
+            uea.check(f)
         ring = uea.ring
         rmul = ring.mul
         keys = [((), ring.one)]
@@ -669,11 +670,12 @@ def _arity_two(image: TensorElement) -> TensorElement:
 
 def _reduce_mono(mono, target: EnvelopingAlgebra):
     """(image, scale) of a normal W+ monomial under x^a D_i -> a! x^(a) D_i in target,
-    or None when it dies: x^a dies in O(n;1) (some a_j >= p), or a factor folds to 0.
-    The image keeps the (alpha, i) order of the factors, so it is normal as it stands."""
+    or None when it dies: x^a is outside target's W(n;1) (its ``in_range``), or a factor
+    folds to 0.  The image keeps the (alpha, i) order of the factors, so it is normal as
+    it stands."""
     image, scale = [], 1
     for bd, e in mono:
-        if any(a >= target.alg.p for a in bd.alpha):
+        if not target.alg.in_range(bd.alpha):
             return None
         sym = BasisDeriv(JW, bd.alpha, bd.i)
         target.alg.validate(sym)
@@ -690,10 +692,13 @@ def reduce_tensor_mod_p(x: TensorElement, target: EnvelopingAlgebra) -> TensorEl
 
     A term dies with any slot (``_reduce_mono``); a surviving term picks up the
     factorial scalars of every slot, and its coefficient is reduced mod p.  The
-    source must be a tensor over U(W+); any other raises ValueError.
+    source must be a tensor over U(W+) and the target an algebra over W(n;1);
+    any other raises ValueError.
     """
     if x.uea.alg.flavor != WPLUS:
         raise ValueError(f"reduction mod p maps U(W+), not an element over {x.uea.alg!r}")
+    if target.alg.flavor != JW:
+        raise ValueError(f"reduction mod p maps into U(W(n;1)), not into an algebra over {target.alg!r}")
     ring = target.ring
     pairs = []
     for key, c in x.terms.items():

@@ -384,7 +384,7 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
                     rhs = hopf.build_twist(Fraction(a) - s * N).inverse * TensorElement.of(xs, Ut.one())
                     col.record("power-slot-past-inverse-twist", lhs == rhs, xs)
 
-                tensor, element = _shift_sums(hopf, a, [hopf._raised(bd, (ell,)) for ell in range(cap)])
+                tensor, element = _shift_sums(hopf, a, [hopf.raised(bd, (ell,)) for ell in range(cap)])
                 col.record("right-slot-past-inverse-twist", TensorElement.of(Ut.one(), x) * Fa == tensor, x)
                 lhs = x * hopf.antipode_twistors(a).u_elem
                 rhs = hopf.antipode_twistors(Fraction(a) + N).u_elem * element
@@ -509,15 +509,14 @@ def check_hopf_axioms(hopf: QuantizedHopf) -> CheckReport:
         return dx
 
     gen_elems = [U.gen(b) for b in gens]
-    deltas = {}
-    for b, x in zip(gens, gen_elems):
-        deltas[b] = laws(x, "generators")
+    deltas = {b: laws(x, "generators") for b, x in zip(gens, gen_elems)}
+    antipodes = {b: hopf.antipode(x) for b, x in zip(gens, gen_elems)}
     for ii in range(len(gens)):
         for jj in range(ii, len(gens)):
             laws(gen_elems[ii] * gen_elems[jj], "products")
             y = gen_elems[jj] * gen_elems[ii]
             col.record("coproduct-multiplicative", hopf.delta(y) == deltas[gens[jj]] * deltas[gens[ii]], y)
-            sy = U.mul(hopf.antipode(gen_elems[ii]), hopf.antipode(gen_elems[jj]))
+            sy = U.mul(antipodes[gens[ii]], antipodes[gens[jj]])
             col.record("antipode-anti-multiplicative", hopf.antipode(y) == sy, y)
     params = _report_params(
         p=getattr(U.alg, "p", None), n=U.alg.n, eta=hopf.eta, q=getattr(U.ring, "q", None), cap=hopf.cap, seed=0
@@ -628,7 +627,7 @@ def check_restricted_structure(cfg: ModularConfig) -> CheckReport:
     for bd in gens:
         x = U.gen(bd)
         for ell_vec in itertools.product(range(p), repeat=len(hopf.directions)):
-            col.record("composed-divided-ad-powers", _ad_along(hopf, ell_vec, x) == hopf._raised(bd, ell_vec), x)
+            col.record("composed-divided-ad-powers", _ad_along(hopf, ell_vec, x) == hopf.raised(bd, ell_vec), x)
 
     # divided powers on unit-exponent generators and on p-th powers
     for i in range(1, alg.n + 1):

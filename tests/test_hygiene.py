@@ -34,7 +34,10 @@ shapes have their restricted basis enumerated, and the ``dims`` verb and the
 ``dims`` suite both ask it.  The ninth pins the public names that only the
 benchmark keeps alive: the third scan with the demos as the only users outside
 the tests, so that a new one shows, and a change to the benchmark that stops
-tracing one deletes it with its span.
+tracing one deletes it with its span.  The tenth reports a package module that
+reads a private (single-underscore, non-dunder) attribute, on anything but
+``self`` or ``cls``, that only other modules of the package define: a method or
+field that another module calls is public.
 """
 from __future__ import annotations
 
@@ -428,3 +431,62 @@ def test_only_verify_names_the_enumeration_limit():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in {*PACKAGE, *MODULES, *USERS}}
     sources["verify.py"] = sources.pop("src/wittquant/verify.py")
     assert enumeration_limit_uses(sources) == []
+
+
+def _private_definitions(tree) -> set:
+    """Names a module defines: functions, classes, and assigned names and attributes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+    return out
+
+
+def private_reads_across_modules(sources: dict) -> list:
+    """(module, line, attribute) of each read of a private attribute that another module
+    of sources defines and the reading module does not.  A read on ``self`` or ``cls``
+    is the class's own business (an inherited helper), so it is not flagged."""
+    trees = {module: ast.parse(src) for module, src in sources.items()}
+    defined = {module: _private_definitions(tree) for module, tree in trees.items()}
+    flagged = []
+    for module, tree in trees.items():
+        foreign = set().union(*(names for other, names in defined.items() if other != module)) - defined[module]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            name = node.attr
+            if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                continue
+            if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+                continue
+            if name in foreign:
+                flagged.append((module, node.lineno, name))
+    return sorted(flagged)
+
+
+def test_scan_finds_a_private_read_across_modules():
+    a = (
+        "class A:\n"
+        "    def __init__(self): self._cache = {}\n"
+        "    def _helper(self): return self._cache\n"
+        "def _free(): pass\n"
+    )
+    b = (
+        "from a import A\n"
+        "class B(A):\n"
+        "    def m(self, other): return self._helper(), other._helper()\n"
+        "def f(x): return x.uea._cache, x._own, x.__class__, x._unknown\n"
+        "def g(x): x._own = 1\n"
+        "import a\n"
+        "h = a._free\n"
+    )
+    got = private_reads_across_modules({"a": a, "b": b})
+    assert got == [("b", 3, "_helper"), ("b", 4, "_cache"), ("b", 7, "_free")]
+
+
+def test_no_private_reads_across_modules():
+    assert private_reads_across_modules({p.name: p.read_text() for p in PACKAGE}) == []

@@ -268,6 +268,36 @@ def test_from_fraction_maps_a_rational_t_value_through_the_ring():
     assert t_series(QQ, 4).from_fraction(value) == value
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_from_fraction_of_a_rational_t_value_matches_the_oracle(p):
+    # sum_d c_d t^d, each c_d reduced mod p, folded by the oracle's quotient arithmetic for
+    # every q and cut at the cap of a GF(p) series; one denominator divisible by p at a
+    # degree the series drops still raises, as for a scalar
+    rnd = random.Random(p)
+    dens = [d for d in range(1, 3 * p) if d % p]
+
+    def t_power(q, d):
+        out = (1,)
+        for _ in range(d):
+            out = quotient_mul(p, q, out, (0, 1))
+        return out
+
+    for q in range(p):
+        quotient, series = t_quotient(p, q), t_series(gf(p), p)
+        for _ in range(30):
+            value = tuple(Fraction(rnd.randint(-9, 9), rnd.choice(dens)) for _ in range(rnd.randint(0, 3 * p)))
+            residues = [c.numerator * pow(c.denominator, -1, p) % p for c in value]
+            want = ()
+            for d, c in enumerate(residues):
+                want = quotient_add(p, want, quotient_mul(p, q, (c,), t_power(q, d)))
+            assert quotient.from_fraction(value) == want, (q, value)
+            assert series.from_fraction(value) == quotient_add(p, (), residues[:p]), value
+        bad = (Fraction(1),) * 2 * p + (Fraction(1, p),)
+        for R in (quotient, series):
+            with pytest.raises(ReductionError, match=f"^denominator of 1/{p} not invertible mod {p}$"):
+                R.from_fraction(bad)
+
+
 def test_inverse_factorial_exists_below_the_characteristic():
     assert inverse_factorial(gf(5), 4) == 4  # 4! = -1 mod 5, its own inverse
     assert inverse_factorial(t_series(QQ, 4), 3) == (Fraction(1, 6),)

@@ -564,4 +564,15 @@ def test_divided_ad_power_matches_modular_coefficients():
     for bd in alg.basis():
         for ell in range(3):
             got = U.ad_divided_power(e, ell, U.gen(bd))
-            assert got == H._raised(bd, (ell,)), (bd, ell)
+            assert got == H.raised(bd, (ell,)), (bd, ell)
+
+
+@pytest.mark.parametrize("n, eta", [(1, (1,)), (2, (1, 0))])
+def test_raising_past_the_characteristic_is_zero_below_the_series_cap(n, eta):
+    # the closed forms bound each raising order by the cap alone: over U(W(n;1)) with
+    # a series cap 6 > p = 3, an order l >= p leaves W(n;1)'s range, so the term is 0
+    H = modular_unrestricted(3, n, eta, 6)
+    for bd in H.uea.alg.basis():
+        for ell in itertools.product(range(6), repeat=len(H.directions)):
+            if max(ell) >= 3:
+                assert not H.raised(bd, ell), (bd, ell)

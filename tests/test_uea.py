@@ -1057,6 +1057,21 @@ def test_reduction_rejects_a_target_of_another_shape():
         reduce_element_mod_p(x, EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3)))
 
 
+@pytest.mark.parametrize("alg", [WittAlgebra(1), WPlusAlgebra(1)], ids=repr)
+def test_reduction_rejects_a_target_outside_jacobson_witt(alg):
+    # the range test of the reduction is the target's own in_range, so a target without
+    # W(n;1)'s range is refused before any term is reduced
+    from wittquant.uea import reduce_element_mod_p, reduce_tensor_mod_p
+
+    WU = integral_eta((1,), 1).uea
+    x = WU.gen(WU.alg.basis_symbol((1,), 1))
+    target = EnvelopingAlgebra(alg, QQ)
+    with pytest.raises(ValueError, match=r"into U\(W\(n;1\)\)"):
+        reduce_element_mod_p(x, target)
+    with pytest.raises(ValueError, match=r"into U\(W\(n;1\)\)"):
+        reduce_tensor_mod_p(WU.coproduct0(x), target)
+
+
 def test_reduction_rejects_a_source_outside_w_plus():
     from wittquant.uea import reduce_element_mod_p, reduce_tensor_mod_p
 
