@@ -62,8 +62,20 @@ pairs that the truncation kills (``_blocks``): a pair of terms, or of first-slot
 groups, whose lowest t-orders sum to the ring's ``keep`` or more is never
 multiplied.  A ring that drops no degree pays no per-pair test for this.
 Monomial products have integer coefficients, so a ring value is rescaled only
-by an integer other than 1.
-Powers grow on the left one factor at a time, as the ``mono_mul`` rows do;
+by an integer other than 1, each such integer converted into the ring once per
+kernel call.
+
+A power x^k grows on the left one factor at a time, x * x^(k-1), and there the
+right factor is new at every step: a ``mono_mul`` row keyed by a monomial of the
+running power would serve one product.  So a power step builds no row for its
+element products (``_left_power``): by Horner's rule over x's monomials, each
+monomial of x starts from its coefficient times the running power, and from the
+highest degree down each monomial's sum is multiplied on the left by its last
+symbol, one ``_insert`` per term, and added into the sum of the monomial without
+that symbol.  Monomials of x that share a prefix share its insertions, and a sum
+cancels before its next symbol.  A tensor power keeps the kernel's first-slot
+products, whose monomials are few and recur, and forms the rests this way.
+Every other product keeps the rows, since there the right factors recur.
 ``delta_mono`` grows on the right.
 
 Each coproduct is given on PBW monomials and extended linearly by
@@ -103,11 +115,12 @@ from .rings import SparseElement, accumulate, inverse_factorial, multi_factorial
 
 
 def _power(x, k: int, one, mul):
-    """x^k = x * x^(k-1), from the unit one.  Up to k = 3 this forms the products
-    squaring does (x * x, then x * x^2), past that fewer: squaring multiplies two
-    dense powers.  x goes on the left so that its short monomials are the left
-    factors of ``mono_mul``, one insertion step each; on the right, the cache walk
-    would store every suffix of each long monomial of the power."""
+    """x^k = x * x^(k-1), from the unit one, by ``mul(x, running power)``.  Up to
+    k = 3 this forms the products squaring does (x * x, then x * x^2), past that
+    fewer: squaring multiplies two dense powers.  x goes on the left, so each
+    step multiplies the running power on the left by x's symbols (Horner's rule,
+    ``EnvelopingAlgebra._left_power``): every monomial of the running power is
+    new at each step, and a ``mono_mul`` row keyed by one would serve one use."""
     if k < 0:
         raise ValueError("negative powers are not defined here")
     out = one
@@ -348,13 +361,19 @@ class EnvelopingAlgebra:
         self.check(y)
         return UEAElement(self, self._product(x.terms, y.terms, 0))
 
-    def _product(self, x: dict, y: dict, depth: int) -> dict:
+    def _product(self, x: dict, y: dict, depth: int, power: bool = False, ints=None) -> dict:
         """The one product kernel, on terms nested ``depth`` levels below their first monomial
         (``_nest``; depth 0: an element's terms): dict key -> value.  Each pair of first
         monomials left by ``_blocks`` is multiplied once, and dropped if that vanishes; else
         the values multiply (by the ring at depth 0, by this kernel one level down past it)
-        and scatter over the first monomials with their integer rescale."""
-        rmul, rint, mono_mul = self.ring.mul, self.ring.from_int, self.mono_mul
+        and scatter over the first monomials with their integer rescale (``ints``, shared
+        down the levels).  In a power step (``power``: x the factor, y the running power)
+        the first monomials still multiply by ``mono_mul``, but the product at depth 0 goes
+        by Horner's rule over x's monomials (``_left_power``)."""
+        ints = _Ints(self.ring) if ints is None else ints
+        if power and not depth:
+            return self._left_power(x, y, ints)
+        rmul, mono_mul = self.ring.mul, self.mono_mul
 
         def pairs():
             for xs, ys in self._blocks(x, y, depth):
@@ -366,14 +385,46 @@ class EnvelopingAlgebra:
                         if not depth:
                             c = rmul(v1, v2)
                             for m, k in first.items():
-                                yield m, c if k == 1 else rmul(c, rint(k))
+                                yield m, c if k == 1 else rmul(c, ints[k])
                             continue
-                        rest = self._product(v1, v2, depth - 1)
+                        rest = self._product(v1, v2, depth - 1, power, ints)
                         for m, k in first.items():
                             for r, c in rest.items():
-                                yield (m, r) if depth == 1 else (m,) + r, c if k == 1 else rmul(c, rint(k))
+                                yield (m, r) if depth == 1 else (m,) + r, c if k == 1 else rmul(c, ints[k])
 
         return accumulate(self.ring.add, {}, pairs())
+
+    def _left_power(self, x: dict, y: dict, ints) -> dict:
+        """x * y on element terms by Horner's rule over x's monomials, through the
+        insertion cache alone (see the module docstring): each monomial of x starts from
+        its coefficient times y, and from the highest degree down each monomial's sum is
+        multiplied on the left by its last symbol b and added into the monomial without
+        b.  The unit's sum is the product.  A coefficient of x meets the terms of y that
+        ``_blocks`` pairs it with, in the same pass as the first symbol."""
+        ring, ins = self.ring, self._insert
+        rmul, radd = ring.mul, ring.add
+        levels: dict = {}  # degree -> monomial -> (sum so far, items of its coefficient times y)
+        for xs, ys in self._blocks(x, y, 0):
+            for m, c in xs:
+                levels.setdefault(sum(e for _, e in m), {})[m] = ({}, ys if c == ring.one else _scaled(c, ys, rmul))
+        for degree in range(max(levels, default=0), 0, -1):
+            up = levels.setdefault(degree - 1, {})
+            for m, (acc, seed) in levels.pop(degree, {}).items():
+                out, b = up.setdefault(drop_last(m), ({}, ()))[0], m[-1][0]
+                get = out.get
+                for items in (acc.items(), seed):
+                    for m2, v in items:
+                        for mm, k in ins(b, m2).items():
+                            w = v if k == 1 else rmul(v, ints[k])
+                            old = get(mm)
+                            if old is not None:
+                                w = radd(old, w)
+                            if w:
+                                out[mm] = w
+                            elif old is not None:
+                                del out[mm]
+        acc, seed = levels.get(0, {}).get((), ({}, ()))
+        return accumulate(radd, acc, seed)
 
     def _blocks(self, x: dict, y: dict, depth: int):
         """Pairs (left items, right items) that hold every pair of items whose coefficient
@@ -397,7 +448,7 @@ class EnvelopingAlgebra:
 
     def power(self, x: "UEAElement", k: int) -> "UEAElement":
         self.check(x)
-        return _power(x, k, self.one(), self.mul)
+        return _power(x, k, self.one(), lambda a, b: UEAElement(self, self._product(a.terms, b.terms, 0, True)))
 
     def check(self, x):
         """Raise ValueError unless x is an element of this enveloping algebra."""
@@ -491,6 +542,25 @@ class UEAElement(SparseElement):
         return f"<UEA {format_element(self)}>"
 
 
+class _Ints(dict):
+    """int k -> ring.from_int(k), each k converted once: the integer rescales of one
+    kernel call."""
+
+    __slots__ = ("from_int",)
+
+    def __init__(self, ring):
+        self.from_int = ring.from_int
+
+    def __missing__(self, k):
+        value = self[k] = self.from_int(k)
+        return value
+
+
+def _scaled(c, items, rmul):
+    """The (key, c * value) of items whose product is not 0, formed as they are read."""
+    return ((m, w) for m, v in items if (w := rmul(c, v)))
+
+
 def _lowest(order, node: dict, depth: int) -> int:
     """The lowest order over the ring values ``depth`` >= 1 nesting levels under node."""
     if depth == 1:
@@ -555,13 +625,18 @@ class TensorElement(SparseElement):
         """Slotwise product: the product kernel at depth arity - 1 on the terms nested by slot.
         Arity 0 gains a unit slot for it; the kernel's bare monomial keys get their tuple back."""
         self._same(other)
-        arity = self.arity
-        x, y = (_nest(z.terms if arity else z.pad(right=1).terms) for z in (self, other))
-        terms = self.uea._product(x, y, max(arity - 1, 0))
-        return self._like(terms if arity >= 2 else {(m,)[:arity]: c for m, c in terms.items()})
+        return self._times(other, False)
 
     def __pow__(self, k: int):
-        return _power(self, k, TensorElement.unit(self.uea, self.arity), operator.mul)
+        """The first slot of each step multiplies in the product kernel, the rests by
+        Horner's rule over the factor's rests (``EnvelopingAlgebra._product``)."""
+        return _power(self, k, TensorElement.unit(self.uea, self.arity), lambda a, b: a._times(b, True))
+
+    def _times(self, other, power: bool) -> "TensorElement":
+        arity = self.arity
+        x, y = (_nest(z.terms if arity else z.pad(right=1).terms) for z in (self, other))
+        terms = self.uea._product(x, y, max(arity - 1, 0), power)
+        return self._like(terms if arity >= 2 else {(m,)[:arity]: c for m, c in terms.items()})
 
     def map_slot(self, slot: int, f) -> "TensorElement":
         """Apply a linear map (mono -> UEAElement) to one slot."""
@@ -636,11 +711,11 @@ class TensorElement(SparseElement):
         one slot is left; the sum is collected after each merge, so terms that
         cancel are not carried into the next."""
         uea = self.uea
-        radd, rmul, rint, mono_mul = uea.ring.add, uea.ring.mul, uea.ring.from_int, uea.mono_mul
+        radd, rmul, ints, mono_mul = uea.ring.add, uea.ring.mul, _Ints(uea.ring), uea.mono_mul
         terms = self.terms if self.arity else self.pad(1).terms
         for _ in range(self.arity - 1):
             pairs = (
-                ((m,) + key[2:], c if k == 1 else rmul(c, rint(k)))
+                ((m,) + key[2:], c if k == 1 else rmul(c, ints[k]))
                 for key, c in terms.items()
                 for m, k in mono_mul(key[0], key[1]).items()
             )

@@ -965,22 +965,106 @@ def test_powers_match_repeated_squaring(kind):
 
 
 def test_a_power_puts_each_factor_on_the_left(monkeypatch):
+    # every step is x * (running power): Horner's rule runs over x's monomials with
+    # the running power on the right, and an element power builds no mono_mul row
     U = u31()
     x = U.gen(U.alg.basis_symbol((0,), 1)) + U.gen(U.alg.basis_symbol((2,), 1))
     x2 = x * x
+    rows = {m2: dict(row) for m2, row in U._mono_mul_rows.items()}
     calls = []
-    mul = U.mul
-    monkeypatch.setattr(U, "mul", lambda a, b: calls.append((a, b)) or mul(a, b))
+    left_power = U._left_power
+    monkeypatch.setattr(U, "_left_power", lambda a, b, ints: calls.append((a, b)) or left_power(a, b, ints))
     x3 = U.power(x, 3)
-    assert calls == [(x, U.one()), (x, x), (x, x2)]
-    assert x3 == mul(x, x2)
+    assert calls == [(x.terms, U.one().terms), (x.terms, x.terms), (x.terms, x2.terms)]
+    assert {m2: dict(row) for m2, row in U._mono_mul_rows.items()} == rows
+    assert x3 == x * x2
 
+    # a tensor power multiplies first slots in the product kernel, with X's nested terms on
+    # the left at every step, and the rests by Horner's rule with one of X's rests on the left
     X = U.coproduct0(x)
+    X2 = X * X
     calls.clear()
-    tensor_mul = TensorElement.__mul__
-    monkeypatch.setattr(TensorElement, "__mul__", lambda a, b: calls.append((a, b)) or tensor_mul(a, b))
-    X**3
-    assert calls == [(X, TensorElement.unit(U)), (X, X), (X, tensor_mul(X, X))]
+    steps = []
+    product = U._product
+    monkeypatch.setattr(
+        U, "_product", lambda a, b, depth, *rest: (depth and steps.append((a, b))) or product(a, b, depth, *rest)
+    )
+    X3 = X**3
+    nest = _nest_terms
+    assert steps == [(nest(X), nest(TensorElement.unit(U))), (nest(X), nest(X)), (nest(X), nest(X2))]
+    assert calls and all(a in list(nest(X).values()) for a, _ in calls)
+    monkeypatch.undo()
+    assert X3 == X * X2
+
+
+def _nest_terms(X):
+    """A 2-tensor's terms nested by slot: first monomial -> second monomial -> value."""
+    out: dict = {}
+    for (m1, m2), c in X.terms.items():
+        out.setdefault(m1, {})[m2] = c
+    return out
+
+
+def _oracle_power(x, k: int) -> UEAElement:
+    """x^k with each product of monomials straightened by ``rewrite_normalize``: no
+    ``mono_mul`` row and no insertion of the context."""
+    U, ring = x.uea, x.uea.ring
+    out = {(): ring.one}
+    for _ in range(k):
+        pairs = []
+        for m1, c1 in x.terms.items():
+            for m2, c2 in out.items():
+                c = ring.mul(c1, c2)
+                if c:
+                    for m, n in rewrite_normalize(U, _expand(m1) + _expand(m2)).items():
+                        pairs.append((m, ring.mul(c, ring.from_int(n))))
+        out = accumulate(ring.add, {}, pairs)
+    return UEAElement(U, out)
+
+
+def test_powers_of_antipodes_match_the_rewriting_oracle(monkeypatch):
+    # S(g)^k for k <= p over u_{t,1}(W(n;1)) at (3,1) and (3,2), and k <= 3 over a QQ
+    # series ring, against words straightened one swap at a time; the restricted words
+    # meet both folds, b^p = 0 off the torus and H^p = H on it
+    import oracles
+
+    folds = collections.Counter()
+    sorted_word = oracles.mono_of_sorted_word
+
+    def counting(uea, word):
+        m = sorted_word(uea, word)
+        if uea.restricted and any(len(tuple(run)) >= uea.alg.p for _, run in itertools.groupby(word)):
+            folds["dies" if m is None else "folds"] += 1
+        return m
+
+    monkeypatch.setattr(oracles, "mono_of_sorted_word", counting)
+    cases = []
+    for p, n in ((3, 1), (3, 2)):
+        hopf = modular(p, n, (1,) * n, 1)
+        images = [hopf.antipode(hopf.uea.gen(g)) for g in hopf.uea.alg.basis()]
+        cases += [(s, range(2, p + 1)) for s in images if len(s.terms) <= 24]
+    hopf = char0_general(RMatrixData((1, 0), (0, 1), (1, 0)), cap=4)
+    U = hopf.uea
+    for alpha, i in (((1, 0), 1), ((0, 1), 2), ((2, 0), 1), ((1, 1), 2), ((0, 2), 1)):
+        cases.append((hopf.antipode(U.gen(U.alg.basis_symbol(alpha, i))), (2, 3)))
+    assert max(len(s.terms) for s, _ in cases) >= 20
+    assert max(sum(e for _, e in m) for s, _ in cases for m in s.terms) >= 6
+    for s, powers in cases:
+        for k in powers:
+            assert s.uea.power(s, k) == _oracle_power(s, k), (s, k)
+    assert folds["dies"] and folds["folds"]
+
+
+def test_a_power_walks_a_degree_1000_monomial_without_recursion():
+    # the Horner walk drops one symbol per level; a recursive walk would pass the recursion limit
+    from wittquant.grammar import MAX_DEGREE
+
+    U = uw_plus(1)
+    b = U.alg.basis_symbol((1,), 1)
+    y = U.element({((b, MAX_DEGREE),): 1, ((b, 1),): 2, (): 3})
+    assert U.power(y, 2) == U.mul(y, y)
+    Y = TensorElement.of(y, y)
+    assert Y**2 == Y * Y
 
 
 @pytest.mark.parametrize(
@@ -1026,6 +1110,9 @@ def test_contexts_are_freed_without_the_cycle_collector():
         x = WU.gen(WU.alg.basis_symbol((1,), 1)) ** 4 + WU.gen(WU.alg.basis_symbol((2,), 1))
         rx = reduce_element_mod_p(x, MU)
         assert MU.coproduct0(rx) and MU.antipode0(rx) and WU.coproduct0(x) and WU.antipode0(x)
+        assert MU.power(rx, 3) == rx * rx * rx and WU.power(x, 2) == x * x
+        X = MU.coproduct0(rx)
+        assert X**3 == X * X * X
         return weakref.ref(WU), weakref.ref(MU)
 
     enabled = gc.isenabled()
