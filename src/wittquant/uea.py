@@ -65,19 +65,6 @@ Monomial products have integer coefficients, so a ring value is rescaled only
 by an integer other than 1, each such integer converted into the ring once per
 kernel call.
 
-A power x^k grows on the left one factor at a time, x * x^(k-1), and there the
-right factor is new at every step: a ``mono_mul`` row keyed by a monomial of the
-running power would serve one product.  So a power step builds no row for its
-element products (``_left_power``): by Horner's rule over x's monomials, each
-monomial of x starts from its coefficient times the running power, and from the
-highest degree down each monomial's sum is multiplied on the left by its last
-symbol, one ``_insert`` per term, and added into the sum of the monomial without
-that symbol.  Monomials of x that share a prefix share its insertions, and a sum
-cancels before its next symbol.  A tensor power keeps the kernel's first-slot
-products, whose monomials are few and recur, and forms the rests this way.
-Every other product keeps the rows, since there the right factors recur.
-``delta_mono`` grows on the right.
-
 Each coproduct is given on PBW monomials and extended linearly by
 ``expand_slot`` over the one-slot view ``TensorElement.of(x)``, and the mod-p
 reduction goes slot by slot.  Every coproduct, undeformed here and deformed in
@@ -86,19 +73,27 @@ reduction goes slot by slot.  Every coproduct, undeformed here and deformed in
 Delta(m) = Delta(prefix) * Delta(b), with Delta0(b) = b (x) 1 + 1 (x) b here.
 The caches hold plain data (ring-valued dicts) and wrap them on return; an
 element points back at its context, so a cached element would keep the context
-alive until a full garbage collection.
+alive until a full garbage collection.  ``delta_mono`` grows on the right.
 
-Every antipode, undeformed here (S0(b) = -b) and deformed in
-:mod:`wittquant.twist`, is given on basis symbols only and goes through one
-kernel, ``TensorElement.antipode_out``: m(S (x) Id) or m(Id (x) S) of a
-2-tensor, as in the antipode laws and twistors, and S(x) itself as
-m(S (x) Id)(x (x) 1).  It forms no S of a whole monomial and caches none: the
-terms are grouped by their slot monomial, and from the highest degree down each
-group's element multiplies one image S(b) and moves to the monomial without b,
-as in Horner's rule.  For slot 1, b is the last symbol and S(b) goes on the
-right, since a S(prefix b) = (a S(b)) S(prefix); for slot 0, b is the first
-symbol and S(b) goes on the left, since S(b rest) a = S(rest) (S(b) a).  The
-unit's group is the answer.
+Powers and antipodes go through one walk, Horner's rule over PBW monomials
+(``_horner``): each monomial starts from its items, and from the highest degree
+down its items are multiplied by the image of one outer symbol b and added into
+the sum of the monomial without b.  The unit's sum is the answer.  Monomials that
+share a shortening share its products, and a sum cancels before its next symbol.
+A power x^k grows on the left, x * x^(k-1), and its right factor is new at every
+step, so a ``mono_mul`` row keyed by a monomial of the running power would serve
+one product.  A power step's element product (``_left_power``) walks x's
+monomials instead: each starts from its coefficient times the running power, and
+b, its last symbol, goes on the left by ``_insert``, so the step builds no row.  A
+tensor power keeps the kernel's first-slot products, whose monomials are few and
+recur, and forms the rests this way; every other product keeps the rows.  Every
+antipode, undeformed here (S0(b) = -b) and deformed in :mod:`wittquant.twist`, is
+given on basis symbols only and walks the monomials of one slot of a 2-tensor
+(``TensorElement.antipode_out``): m(S (x) Id) or m(Id (x) S), as in the antipode
+laws and twistors, and S(x) itself as m(S (x) Id)(x (x) 1).  No S of a whole
+monomial is formed or cached.  For slot 1, b is the last symbol and S(b) goes on
+the right, since a S(prefix b) = (a S(b)) S(prefix); for slot 0, b is the first
+symbol and S(b) goes on the left, since S(b rest) a = S(rest) (S(b) a).
 
 All coefficient arithmetic goes through the ring descriptors of
 :mod:`wittquant.rings`; structure constants stay integers until they are
@@ -118,9 +113,8 @@ def _power(x, k: int, one, mul):
     """x^k = x * x^(k-1), from the unit one, by ``mul(x, running power)``.  Up to
     k = 3 this forms the products squaring does (x * x, then x * x^2), past that
     fewer: squaring multiplies two dense powers.  x goes on the left, so each
-    step multiplies the running power on the left by x's symbols (Horner's rule,
-    ``EnvelopingAlgebra._left_power``): every monomial of the running power is
-    new at each step, and a ``mono_mul`` row keyed by one would serve one use."""
+    step walks x's monomials by Horner's rule (``EnvelopingAlgebra._left_power``)
+    and builds no ``mono_mul`` row keyed by the running power's new monomials."""
     if k < 0:
         raise ValueError("negative powers are not defined here")
     out = one
@@ -395,36 +389,35 @@ class EnvelopingAlgebra:
         return accumulate(self.ring.add, {}, pairs())
 
     def _left_power(self, x: dict, y: dict, ints) -> dict:
-        """x * y on element terms by Horner's rule over x's monomials, through the
-        insertion cache alone (see the module docstring): each monomial of x starts from
-        its coefficient times y, and from the highest degree down each monomial's sum is
-        multiplied on the left by its last symbol b and added into the monomial without
-        b.  The unit's sum is the product.  A coefficient of x meets the terms of y that
-        ``_blocks`` pairs it with, in the same pass as the first symbol."""
-        ring, ins = self.ring, self._insert
-        rmul, radd = ring.mul, ring.add
-        levels: dict = {}  # degree -> monomial -> (sum so far, items of its coefficient times y)
-        for xs, ys in self._blocks(x, y, 0):
-            for m, c in xs:
-                levels.setdefault(sum(e for _, e in m), {})[m] = ({}, ys if c == ring.one else _scaled(c, ys, rmul))
+        """x * y on element terms by the walk over x's monomials (``_horner``), each seeded
+        with its coefficient times the terms of y that ``_blocks`` pairs it with, scaled as
+        they are read; its last symbol goes on the left, one ``_insert`` per term."""
+        ins, rmul, one = self._insert, self.ring.mul, self.ring.one
+
+        def times(m, items):
+            b = m[-1][0]
+            for m2, v in items:
+                for mm, k in ins(b, m2).items():
+                    yield mm, v if k == 1 else rmul(v, ints[k])
+
+        seeds = {m: ys if c == one else _scaled(c, ys, rmul) for xs, ys in self._blocks(x, y, 0) for m, c in xs}
+        return self._horner(seeds, drop_last, times)
+
+    def _horner(self, seeds, shorten, times) -> dict:
+        """Horner's rule over monomials (see the module docstring): ``seeds`` maps each
+        monomial m to its starting items, ``shorten`` (``drop_last`` or ``_drop_first``) drops
+        its outer factor, and ``times(m, items)`` yields the items times that symbol's image.
+        A loop over the degrees, which can pass the recursion limit."""
+        radd = self.ring.add
+        levels: dict = {}  # degree -> monomial -> the sum its longer monomials added into it
+        for m in seeds:
+            levels.setdefault(sum(e for _, e in m), {})[m] = {}
         for degree in range(max(levels, default=0), 0, -1):
             up = levels.setdefault(degree - 1, {})
-            for m, (acc, seed) in levels.pop(degree, {}).items():
-                out, b = up.setdefault(drop_last(m), ({}, ()))[0], m[-1][0]
-                get = out.get
-                for items in (acc.items(), seed):
-                    for m2, v in items:
-                        for mm, k in ins(b, m2).items():
-                            w = v if k == 1 else rmul(v, ints[k])
-                            old = get(mm)
-                            if old is not None:
-                                w = radd(old, w)
-                            if w:
-                                out[mm] = w
-                            elif old is not None:
-                                del out[mm]
-        acc, seed = levels.get(0, {}).get((), ({}, ()))
-        return accumulate(radd, acc, seed)
+            for m, acc in levels.pop(degree).items():
+                items = itertools.chain(acc.items(), seeds.get(m, ()))
+                accumulate(radd, up.setdefault(shorten(m), {}), times(m, items))
+        return accumulate(radd, levels.get(0, {}).get((), {}), seeds.get((), ()))
 
     def _blocks(self, x: dict, y: dict, depth: int):
         """Pairs (left items, right items) that hold every pair of items whose coefficient
@@ -451,9 +444,10 @@ class EnvelopingAlgebra:
         return _power(x, k, self.one(), lambda a, b: UEAElement(self, self._product(a.terms, b.terms, 0, True)))
 
     def check(self, x):
-        """Raise ValueError unless x is an element of this enveloping algebra."""
+        """x, once it is checked to be an element of this enveloping algebra; ValueError if not."""
         if type(x) is not UEAElement or x.uea is not self:
             raise ValueError("operand is not an element of this enveloping algebra")
+        return x
 
     # -- standard Hopf structure ---------------------------------------------------
 
@@ -639,25 +633,25 @@ class TensorElement(SparseElement):
         return self._like(terms if arity >= 2 else {(m,)[:arity]: c for m, c in terms.items()})
 
     def map_slot(self, slot: int, f) -> "TensorElement":
-        """Apply a linear map (mono -> UEAElement) to one slot."""
+        """Apply a linear map (mono -> UEAElement of this algebra, else ValueError) to one slot."""
         self._check_slot(slot)
         rmul = self.ring.mul
         pairs = (
             (key[:slot] + (m,) + key[slot + 1 :], rmul(c, cf))
             for key, c in self.terms.items()
-            for m, cf in f(key[slot]).terms.items()
+            for m, cf in self.uea.check(f(key[slot])).terms.items()
         )
         return self._like(accumulate(self.ring.add, {}, pairs))
 
     def expand_slot(self, slot: int, f) -> "TensorElement":
-        """Replace one slot through a map (mono -> TensorElement of arity 2); an image
-        of another arity raises ValueError."""
+        """Replace one slot through a map (mono -> TensorElement of arity 2 over this
+        algebra); any other image raises ValueError."""
         self._check_slot(slot)
         rmul = self.ring.mul
         pairs = (
             (key[:slot] + kk + key[slot + 1 :], rmul(c, cf))
             for key, c in self.terms.items()
-            for kk, cf in _arity_two(f(key[slot])).terms.items()
+            for kk, cf in _arity_two(f(key[slot]), self.uea).terms.items()
         )
         return TensorElement(self.uea, self.arity + 1, accumulate(self.ring.add, {}, pairs))
 
@@ -683,26 +677,27 @@ class TensorElement(SparseElement):
 
     def antipode_out(self, slot: int, image) -> UEAElement:
         """m(S (x) Id) of a 2-tensor for slot 0, m(Id (x) S) for slot 1, S the
-        anti-multiplicative map with S(b) = image(b) on basis symbols, by Horner's
-        rule over the slot's monomials (see the module docstring): the element
-        ``map_slot(slot, S).multiply_out()``, associated the other way.  Every
+        anti-multiplicative map with S(b) = image(b), an element of this algebra, on basis
+        symbols: the element ``map_slot(slot, S).multiply_out()``, associated the other way
+        by the walk over the slot's monomials (``EnvelopingAlgebra._horner``), each seeded
+        with its terms of the other slot.  Slot 1 drops the last symbol and multiplies its
+        image on the right, slot 0 the first and on the left, both by ``_product``.  Every
         antipode goes through here; S(x) is ``of(x, one).antipode_out(0, image)``."""
         if self.arity != 2 or slot not in (0, 1):
             raise ValueError(f"antipode_out maps slot 0 or 1 of a 2-tensor, got slot {slot} of arity {self.arity}")
         uea, radd = self.uea, self.ring.add
-        levels: dict = {}  # degree -> slot monomial -> terms of the other slot
+        groups: dict = {}  # slot monomial -> terms of the other slot
         for key, c in self.terms.items():
-            m = key[slot]
-            levels.setdefault(sum(e for _, e in m), {}).setdefault(m, {})[key[1 - slot]] = c
-        for degree in range(max(levels, default=0), 0, -1):
-            up = levels.setdefault(degree - 1, {})
-            for m, terms in levels.pop(degree, {}).items():
-                if slot:
-                    parent, product = drop_last(m), uea._product(terms, image(m[-1][0]).terms, 0)
-                else:
-                    parent, product = _drop_first(m), uea._product(image(m[0][0]).terms, terms, 0)
-                accumulate(radd, up.setdefault(parent, {}), product.items())
-        return UEAElement(uea, levels.get(0, {}).get((), {}))
+            groups.setdefault(key[slot], {})[key[1 - slot]] = c
+
+        def times(m, items):
+            terms = accumulate(radd, {}, items)
+            if slot:
+                return uea._product(terms, uea.check(image(m[-1][0])).terms, 0).items()
+            return uea._product(uea.check(image(m[0][0])).terms, terms, 0).items()
+
+        seeds = {m: terms.items() for m, terms in groups.items()}
+        return UEAElement(uea, uea._horner(seeds, drop_last if slot else _drop_first, times))
 
     def multiply_out(self) -> UEAElement:
         """The image under slotwise multiplication m: A⊗...⊗A -> A.
@@ -733,8 +728,10 @@ class TensorElement(SparseElement):
         return f"<Tensor {format_element(self)}>"
 
 
-def _arity_two(image: TensorElement) -> TensorElement:
-    """image, the value of an ``expand_slot`` map, once it is checked to have arity 2."""
+def _arity_two(image: TensorElement, uea: EnvelopingAlgebra) -> TensorElement:
+    """image, the value of an ``expand_slot`` map, once it is checked to be a 2-tensor over uea."""
+    if type(image) is not TensorElement or image.uea is not uea:
+        raise ValueError("expand_slot needs images over the tensor's own enveloping algebra")
     if image.arity != 2:
         raise ValueError(f"expand_slot needs images of arity 2, got arity {image.arity}")
     return image

@@ -37,7 +37,9 @@ the tests, so that a new one shows, and a change to the benchmark that stops
 tracing one deletes it with its span.  The tenth reports a package module that
 reads a private (single-underscore, non-dunder) attribute, on anything but
 ``self`` or ``cls``, that only other modules of the package define: a method or
-field that another module calls is public.
+field that another module calls is public.  The eleventh reports a ``del x[...]``
+in the package outside ``rings.accumulate``: a sparse sum drops a key whose value
+cancels in that one place, so no kernel hand-copies it.
 """
 from __future__ import annotations
 
@@ -490,3 +492,40 @@ def test_scan_finds_a_private_read_across_modules():
 
 def test_no_private_reads_across_modules():
     assert private_reads_across_modules({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def dict_deletions(sources: dict) -> list:
+    """(module, line) of each ``del x[...]`` outside the function ``accumulate`` of ``rings.py``."""
+    flagged = []
+    for module, src in sources.items():
+        tree = ast.parse(src)
+        skip = set()
+        if module == "rings.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "accumulate":
+                    skip |= {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Delete) and id(node) not in skip:
+                flagged += [(module, node.lineno) for target in node.targets if isinstance(target, ast.Subscript)]
+    return sorted(flagged)
+
+
+def test_scan_finds_a_dict_deletion_outside_accumulate():
+    a = (
+        "def f(out, k, obj, name):\n"
+        "    del out[k]\n"
+        "    del obj.field, name\n"
+        "    del out[k], obj[0]\n"
+    )
+    rings = (
+        "def accumulate(radd, out, pairs):\n"
+        "    for k, v in pairs:\n"
+        "        del out[k]\n"
+        "def other(out, k):\n"
+        "    del out[k]\n"
+    )
+    assert dict_deletions({"a.py": a, "rings.py": rings}) == [("a.py", 2), ("a.py", 4), ("a.py", 4), ("rings.py", 5)]
+
+
+def test_only_accumulate_deletes_a_dict_key():
+    assert dict_deletions({p.name: p.read_text() for p in PACKAGE}) == []

@@ -409,6 +409,9 @@ def test_monomial_extensions_of_degree_1000():
     want = {(power(k), power(1000 - k)): (c,) for k in range(1001) if (c := math.comb(1000, k) % 3)}
     assert H.delta_mono(power(1000)).terms == want
     assert H.antipode_mono(power(1000)).terms == {power(1000): (1,)}
+    # slot 1 walks the same monomial by its last symbol: m(Id (x) S)(1 (x) D^1000) = S(D^1000)
+    one, top = H.uea.one(), H.uea.element({power(1000): H.uea.ring.one})
+    assert TensorElement.of(one, top).antipode_out(1, H.antipode_basis) == H.antipode_mono(power(1000))
 
 
 def test_radford_generator_forms():

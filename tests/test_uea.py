@@ -903,6 +903,24 @@ def test_expand_slot_rejects_an_image_not_of_arity_two():
             TensorElement.of(H).expand_slot(0, f)
 
 
+def test_slot_maps_reject_an_image_from_another_context():
+    # basis symbols are interned across p, so an image over GF(5)[t] has the monomial
+    # keys of one over GF(3)[t]/(t^3 - t); only the image's context tells them apart
+    H, G = modular(3, 1, (1,), 1), modular(5, 1, (1,), 0)
+    T = H.delta(H.uea.gen(H.uea.alg.basis()[0]))
+    foreign = G.uea.gen(G.uea.alg.basis()[0])
+    for slot in (0, 1):
+        for image in (lambda b: foreign, lambda b: TensorElement.of(H.uea.gen(b))):
+            with pytest.raises(ValueError, match="not an element of this enveloping algebra"):
+                T.antipode_out(slot, image)
+            with pytest.raises(ValueError, match="not an element of this enveloping algebra"):
+                T.map_slot(slot, lambda m: image(m[0][0]) if m else H.uea.one())
+        for image in (lambda m: G.uea.coproduct0(foreign), lambda m: H.uea.one()):
+            with pytest.raises(ValueError, match="images over the tensor's own enveloping algebra"):
+                T.expand_slot(slot, image)
+    assert T.antipode_out(0, H.antipode_basis) == T.map_slot(0, H.antipode_mono).multiply_out()
+
+
 def test_tensor_kernels_at_arity_zero_and_one(monkeypatch):
     U = EnvelopingAlgebra(JacobsonWitt(1, 3), t_quotient(3, 1), restricted=True)
     one = TensorElement.unit(U, 0)
