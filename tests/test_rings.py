@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import quotient_add, quotient_mul, series_mul
-from wittquant.rings import QQ, ReductionError, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
+from wittquant.rings import QQ, ReductionError, TQuotientRing, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
 
 
 def test_binom_int_examples():
@@ -233,6 +233,55 @@ def test_series_product_matches_oracle_on_random_pairs_qq(cap):
     assert cap == 1 or any(0 in a[:-1] for a, _ in pairs)  # zeros below the top degree
     for a, b in pairs:
         assert R.mul(a, b) == series_mul(cap, a, b), (cap, a, b)
+
+
+def _constant_products(R, constants, values, want) -> list:
+    """R.mul of each constant (a length-1 value) with each value, on both sides, against
+    want(constant, value); every nonzero product is trimmed and no longer than the cap.
+    Returns the (product, wanted) pairs."""
+    out = []
+    for c in constants:
+        k = R.from_fraction(c)
+        assert len(k) == 1, c
+        for v in values:
+            for got in (R.mul(k, v), R.mul(v, k)):
+                assert got == want(k, v), (R, k, v, got)
+                assert not got or (got[-1] and len(got) <= R.cap), (R, k, v, got)
+                out.append((got, want(k, v)))
+    assert any(got for got, _ in out)
+    return out
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6])
+def test_a_constant_operand_scales_the_other_over_qq(cap):
+    R = t_series(QQ, cap)
+    rnd = random.Random(100 + cap)
+    constants = [1, 3, -1, -4, Fraction(2, 3), Fraction(-5, 7), Fraction(1, 2)]
+    values = [R.from_fraction(tuple(random_rationals(rnd, rnd.randint(0, cap)))) for _ in range(60)]
+    values += [R.one, R.t_power(cap - 1), R.from_fraction((Fraction(3, 2), Fraction(1, 7)))]
+    assert any(len(v) == cap for v in values) and (cap < 3 or any(0 in v[:-1] for v in values))
+    for got, want in _constant_products(R, constants, values, lambda k, v: series_mul(cap, k, v)):
+        for g, w in zip(got, want):
+            assert_rational(g, Fraction(w))
+    # a product that becomes integral is held as an int
+    got = R.mul(R.from_fraction(Fraction(2, 3)), R.from_fraction((Fraction(3, 2), Fraction(1, 7))))
+    assert_rational(got[0], Fraction(1))
+    assert cap == 1 or got[1] == Fraction(2, 21)
+
+
+def test_a_constant_operand_scales_the_other_over_gf5():
+    R = t_series(gf(5), 3)
+    values = [quotient_add(5, v, ()) for v in itertools.product(range(5), repeat=3)]
+    _constant_products(R, range(1, 5), values, lambda k, v: series_mul(3, k, v, 5))
+
+
+@pytest.mark.parametrize("p, q", [(5, 2), (7, 1)])
+def test_a_constant_operand_scales_the_other_in_the_quotient_ring(p, q):
+    R = TQuotientRing(p, q)  # a fresh descriptor: no memo entry stands in for a product
+    rnd = random.Random(p)
+    values = [quotient_add(p, tuple(rnd.randrange(p) for _ in range(rnd.randint(0, p))), ()) for _ in range(300)]
+    values += [R.one, R.t_power(p - 1)]
+    _constant_products(R, range(1, p), values, lambda k, v: quotient_mul(p, q, k, v))
 
 
 # -- the one rule from rationals to ring values -------------------------------------------
