@@ -12,7 +12,8 @@ Each ring is a descriptor object with a uniform method API
 (``add``, ``mul``, ``from_int``, ``from_fraction``, ...) and the
 element values themselves are plain data: for the rationals an ``int`` when
 integral, else a ``Fraction``; an int in ``[0, p)`` for GF(p); and a
-zero-trimmed tuple of base scalars (index = t-degree) for the t-rings.
+zero-trimmed tuple of base scalars (index = t-degree) for the t-rings, which
+the quotient ring makes canonical (below).
 Structural equality of values is mathematical equality, and the zero of every
 ring is falsy.  Descriptors are cached so identity comparison detects ring
 mismatches.
@@ -20,14 +21,23 @@ mismatches.
 ``from_fraction`` is the one rule that turns rationals into ring values, and
 so carries the reduction of the integral form mod p: an int or ``Fraction``
 has a value in GF(p) exactly when p does not divide its denominator (else
-``ReductionError``), and a t-ring maps a value of a rational t-ring coefficient
-by coefficient and hands the list to its own ``_reduce``: the series ring cuts
-it at the cap, the quotient ring folds t^p = q t from the top degree down.
+``ReductionError``; a float or any other type raises ``ValueError``), and a
+t-ring maps a value of a rational t-ring coefficient by coefficient and hands
+the list to its own ``_reduce``: the series ring cuts it at the cap, the
+quotient ring folds t^p = q t from the top degree down.
 ``inverse_factorial`` is the one place 1/r! is formed.
 
-The quotient ring GF(p)[t]/(t^p - q t) is finite, with p^p values, so each
-descriptor memoizes ``mul`` and ``add`` in two plain dicts keyed by the operand
-pair; a miss computes through the shared t-ring arithmetic.  Values are
+The quotient ring GF(p)[t]/(t^p - q t) is finite, with p^p values, and hands
+out one canonical object per value: a tuple subclass hashed by identity, made
+only by ``_quotient_value``, the way :mod:`wittquant.uea` makes monomials.
+``zero``, ``one``, ``from_int``, ``from_fraction``, ``t_power``, ``add`` and
+``mul`` all return it.  Each descriptor memoizes ``mul`` and ``add`` by operand,
+``memo[a][b]``, so a hit on canonical operands is two identity-hashed dict
+lookups: no pair is built and no coefficient hashed.  A miss makes both
+operands canonical, computes through the shared t-ring arithmetic and keeps
+the canonical result.  An equal plain tuple is still a valid operand: it
+hashes by content, so its lookup misses (or meets an entry of equal content)
+and the miss path answers it, without keying a memo by it.  Values are
 immutable, so sharing a cached result is safe and fill order changes nothing.
 Series rings are not memoized: over QQ they are infinite, and a memo would
 grow with every new value, costing more memory than it saves time.
@@ -131,6 +141,12 @@ def _rational(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def _check_exact(x) -> None:
+    """Refuse what ``from_fraction`` cannot take exactly, such as a float."""
+    if not isinstance(x, int | Fraction):
+        raise ValueError(f"from_fraction takes an int or Fraction, got {x!r}")
+
+
 class RationalField:
     """The field of arbitrary-precision rationals.
 
@@ -149,6 +165,7 @@ class RationalField:
         return n
 
     def from_fraction(self, x):
+        _check_exact(x)
         return _rational(x)
 
     @staticmethod
@@ -183,6 +200,7 @@ class PrimeField:
 
     def from_fraction(self, x) -> int:
         """The residue of an int or Fraction whose denominator p does not divide."""
+        _check_exact(x)
         if x.denominator % self.p == 0:
             raise ReductionError(f"denominator of {x} not invertible mod {self.p}")
         return x.numerator * self.inv(x.denominator) % self.p
@@ -332,38 +350,89 @@ class TSeriesRing(_TRingBase):
         return f"{self.base}[t]/t^{self.cap}"
 
 
+def _check_q(q) -> None:
+    if not isinstance(q, int):
+        raise ValueError(f"q must be an int, got {q!r}")
+
+
+_QUOTIENT_VALUES: dict = {}  # plain tuple of residues -> its one _QuotientValue
+
+
+class _QuotientValue(tuple):
+    """A canonical quotient-ring value; only :func:`_quotient_value` makes one."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        return _quotient_value, (tuple(self),)
+
+
+def _quotient_value(v):
+    """The canonical object of a reduced value; a canonical value is returned as it is."""
+    if type(v) is _QuotientValue:
+        return v
+    key = tuple(v)
+    out = _QUOTIENT_VALUES.get(key)
+    if out is None:
+        out = _QUOTIENT_VALUES[key] = _QuotientValue(key)
+    return out
+
+
 class TQuotientRing(_TRingBase):
-    """GF(p)[t] modulo t^p - q*t; every value has t-degree < p."""
+    """GF(p)[t] modulo t^p - q*t; every value has t-degree < p.
+
+    Every value it returns is the canonical object of its content, a tuple
+    hashed by identity.  ``mul`` and ``add`` are memoized as ``memo[a][b]``,
+    keyed by canonical values only, so a hit hashes no tuple; an equal plain
+    tuple operand misses and is answered by content through ``_fill``.
+    """
 
     def __init__(self, p: int, q: int):
         self.base = gf(p)
+        _check_q(q)
         self.p = p
         self.q = q % p
         self.cap = p
         self.char = p
-        self.zero = ()
-        self.one = (1,)
+        self.zero = _quotient_value(())
+        self.one = _quotient_value((1,))
         self._mul_memo: dict = {}
         self._add_memo: dict = {}
 
+    def from_int(self, n: int):
+        return _quotient_value(_TRingBase.from_int(self, n))
+
+    def from_fraction(self, x):
+        return _quotient_value(_TRingBase.from_fraction(self, x))
+
     def mul(self, a, b):
         try:
-            return self._mul_memo[a, b]
+            return self._mul_memo[a][b]
         except KeyError:
-            return self._mul_memo.setdefault((a, b), _TRingBase.mul(self, a, b))
+            return self._fill(self._mul_memo, _TRingBase.mul, a, b)
 
     def add(self, a, b):
         try:
-            return self._add_memo[a, b]
+            return self._add_memo[a][b]
         except KeyError:
-            return self._add_memo.setdefault((a, b), _TRingBase.add(self, a, b))
+            return self._fill(self._add_memo, _TRingBase.add, a, b)
+
+    def _fill(self, memo: dict, op, a, b):
+        """op(a, b) through memo, keyed and answered by canonical values."""
+        a, b = _quotient_value(a), _quotient_value(b)
+        row = memo.setdefault(a, {})
+        out = row.get(b)
+        if out is None:
+            out = row[b] = _quotient_value(op(self, a, b))
+        return out
 
     def t_power(self, r: int):
         _check_t_exponent(r)
         # t^r = q^k t^(r - k(p-1)) with k = (r-1)//(p-1) for r >= 1, by t^p = q t
         k = max(r - 1, 0) // (self.p - 1)
         c = pow(self.q, k, self.p)
-        return (0,) * (r - k * (self.p - 1)) + (c,) if c else ()
+        return _quotient_value((0,) * (r - k * (self.p - 1)) + (c,) if c else ())
 
     def _reduce(self, coeffs: list) -> tuple:
         # fold t^(p+k) -> q * t^(1+k), highest degree first
@@ -387,6 +456,7 @@ def t_series(base, cap: int) -> TSeriesRing:
 def t_quotient(p: int, q: int) -> TQuotientRing:
     """The one descriptor of GF(p)[t]/(t^p - q t); every q of one residue mod p names it."""
     gf(p)  # validates the prime before q is reduced mod it
+    _check_q(q)
     return _t_quotient(p, q % p)
 
 

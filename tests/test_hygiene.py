@@ -39,7 +39,11 @@ reads a private (single-underscore, non-dunder) attribute, on anything but
 ``self`` or ``cls``, that only other modules of the package define: a method or
 field that another module calls is public.  The eleventh reports a ``del x[...]``
 in the package outside ``rings.accumulate``: a sparse sum drops a key whose value
-cancels in that one place, so no kernel hand-copies it.
+cancels in that one place, so no kernel hand-copies it.  The twelfth reports a
+module other than ``rings.py`` (in the package, the tests, the demos or the
+benchmark) that names the quotient-ring value class ``_QuotientValue``, in code or
+in an import: ``rings._quotient_value`` is the one way to make such a value, so
+every value the quotient ring hands out is the canonical one its memos are keyed by.
 """
 from __future__ import annotations
 
@@ -399,18 +403,18 @@ def test_only_uea_calls_monomial_in_the_package():
     assert monomial_calls_outside_uea({p.name: p.read_text() for p in PACKAGE}) == []
 
 
-def enumeration_limit_uses(sources: dict) -> list:
-    """(module, line) of each place outside ``verify.py`` that names ``ENUMERATION_LIMIT``:
-    as a plain name, as an attribute or in an import."""
+def named_outside(sources: dict, name: str, home: str) -> list:
+    """(module, line) of each place outside the module ``home`` that names ``name``: as a
+    plain name, as an attribute or in an import."""
     flagged = []
     for module, src in sources.items():
-        if module == "verify.py":
+        if module == home:
             continue
         for node in ast.walk(ast.parse(src)):
             named = (
-                (isinstance(node, ast.Name) and node.id == "ENUMERATION_LIMIT")
-                or (isinstance(node, ast.Attribute) and node.attr == "ENUMERATION_LIMIT")
-                or (isinstance(node, ast.ImportFrom) and any(a.name == "ENUMERATION_LIMIT" for a in node.names))
+                (isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)
+                or (isinstance(node, ast.ImportFrom) and any(a.name == name for a in node.names))
             )
             if named:
                 flagged.append((module, node.lineno))
@@ -426,13 +430,13 @@ def test_scan_finds_the_enumeration_limit_outside_verify():
         "fine = verify.is_enumerable(3, 2), DIMS_ENUMERATION_LIMIT\n"
     )
     verify = "ENUMERATION_LIMIT = 5000\ndef is_enumerable(p, e): return p**e <= ENUMERATION_LIMIT\n"
-    assert enumeration_limit_uses({"a.py": a, "verify.py": verify}) == [("a.py", 1), ("a.py", 3), ("a.py", 4)]
+    assert named_outside({"a.py": a, "verify.py": verify}, "ENUMERATION_LIMIT", "verify.py") == [("a.py", 1), ("a.py", 3), ("a.py", 4)]
 
 
 def test_only_verify_names_the_enumeration_limit():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in {*PACKAGE, *MODULES, *USERS}}
     sources["verify.py"] = sources.pop("src/wittquant/verify.py")
-    assert enumeration_limit_uses(sources) == []
+    assert named_outside(sources, "ENUMERATION_LIMIT", "verify.py") == []
 
 
 def _private_definitions(tree) -> set:
@@ -529,3 +533,21 @@ def test_scan_finds_a_dict_deletion_outside_accumulate():
 
 def test_only_accumulate_deletes_a_dict_key():
     assert dict_deletions({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+def test_scan_finds_the_quotient_value_class_outside_rings():
+    a = (
+        "from wittquant.rings import _QuotientValue\n"
+        "from wittquant import rings\n"
+        "v = rings._QuotientValue((1,))\n"
+        "ok = type(v) is _QuotientValue\n"
+        "fine = rings.t_quotient(3, 1).one, rings._quotient_value((1,)), QuotientValue\n"
+    )
+    ring = "class _QuotientValue(tuple): pass\ndef _quotient_value(v): return _QuotientValue(v)\n"
+    assert named_outside({"a.py": a, "rings.py": ring}, "_QuotientValue", "rings.py") == [("a.py", 1), ("a.py", 3), ("a.py", 4)]
+
+
+def test_only_rings_names_the_quotient_value_class():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in {*PACKAGE, *MODULES, *USERS}}
+    sources["rings.py"] = sources.pop("src/wittquant/rings.py")
+    assert named_outside(sources, "_QuotientValue", "rings.py") == []

@@ -1,11 +1,15 @@
+import copy
 import itertools
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import quotient_add, quotient_mul, series_mul
+import wittquant.rings as rings
 from wittquant.rings import QQ, ReductionError, TQuotientRing, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
 
 
@@ -186,6 +190,71 @@ def test_quotient_ring_matches_oracle_on_random_pairs(p, q):
     _check_against_oracle(t_quotient(p, q), zip(values[::2], values[1::2]))
 
 
+# -- canonical quotient values: one object per value, hashed by identity ----------------------
+
+
+def _handed_out(R) -> list:
+    """Values of every kind R returns: zero, one, from_int, from_fraction of scalars and of
+    rational t-values, t_power, and the sums and products of a sample of those."""
+    p, rnd = R.p, random.Random(R.p)
+    base = [R.zero, R.one, *(R.from_int(n) for n in range(-2 * p, 2 * p))]
+    base += [R.from_fraction(Fraction(n, d)) for n in range(-p, p) for d in range(1, p)]
+    base += [R.t_power(r) for r in range(3 * p)]
+    if p == 3:
+        base += [R.from_fraction(v) for v in itertools.product(range(3), repeat=3)]
+    else:
+        base += [R.from_fraction(tuple(Fraction(rnd.randint(-9, 9), rnd.randint(1, p - 1)) for _ in range(p + 2))) for _ in range(40)]
+    sample = rnd.sample(base, min(len(base), 60))
+    return base + [op(a, b) for a in sample for b in sample for op in (R.mul, R.add)]
+
+
+@pytest.mark.parametrize("p, q", [(3, 0), (3, 1), (3, 2), (5, 1)])
+def test_a_quotient_ring_hands_out_one_object_per_value(p, q):
+    # the cached descriptor and a fresh one: equal content is one object across both
+    values = _handed_out(t_quotient(p, q)) + _handed_out(TQuotientRing(p, q))
+    canonical = {}
+    for v in values:
+        assert canonical.setdefault(tuple(v), v) is v, (p, q, v)
+        assert isinstance(v, tuple) and hash(v) == object.__hash__(v), (p, q, v)
+    assert len(canonical) == 27 if p == 3 else len(canonical) > 2 * p
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    for v in canonical.values():  # an element's values copy and pickle as themselves
+        assert all(c is v for c in [copy.copy(v), copy.deepcopy(v), *(pickle.loads(pickle.dumps(v, k)) for k in protocols)])
+        assert v == tuple(v) and repr(v) == repr(tuple(v)) and bool(v) == bool(tuple(v))
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_plain_tuple_operands_get_the_canonical_value_on_a_fresh_descriptor(q):
+    # a fresh descriptor per order, so each pair's first call is a memo miss: plain tuple
+    # operands first, then the canonical ones, and the other way round
+    values = [t_quotient(3, q).from_fraction(v) for v in itertools.product(range(3), repeat=3)]
+    for plain_first in (True, False):
+        R = TQuotientRing(3, q)
+        for a, b in itertools.product(values, values):
+            calls = [(tuple(a), tuple(b)), (a, b), (tuple(a), b), (a, tuple(b))]
+            for op, want in ((R.mul, quotient_mul(3, q, a, b)), (R.add, quotient_add(3, a, b))):
+                got = [op(x, y) for x, y in (calls if plain_first else calls[::-1])]
+                assert got[0] == want, (q, a, b)
+                assert all(g is got[0] for g in got), (q, a, b)
+                assert got[0] is t_quotient(3, q).from_fraction(want)
+
+
+@pytest.mark.parametrize("q", [1.5, Fraction(1, 2), Fraction(7, 2), Fraction(4, 1), "1", None])
+def test_quotient_ring_rejects_a_q_that_is_not_an_int(q):
+    built = rings._t_quotient.cache_info().currsize
+    for make in (t_quotient, TQuotientRing):
+        with pytest.raises(ValueError, match=f"^q must be an int, got {re.escape(repr(q))}$"):
+            make(3, q)
+    assert rings._t_quotient.cache_info().currsize == built  # nothing cached
+
+
+def test_quotient_ring_accepts_every_int_q():
+    for q in [*range(-12, 13), 10**30 + 1, -(10**30), True, False]:
+        for p in (3, 5, 7):
+            R = t_quotient(p, q)
+            assert R.q == q % p and R is t_quotient(p, q % p), (p, q)
+
+
 def test_t_power_of_huge_exponent_is_reduced_arithmetically():
     assert t_quotient(3, 1).t_power(10**9) == (0, 0, 1)  # t^(2k) = t^2 when t^3 = t
     assert t_quotient(5, 2).t_power(10**9 + 1) == (0, 1)  # t^(4k+1) = 2^k t and 2^4 = 1
@@ -306,6 +375,16 @@ def test_from_fraction_inverts_the_denominator(R):
                     R.from_fraction(fr)
             else:
                 assert R.mul(R.from_fraction(fr), R.from_int(d)) == R.from_int(n), (n, d)
+
+
+@pytest.mark.parametrize("R", FRACTION_RINGS, ids=repr)
+def test_from_fraction_rejects_a_float_naming_it(R):
+    for x in (0.5, 2.0, -1e300, "1/2"):
+        with pytest.raises(ValueError, match=f"^from_fraction takes an int or Fraction, got {re.escape(repr(x))}$"):
+            R.from_fraction(x)
+    if hasattr(R, "t_power"):  # a t-ring names the coefficient it cannot take
+        with pytest.raises(ValueError, match=r"^from_fraction takes an int or Fraction, got 0\.5$"):
+            R.from_fraction((Fraction(1, 3), 0.5))
 
 
 def test_from_fraction_maps_a_rational_t_value_through_the_ring():

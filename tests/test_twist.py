@@ -41,6 +41,21 @@ def test_eta_must_be_a_nonzero_0_1_vector_of_length_n(eta):
         modular(3, 1, eta)
 
 
+@pytest.mark.parametrize("q", [1.5, Fraction(1, 2)])
+def test_modular_rejects_a_q_that_is_not_an_int(q):
+    with pytest.raises(ValueError, match=f"^q must be an int, got {re.escape(repr(q))}$"):
+        modular(3, 1, (1,), q)
+
+
+@pytest.mark.parametrize("make", [lambda: modular(3, 1, (1,), 1), lambda: integral_eta((1,), 1, cap=3)])
+def test_a_float_shift_is_refused_by_name(make):
+    H = make()
+    U, h = H.uea, H.directions[0].h
+    for call in (lambda: H.build_twist(a=0.5), lambda: U.factorial_element(h, 0.5, 2)):
+        with pytest.raises(ValueError, match=r"^from_fraction takes an int or Fraction, got 0\.5$"):
+            call()
+
+
 def test_a_context_needs_a_twist_direction():
     with pytest.raises(ValueError, match="at least one twist direction is required"):
         QuantizedHopf(modular(3, 1, (1,)).uea, [])
