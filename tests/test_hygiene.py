@@ -41,9 +41,9 @@ field that another module calls is public.  The eleventh reports a ``del x[...]`
 in the package outside ``rings.accumulate``: a sparse sum drops a key whose value
 cancels in that one place, so no kernel hand-copies it.  The twelfth reports a
 module other than ``rings.py`` (in the package, the tests, the demos or the
-benchmark) that names the quotient-ring value class ``_QuotientValue``, in code or
-in an import: ``rings._quotient_value`` is the one way to make such a value, so
-every value the quotient ring hands out is the canonical one its memos are keyed by.
+benchmark) that names the t-ring value class ``_TValue``, in code or in an import:
+``rings._t_value`` is the one way to make such a value, so every value a series or
+quotient ring hands out is the canonical one its memos are keyed by.
 """
 from __future__ import annotations
 
@@ -535,19 +535,20 @@ def test_only_accumulate_deletes_a_dict_key():
     assert dict_deletions({p.name: p.read_text() for p in PACKAGE}) == []
 
 
-def test_scan_finds_the_quotient_value_class_outside_rings():
+def test_scan_finds_the_t_value_class_outside_rings():
     a = (
-        "from wittquant.rings import _QuotientValue\n"
+        "from wittquant.rings import _TValue\n"
         "from wittquant import rings\n"
-        "v = rings._QuotientValue((1,))\n"
-        "ok = type(v) is _QuotientValue\n"
-        "fine = rings.t_quotient(3, 1).one, rings._quotient_value((1,)), QuotientValue\n"
+        "v = rings._TValue((1,))\n"
+        "ok = type(v) is _TValue\n"
+        "fine = rings.t_quotient(3, 1).one, rings._t_value((1,)), TValue\n"
     )
-    ring = "class _QuotientValue(tuple): pass\ndef _quotient_value(v): return _QuotientValue(v)\n"
-    assert named_outside({"a.py": a, "rings.py": ring}, "_QuotientValue", "rings.py") == [("a.py", 1), ("a.py", 3), ("a.py", 4)]
+    ring = "class _TValue(tuple): pass\ndef _t_value(v): return _TValue(v)\n"
+    assert named_outside({"a.py": a, "rings.py": ring}, "_TValue", "rings.py") == [("a.py", 1), ("a.py", 3), ("a.py", 4)]
 
 
-def test_only_rings_names_the_quotient_value_class():
+def test_only_rings_names_the_t_value_class():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in {*PACKAGE, *MODULES, *USERS}}
     sources["rings.py"] = sources.pop("src/wittquant/rings.py")
-    assert named_outside(sources, "_QuotientValue", "rings.py") == []
+    assert named_outside(sources, "_TValue", "rings.py") == []
+    assert named_outside({"rings.py": sources["rings.py"]}, "_TValue", None)  # the name the scan looks for exists

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from oracles import quotient_add, quotient_mul, series_mul
 import wittquant.rings as rings
-from wittquant.rings import QQ, ReductionError, TQuotientRing, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
+from wittquant.rings import QQ, ReductionError, TQuotientRing, TSeriesRing, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
 
 
 def test_binom_int_examples():
@@ -190,37 +190,97 @@ def test_quotient_ring_matches_oracle_on_random_pairs(p, q):
     _check_against_oracle(t_quotient(p, q), zip(values[::2], values[1::2]))
 
 
-# -- canonical quotient values: one object per value, hashed by identity ----------------------
+# -- canonical t-ring values: one object per value, hashed by identity ------------------------
 
 
-def _handed_out(R) -> list:
+def _handed_out(R, ops) -> list:
     """Values of every kind R returns: zero, one, from_int, from_fraction of scalars and of
-    rational t-values, t_power, and the sums and products of a sample of those."""
-    p, rnd = R.p, random.Random(R.p)
-    base = [R.zero, R.one, *(R.from_int(n) for n in range(-2 * p, 2 * p))]
-    base += [R.from_fraction(Fraction(n, d)) for n in range(-p, p) for d in range(1, p)]
-    base += [R.t_power(r) for r in range(3 * p)]
-    if p == 3:
+    rational t-values, t_power, and the results of ops (R's methods) on a sample of those."""
+    m, rnd = R.char or 7, random.Random(repr(R))  # every denominator below m is invertible in R
+    base = [R.zero, R.one, *(R.from_int(n) for n in range(-2 * m, 2 * m))]
+    base += [R.from_fraction(Fraction(n, d)) for n in range(-m, m) for d in range(1, m)]
+    base += [R.t_power(r) for r in range(3 * R.cap)]
+    if R.char == R.cap == 3:  # all 27 values
         base += [R.from_fraction(v) for v in itertools.product(range(3), repeat=3)]
     else:
-        base += [R.from_fraction(tuple(Fraction(rnd.randint(-9, 9), rnd.randint(1, p - 1)) for _ in range(p + 2))) for _ in range(40)]
+        base += [R.from_fraction(tuple(Fraction(rnd.randint(-9, 9), rnd.randint(1, m - 1)) for _ in range(R.cap + 2))) for _ in range(40)]
     sample = rnd.sample(base, min(len(base), 60))
-    return base + [op(a, b) for a in sample for b in sample for op in (R.mul, R.add)]
+    return base + [op(a, b) for a in sample for b in sample for op in ops]
+
+
+def _one_object_per_content(values) -> dict:
+    """Check that equal values are one object, hashed by identity, that copies and pickles as
+    itself and reads as its plain tuple; returns content -> that object."""
+    canonical = {}
+    for v in values:
+        assert canonical.setdefault(tuple(v), v) is v, v
+        assert isinstance(v, tuple) and hash(v) == object.__hash__(v), v
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    for v in canonical.values():  # an element's values copy and pickle as themselves
+        assert all(c is v for c in [copy.copy(v), copy.deepcopy(v), *(pickle.loads(pickle.dumps(v, k)) for k in protocols)])
+        assert v == tuple(v) and repr(v) == repr(tuple(v)) and bool(v) == bool(tuple(v))
+    return canonical
 
 
 @pytest.mark.parametrize("p, q", [(3, 0), (3, 1), (3, 2), (5, 1)])
 def test_a_quotient_ring_hands_out_one_object_per_value(p, q):
     # the cached descriptor and a fresh one: equal content is one object across both
-    values = _handed_out(t_quotient(p, q)) + _handed_out(TQuotientRing(p, q))
-    canonical = {}
-    for v in values:
-        assert canonical.setdefault(tuple(v), v) is v, (p, q, v)
-        assert isinstance(v, tuple) and hash(v) == object.__hash__(v), (p, q, v)
+    rings_ = (t_quotient(p, q), TQuotientRing(p, q))
+    canonical = _one_object_per_content([v for R in rings_ for v in _handed_out(R, (R.mul, R.add))])
     assert len(canonical) == 27 if p == 3 else len(canonical) > 2 * p
-    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
-    for v in canonical.values():  # an element's values copy and pickle as themselves
-        assert all(c is v for c in [copy.copy(v), copy.deepcopy(v), *(pickle.loads(pickle.dumps(v, k)) for k in protocols)])
-        assert v == tuple(v) and repr(v) == repr(tuple(v)) and bool(v) == bool(tuple(v))
+
+
+@pytest.mark.parametrize("R", [*(t_series(QQ, cap) for cap in range(1, 7)), t_series(gf(5), 3)], ids=repr)
+def test_a_series_ring_hands_out_one_object_per_value(R):
+    # the cached descriptor and a fresh one; a sum is a plain tuple, so only products count
+    rings_ = (R, TSeriesRing(R.base, R.cap))
+    canonical = _one_object_per_content([v for S in rings_ for v in _handed_out(S, (S.mul,))])
+    assert len(canonical) > 4 * R.cap
+    for v in canonical.values():  # an integral rational is held as an int
+        assert len(v) <= R.cap and (not v or v[-1]), v
+        assert all(type(c) is int or c.denominator > 1 for c in v), v
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6])
+def test_a_fresh_series_ring_matches_a_fraction_only_reference(cap):
+    # a fresh descriptor, so no memo entry stands in for a product; each pair is first asked
+    # with plain all-Fraction operands, then with the canonical values of the same content
+    R, cached = TSeriesRing(QQ, cap), t_series(QQ, cap)
+    rnd = random.Random(200 + cap)
+
+    def plain(length):
+        v = [Fraction(c) for c in random_rationals(rnd, length)]
+        return tuple(v[:-1]) + (v[-1] or Fraction(1),) if v else ()
+
+    values = [plain(rnd.randint(0, cap)) for _ in range(30)] + [(Fraction(2),), (Fraction(0),) * (cap - 1) + (Fraction(1),)]
+    assert any(c.denominator == 1 for v in values for c in v)
+    for fa, fb in itertools.product(values, values):
+        product = R.mul(fa, fb)
+        a, b = R.from_fraction(fa), R.from_fraction(fb)
+        assert all(R.mul(x, y) is product for x, y in [(a, b), (tuple(a), b), (a, fb)]), (fa, fb)
+        assert product is cached.from_fraction(series_mul(cap, fa, fb)), (fa, fb)
+        width = max(len(fa), len(fb))
+        padded = [fa + (Fraction(0),) * (width - len(fa)), fb + (Fraction(0),) * (width - len(fb))]
+        sums = [x + y for x, y in zip(*padded)]
+        while sums and not sums[-1]:
+            sums.pop()
+        for got, want in ((a, fa), (b, fb), (product, series_mul(cap, fa, fb)), (R.add(a, b), tuple(sums))):
+            assert len(got) == len(want)
+            for c, w in zip(got, want):
+                assert_rational(c, Fraction(w))
+
+
+def test_a_plain_fraction_operand_leaves_an_integral_value_an_int():
+    # contents no other test makes, so this call is the first to meet them: the product's
+    # value, and every later value of that content, hold ints
+    n = 10**12 + 39
+    for k, R in enumerate((TSeriesRing(QQ, 3), TSeriesRing(QQ, 4))):
+        plain = (Fraction(n + k), Fraction(0), Fraction(2 * n + k))
+        for got in (R.mul(plain, R.one), R.mul(R.one, plain[:1])):
+            assert all(type(c) is int for c in got), got
+        assert type(R.from_int(n + k)[0]) is int
+        assert all(type(c) is int for c in R.from_fraction((n + k, 0, 2 * n + k)))
+        assert R.mul(plain, R.one) is R.from_fraction(plain) is t_series(QQ, R.cap).from_fraction((n + k, 0, 2 * n + k))
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
@@ -253,6 +313,26 @@ def test_quotient_ring_accepts_every_int_q():
         for p in (3, 5, 7):
             R = t_quotient(p, q)
             assert R.q == q % p and R is t_quotient(p, q % p), (p, q)
+
+
+@pytest.mark.parametrize("cap", [2.5, 4.0, "3", Fraction(3), None])
+def test_series_ring_rejects_a_cap_that_is_not_an_int(cap):
+    built = rings._t_series.cache_info().currsize
+    for make in (t_series, TSeriesRing):
+        with pytest.raises(ValueError, match=f"^series cap must be an int, got {re.escape(repr(cap))}$"):
+            make(QQ, cap)
+    assert rings._t_series.cache_info().currsize == built  # nothing cached
+
+
+def test_series_ring_accepts_every_int_cap_from_one():
+    for cap in [*range(1, 13), 10**6, True]:
+        for base in (QQ, gf(3), gf(5)):
+            R = t_series(base, cap)
+            assert R.cap == R.keep == cap and R is t_series(base, int(cap)), (base, cap)
+            assert R.t_power(cap) == () and R.t_power(cap - 1) == (0,) * (cap - 1) + (1,)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match=f"^series cap must be >= 1, got {cap}$"):
+            t_series(QQ, cap)
 
 
 def test_t_power_of_huge_exponent_is_reduced_arithmetically():

@@ -47,6 +47,12 @@ def test_modular_rejects_a_q_that_is_not_an_int(q):
         modular(3, 1, (1,), q)
 
 
+@pytest.mark.parametrize("cap", [2.5, 4.0, "3"])
+def test_integral_eta_rejects_a_cap_that_is_not_an_int(cap):
+    with pytest.raises(ValueError, match=f"^series cap must be an int, got {re.escape(repr(cap))}$"):
+        integral_eta((1,), 1, cap=cap)
+
+
 @pytest.mark.parametrize("make", [lambda: modular(3, 1, (1,), 1), lambda: integral_eta((1,), 1, cap=3)])
 def test_a_float_shift_is_refused_by_name(make):
     H = make()
