@@ -7,7 +7,7 @@
 * ``jw``    -- the Jacobson-Witt algebra W(n;1) over GF(p), spanned by divided
   power symbols x^(alpha) * D_i with 0 <= alpha <= tau = (p-1,...,p-1).
 
-Basis symbols are ``BasisDeriv`` interned named tuples, hashed by identity,
+Basis symbols are ``BasisDeriv`` canonical named tuples, hashed by identity,
 ordered by (alpha lex, then derivation index); sparse linear combinations are
 ``LieElement`` values over a pluggable coefficient ring from
 :mod:`wittquant.rings`.  Structure constants are computed as plain integers
@@ -21,14 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .rings import SparseElement, accumulate, binom_int, gf
+from .rings import Canonical, SparseElement, accumulate, binom_int, gf
 
 WITT = "witt"
 WPLUS = "wplus"
 JW = "jw"
-
-
-_SYMBOLS: dict = {}  # (flavor, alpha, i) -> the one BasisDeriv with these fields
 
 
 class _BasisFields(NamedTuple):
@@ -37,31 +34,22 @@ class _BasisFields(NamedTuple):
     i: int  # 1-based derivation index
 
 
-class BasisDeriv(_BasisFields):
+class BasisDeriv(_BasisFields, Canonical):
     """A basis derivation x^alpha d_j / x^alpha D_i / x^(alpha) D_i.
 
-    Interned: the constructor, ``_make``, ``_replace``, copying and unpickling
-    all return the one instance with the given fields, so equal symbols are
-    identical and a symbol hashes by identity.  A monomial or tensor key then
-    hashes its symbols without rehashing their exponent tuples.  Order, ``==``
-    and ``repr`` are those of the named tuple.
+    A :class:`~wittquant.rings.Canonical` named tuple: the constructor, ``_make``,
+    ``_replace``, copying and unpickling all return the one instance with the given
+    fields, so a monomial or tensor key hashes its symbols without rehashing their
+    exponent tuples.
     """
 
     __slots__ = ()
-    __hash__ = object.__hash__
 
     def __new__(cls, flavor, alpha, i):
-        key = (flavor, alpha, i)
-        sym = _SYMBOLS.get(key)
-        if sym is None:
-            sym = _SYMBOLS[key] = tuple.__new__(cls, key)
-        return sym
+        return cls.of((flavor, alpha, i))
 
     # the named tuple's _make, which _replace calls, builds a tuple without __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def __reduce__(self):
-        return BasisDeriv, tuple(self)
 
 
 def pairing(d, alpha) -> Fraction:

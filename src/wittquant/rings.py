@@ -27,21 +27,19 @@ the list to its own ``_reduce``: the series ring cuts it at the cap, the
 quotient ring folds t^p = q t from the top degree down.
 ``inverse_factorial`` is the one place 1/r! is formed.
 
-Every t-ring hands out one canonical object per value: a tuple subclass hashed
-by identity, made only by ``_t_value``, the way :mod:`wittquant.uea` makes
-monomials.  ``zero``, ``one``, ``from_int``, ``from_fraction``, ``t_power`` and
-``mul`` all return it, and so does the quotient ring's ``add``.  Each descriptor
-memoizes ``mul`` by operand, ``memo[a][b]``, so a hit on canonical operands is
-two identity-hashed dict lookups: no pair is built and no coefficient hashed.  A
-miss (``_fill``) makes both operands canonical, computes through the shared
-t-ring arithmetic and keeps the canonical result.  An equal plain tuple is still
-a valid operand: it hashes by content, so its lookup misses (or meets an entry
-of equal content) and the miss path answers it, without keying a memo by it.  A
-plain operand goes through ``from_fraction`` before it is interned, so the value
-table holds only coefficients the base ring made: ``(Fraction(2),)`` equals
-``(2,)`` and hashes alike, and interned as given it would stand for the integral
-value everywhere after.  Values are immutable, so sharing a cached result is
-safe and fill order changes nothing.
+Every t-ring hands out one :class:`Canonical` object per value, made only by
+``_t_value``; basis symbols and PBW monomials follow the same rule.  ``zero``,
+``one``, ``from_int``, ``from_fraction``, ``t_power`` and ``mul`` all return it,
+and so does the quotient ring's ``add``.  Each descriptor memoizes ``mul`` by
+operand, ``memo[a][b]``, so a hit on canonical operands is two identity-hashed
+dict lookups: no pair is built and no coefficient hashed.  A miss (``_fill``)
+makes both operands canonical, computes through the shared t-ring arithmetic
+and keeps the canonical result.  An equal plain tuple is still a valid operand:
+it hashes by content, so its lookup misses (or meets an entry of equal content)
+and the miss path answers it, without keying a memo by it.  A plain operand goes
+through ``from_fraction`` before it is interned (``_fill`` says why).  Values
+are immutable, so sharing a cached result is safe and fill order changes
+nothing.
 
 The quotient ring GF(p)[t]/(t^p - q t) is finite, with p^p values, so it
 memoizes ``add`` the same way.  A series ring's ``add`` is not memoized and
@@ -247,29 +245,49 @@ def _check_t_exponent(r: int) -> None:
         raise ValueError(f"t^{r}: the exponent of t must be nonnegative")
 
 
-_T_VALUES: dict = {}  # plain tuple of base scalars -> its one _TValue
+class Canonical(tuple):
+    """A tuple with one object per content: equal objects are identical and hash by
+    identity, so a dict keyed by them never rehashes their content.  ``==``, ordering and
+    ``repr`` are the tuple's.
 
-
-class _TValue(tuple):
-    """A canonical t-ring value; only :func:`_t_value` makes one."""
+    Each subclass has its own table, set when the class is made, and ``of`` is its one
+    maker.  The table lives for the process, since an object handed out must stay the
+    one of its content.  Copying and unpickling return the canonical object, and a
+    subclass declares ``__slots__ = ()`` too, or every object would carry a ``__dict__``.
+    """
 
     __slots__ = ()
     __hash__ = object.__hash__
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._table = {}
+
+    @classmethod
+    def of(cls, content):
+        """The one object of this class with this content; a canonical input is returned
+        as it is, without a lookup.  The content is taken as given: a subclass's own
+        makers check it."""
+        if type(content) is cls:
+            return content
+        key = tuple(content)
+        out = cls._table.get(key)
+        if out is None:
+            out = cls._table[key] = tuple.__new__(cls, key)
+        return out
+
     def __reduce__(self):
-        return _t_value, (tuple(self),)
+        return type(self).of, (tuple(self),)
 
 
-def _t_value(v):
-    """The canonical object of a reduced value whose coefficients went through the base
-    ring; a canonical value is returned as it is."""
-    if type(v) is _TValue:
-        return v
-    key = tuple(v)
-    out = _T_VALUES.get(key)
-    if out is None:
-        out = _T_VALUES[key] = _TValue(key)
-    return out
+class _TValue(Canonical):
+    """A canonical t-ring value: a reduced value whose coefficients went through the
+    base ring."""
+
+    __slots__ = ()
+
+
+_t_value = _TValue.of
 
 
 class _TRingBase:

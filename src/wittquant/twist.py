@@ -221,7 +221,10 @@ class QuantizedHopf:
         return self._memo(("one_minus_et_power", d, m), compute)
 
     def raised(self, bd: BasisDeriv, ell) -> UEAElement:
-        """bd raised ell[d] times along each direction d, with the directions' coefficients."""
+        """bd raised ell[d] times along each direction d, with the directions' coefficients;
+        ValueError unless ell has one entry per direction."""
+        if len(ell) != len(self.directions):
+            raise ValueError(f"ell {ell!r} needs one entry per direction, {len(self.directions)} in all")
         terms = {bd: Fraction(1)}
         for direction, l in zip(self.directions, ell):
             pairs = ((b2, c * c2) for b, c in terms.items() for b2, c2 in direction.raised(b, l).items())

@@ -4,13 +4,12 @@ Elements are sparse combinations of PBW monomials: ordered products of basis
 derivations with positive exponents, strictly increasing in the canonical
 order (exponent vector lexicographically, then derivation index).
 
-A normal monomial is a tuple of (symbol, exponent) pairs and is interned like
-the basis symbols: :func:`monomial` is its one constructor and returns the one
-canonical object per monomial, which hashes by identity, so a dict keyed by
+A normal monomial is a tuple of (symbol, exponent) pairs, a
+:class:`~wittquant.rings.Canonical` like the basis symbols, so a dict keyed by
 monomials (or by tensor keys, plain tuples of them) never rehashes the pairs.
-``==``, ordering and ``repr`` are those of the tuple.  The unit monomial is the
-plain empty tuple ``()``.  An equal plain tuple is not interchangeable with the
-monomial: it hashes differently and misses every dict keyed by monomials.
+:func:`monomial` is its one constructor; the unit monomial is the plain empty
+tuple ``()``.  An equal plain tuple is not interchangeable with the monomial: it
+hashes differently and misses every dict keyed by monomials.
 
 Straightening is memoized left insertion.  The context caches b * mono for a
 basis symbol b and a normal monomial mono = b1^e1 ... (first symbol b1):
@@ -106,7 +105,7 @@ import math
 import operator
 
 from .liealg import JW, WPLUS, BasisDeriv, LieAlgebra, LieElement
-from .rings import SparseElement, accumulate, inverse_factorial, multi_factorial
+from .rings import Canonical, SparseElement, accumulate, inverse_factorial, multi_factorial
 
 
 def _power(x, k: int, one, mul):
@@ -142,31 +141,17 @@ def cached_walk(cache: dict, key, shorten, step):
     return hit
 
 
-_MONOMIALS: dict = {}  # plain tuple of (symbol, exponent) pairs -> its one _Monomial
-
-
-class _Monomial(tuple):
+class _Monomial(Canonical):
     """A canonical normal PBW monomial; only :func:`monomial` makes one."""
 
     __slots__ = ()
-    __hash__ = object.__hash__
-
-    def __reduce__(self):
-        return monomial, (tuple(self),)
 
 
 def monomial(pairs):
     """The canonical monomial with these (symbol, exponent) pairs, in normal order;
     ``()`` for none.  A canonical monomial is returned as it is, without a lookup."""
-    if type(pairs) is _Monomial:
-        return pairs
-    key = tuple(pairs)
-    if not key:
-        return ()
-    mono = _MONOMIALS.get(key)
-    if mono is None:
-        mono = _MONOMIALS[key] = tuple.__new__(_Monomial, key)
-    return mono
+    key = pairs if type(pairs) is _Monomial else tuple(pairs)
+    return _Monomial.of(key) if key else ()
 
 
 def _drop_first(mono):
@@ -223,8 +208,26 @@ class EnvelopingAlgebra:
         return UEAElement(self, {monomial(((b, 1),)): c} if c else {})
 
     def element(self, terms: dict) -> "UEAElement":
-        """The element with these terms; a key may be a plain tuple of (symbol, exponent) pairs."""
-        return UEAElement(self, {monomial(m): c for m, c in terms.items() if c})
+        """The element with these terms; a key may be a plain tuple of (symbol, exponent) pairs,
+        and must be a normal monomial of this context (``_normal_key``)."""
+        return UEAElement(self, {self._normal_key(m): c for m, c in terms.items() if c})
+
+    def _normal_key(self, key):
+        """The canonical monomial of key; ValueError naming key unless its symbols belong to
+        the algebra and strictly increase, and each exponent is at least 1 and one the fold
+        rule leaves as it is."""
+        last = None
+        for b, e in key:
+            try:
+                self.alg.validate(b)
+            except ValueError as err:
+                raise ValueError(f"monomial key {key!r}: {err}") from None
+            if last is not None and not last < b:
+                raise ValueError(f"monomial key {key!r}: symbols not strictly increasing")
+            if e < 1 or self.fold_exponent(b, e) != e:
+                raise ValueError(f"monomial key {key!r}: {b} has exponent {e}, not that of a normal monomial")
+            last = b
+        return monomial(key)
 
     def lift(self, x: LieElement) -> "UEAElement":
         """Embed a Lie element as a degree-one element of the enveloping algebra."""

@@ -43,7 +43,11 @@ cancels in that one place, so no kernel hand-copies it.  The twelfth reports a
 module other than ``rings.py`` (in the package, the tests, the demos or the
 benchmark) that names the t-ring value class ``_TValue``, in code or in an import:
 ``rings._t_value`` is the one way to make such a value, so every value a series or
-quotient ring hands out is the canonical one its memos are keyed by.
+quotient ring hands out is the canonical one its memos are keyed by.  The thirteenth
+reports a module other than ``rings.py`` (in the package, the tests, the demos or the
+benchmark) that names ``tuple.__new__``: ``rings.Canonical.of`` is the one maker of
+basis symbols, monomials and t-ring values, and a tuple subclass built past it is not
+the canonical object its dicts are keyed by.
 """
 from __future__ import annotations
 
@@ -552,3 +556,34 @@ def test_only_rings_names_the_t_value_class():
     sources["rings.py"] = sources.pop("src/wittquant/rings.py")
     assert named_outside(sources, "_TValue", "rings.py") == []
     assert named_outside({"rings.py": sources["rings.py"]}, "_TValue", None)  # the name the scan looks for exists
+
+
+def tuple_new_outside_rings(sources: dict) -> list:
+    """(module, line) of each ``tuple.__new__`` outside ``rings.py``, called or not."""
+    flagged = []
+    for module, src in sources.items():
+        if module == "rings.py":
+            continue
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Attribute) and node.attr == "__new__":
+                if isinstance(node.value, ast.Name) and node.value.id == "tuple":
+                    flagged.append((module, node.lineno))
+    return sorted(flagged)
+
+
+def test_scan_finds_tuple_new_outside_rings():
+    a = (
+        "class K(tuple):\n"
+        "    def __new__(cls, key): return tuple.__new__(cls, key)\n"
+        "make = tuple.__new__\n"
+        "ok = K.of((1,)), tuple((1,)), object.__new__(K), super().__new__(K), tuple\n"
+    )
+    ring = "class Canonical(tuple):\n    def of(cls, key): return tuple.__new__(cls, key)\n"
+    assert tuple_new_outside_rings({"a.py": a, "rings.py": ring}) == [("a.py", 2), ("a.py", 3)]
+
+
+def test_only_rings_calls_tuple_new():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in {*PACKAGE, *MODULES, *USERS}}
+    sources["rings.py"] = sources.pop("src/wittquant/rings.py")
+    assert tuple_new_outside_rings(sources) == []
+    assert tuple_new_outside_rings({"rings": sources["rings.py"]})  # the call the scan looks for exists

@@ -600,3 +600,13 @@ def test_raising_past_the_characteristic_is_zero_below_the_series_cap(n, eta):
         for ell in itertools.product(range(6), repeat=len(H.directions)):
             if max(ell) >= 3:
                 assert not H.raised(bd, ell), (bd, ell)
+
+
+@pytest.mark.parametrize("ell", [(), (1, 1), (0, 0, 0)])
+def test_raised_needs_one_entry_per_direction(ell):
+    H = modular(3, 1, (1,), 1)
+    with pytest.raises(ValueError, match="one entry per direction, 1 in all"):
+        H.raised(H.uea.alg.basis_symbol((0,), 1), ell)
+    H2 = modular(3, 2, (1, 1), 1)
+    with pytest.raises(ValueError, match="one entry per direction, 2 in all"):
+        H2.raised(H2.uea.alg.basis_symbol((0, 0), 1), ell[:1])

@@ -23,6 +23,7 @@ from oracles import (
 )
 
 from wittquant.liealg import (
+    BasisDeriv,
     JacobsonWitt,
     LieElement,
     RMatrixData,
@@ -1401,3 +1402,41 @@ def test_a_plain_key_names_the_engine_monomial():
     given = U.element({tuple(m): U.ring.one})
     assert given == built and next(iter(given.terms)) is m
     assert U.element({tuple(m): U.ring.one, (): U.ring.one}) == built + U.one()
+
+
+def _w11_element(key):
+    return modular(3, 1, (1,), 1).uea.element({key: t_quotient(3, 1).one})
+
+
+def test_an_element_key_out_of_normal_order_is_refused():
+    H = modular(3, 1, (1,), 1)
+    d, x = (H.uea.alg.basis_symbol(a, 1) for a in ((0,), (1,)))
+    for key in [((x, 1), (d, 1)), ((d, 1), (d, 1))]:
+        with pytest.raises(ValueError, match=r"monomial key .* symbols not strictly increasing"):
+            _w11_element(key)
+    # the word x.d normalizes to 2 d + d.x
+    R = H.uea.ring
+    assert H.uea.pbw_normalize([x, d]) == H.uea.element({((d, 1),): R.from_int(2), ((d, 1), (x, 1)): R.one})
+
+
+def test_an_element_key_with_a_folded_exponent_is_refused():
+    # in u(W(1;1)) at p = 3, d^3 = 0 and x^3 = x, so neither exponent 3 nor 5 is normal
+    d, x = (modular(3, 1, (1,), 1).uea.alg.basis_symbol(a, 1) for a in ((0,), (1,)))
+    for key in [((d, 5),), ((d, 3),), ((x, 3),), ((d, 1), (x, 4))]:
+        with pytest.raises(ValueError, match=r"monomial key .* not that of a normal monomial"):
+            _w11_element(key)
+    assert _w11_element(((d, 2), (x, 2))).terms == {monomial(((d, 2), (x, 2))): (1,)}
+
+
+def test_an_element_key_with_a_foreign_symbol_is_refused():
+    for b in [BasisDeriv("wplus", (0,), 1), BasisDeriv("jw", (3,), 1), BasisDeriv("jw", (0, 0), 1)]:
+        with pytest.raises(ValueError, match=r"monomial key .*"):
+            _w11_element(((b, 1),))
+
+
+def test_an_element_key_with_exponent_below_one_is_refused():
+    d = modular(3, 1, (1,), 1).uea.alg.basis_symbol((0,), 1)
+    for e in (0, -1):
+        with pytest.raises(ValueError, match=rf"monomial key .* exponent {e}, not that of a normal monomial"):
+            _w11_element(((d, e),))
+    assert _w11_element(()).terms == {(): (1,)}  # the unit key stays valid
