@@ -84,10 +84,10 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _expect(self, kind: str):
+    def _expect(self, text: str):
         tok = self._next()
-        if tok[0] != kind:
-            raise ElementSyntaxError(f"expected {kind}, found {tok[1]!r}", tok[2])
+        if tok[1] != text:
+            raise ElementSyntaxError(f"expected {text!r}, found {tok[1]!r}", tok[2])
         return tok
 
     def _int(self) -> int:
@@ -104,12 +104,12 @@ class _Parser:
     def _factor(self):
         # 'x(' int (',' int)* ')D' int ['^' exp]
         start = self._peek()[2]
-        self._expect("xopen")
+        self._expect("x(")
         comps = [self._int()]
         while self._peek()[:2] == ("op", ","):
             self._next()
             comps.append(self._int())
-        self._expect("dclose")
+        self._expect(")D")
         tok = self._next()
         if tok[0] != "num":
             raise ElementSyntaxError(f"expected derivation index, found {tok[1]!r}", tok[2])

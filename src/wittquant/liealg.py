@@ -229,10 +229,9 @@ class LieElement(SparseElement):
         return (self.alg, self.ring)
 
     @classmethod
-    def from_basis(cls, alg, ring, b: BasisDeriv, coeff=None):
+    def from_basis(cls, alg, ring, b: BasisDeriv):
         alg.validate(b)
-        c = ring.one if coeff is None else coeff
-        return cls(alg, ring, {b: c} if c else {})
+        return cls(alg, ring, {b: ring.one})
 
     def bracket(self, other) -> "LieElement":
         self._same(other)

@@ -349,7 +349,7 @@ class EnvelopingAlgebra:
         for bd in word:
             self.alg.validate(bd)
         rint = self.ring.from_int
-        return UEAElement(self, {m: rint(c) for m, c in self.normalize_word(word).items() if rint(c)})
+        return UEAElement(self, {m: v for m, c in self.normalize_word(word).items() if (v := rint(c))})
 
     # -- products ----------------------------------------------------------------
 

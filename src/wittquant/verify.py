@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .liealg import RMatrixData, WittAlgebra, pairing
+from .liealg import RMatrixData, pairing
 from .rings import QQ, binom_int, multi_factorial, t_series
 from .twist import (
     QuantizedHopf,
@@ -36,9 +36,10 @@ from .twist import (
     modular,
     modular_unrestricted,
 )
-from .uea import EnvelopingAlgebra, TensorElement, reduce_element_mod_p, reduce_tensor_mod_p
+from .uea import TensorElement, reduce_element_mod_p, reduce_tensor_mod_p
 
 ENUMERATION_LIMIT = 5000  # largest dim u(W(n;1)) whose restricted PBW basis is enumerated
+FACTORIAL_ORDER = 8  # highest order of the shifted-factorial laws, the factorial report's cap
 
 
 def is_enumerable(p: int, e: int) -> bool:
@@ -166,12 +167,13 @@ class Char0Config:
 # -- shifted factorial identities over a polynomial ring -----------------------------------------
 
 
-def check_factorial_identities(max_order: int = 8) -> CheckReport:
-    """Splitting/conversion/collapse laws of the shifted factorials, as polynomial identities."""
+def check_factorial_identities() -> CheckReport:
+    """Splitting/conversion/collapse laws of the shifted factorials up to order
+    FACTORIAL_ORDER, as polynomial identities."""
     col = _Collector()
     A = [Fraction(v) for v in (-2, -1, 0, 1, 2)] + [Fraction(1, 2)]
-    # polynomials in the indeterminate t; no degree here exceeds max_order
-    R = t_series(QQ, max_order + 1)
+    # polynomials in the indeterminate t; no degree here exceeds FACTORIAL_ORDER
+    R = t_series(QQ, FACTORIAL_ORDER + 1)
 
     def fact(a: Fraction, r: int, kind: str):
         """Shifted factorial of t: prod_j (t + a +/- j)."""
@@ -182,15 +184,15 @@ def check_factorial_identities(max_order: int = 8) -> CheckReport:
         return out
 
     for a in A:
-        for s in range(max_order + 1):
-            for t in range(max_order + 1 - s):
+        for s in range(FACTORIAL_ORDER + 1):
+            for t in range(FACTORIAL_ORDER + 1 - s):
                 lhs = fact(a, s + t, "rising")
                 rhs = R.mul(fact(a, s, "rising"), fact(a + s, t, "rising"))
                 col.record("rising-split", lhs == rhs, f"a={a} s={s} t={t}")
                 lhs = fact(a, s + t, "falling")
                 rhs = R.mul(fact(a, s, "falling"), fact(a - s, t, "falling"))
                 col.record("falling-split", lhs == rhs, f"a={a} s={s} t={t}")
-        for s in range(max_order + 1):
+        for s in range(FACTORIAL_ORDER + 1):
             col.record(
                 "falling-to-rising",
                 fact(a, s, "falling") == fact(a - s + 1, s, "rising"),
@@ -198,7 +200,7 @@ def check_factorial_identities(max_order: int = 8) -> CheckReport:
             )
     for a in A:
         for b in A:
-            for r in range(max_order + 1):
+            for r in range(FACTORIAL_ORDER + 1):
                 acc = R.zero
                 for s in range(r + 1):
                     t = r - s
@@ -214,16 +216,16 @@ def check_factorial_identities(max_order: int = 8) -> CheckReport:
                     acc = R.add(acc, R.mul(c, R.mul(fact(a, s, "falling"), fact(b - s, t, "falling"))))
                 ok = acc == R.from_fraction(binom_int(a - b + r - 1, r))
                 col.record("falling-collapse-to-binomial", ok, f"a={a} b={b} r={r}")
-    return col.report("factorial", {"cap": max_order})
+    return col.report("factorial", {"cap": FACTORIAL_ORDER})
 
 
 # -- commutation laws in the char-0 enveloping algebra -------------------------------------------
 
 
-def _sample_alphas(rng, n, count, bound=2):
+def _sample_alphas(rng, n, count):
     seen = []
     while len(seen) < count:
-        a = tuple(rng.randint(-bound, bound) for _ in range(n))
+        a = tuple(rng.randint(-2, 2) for _ in range(n))
         if a not in seen:
             seen.append(a)
     return seen
@@ -288,15 +290,16 @@ def _power_formulas(hopf, bd, s):
 
 
 def check_commutation_suite(cfg: Char0Config) -> CheckReport:
-    """Shift/straightening laws of the distinguished pair in the char-0 algebra."""
+    """Shift/straightening laws of the distinguished pair, all checked in the enveloping
+    algebra U(W)[t]/t^cap of the one quantization ``char0_general`` builds; the laws
+    without t run at t-degree 0."""
     col = _Collector()
     rng = random.Random(cfg.seed)
     rm = cfg.rmatrix()
     n = cfg.n
-    W = WittAlgebra(n)
-    U = EnvelopingAlgebra(W, QQ)
-    h = U.lift(rm.h_element(W, QQ))
-    e = U.lift(rm.e_element(W, QQ))
+    hopf = char0_general(rm, cap=cfg.cap)
+    U, W = hopf.uea, hopf.uea.alg
+    h, e = hopf.directions[0].h, hopf.directions[0].e
     r = rm.pairing_value
     shifts = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)]
     alphas = _sample_alphas(rng, n, 5 if n == 1 else 8)
@@ -340,8 +343,8 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
                     a_ell = shifted(alpha, beta, j, ell)
                     b_ell = ell * Fraction(beta[i - 1]) * shifted(alpha, beta, j, ell - 1) if ell else Fraction(0)
                     target = tuple(av + ell * bv for av, bv in zip(alpha, beta))
-                    piece = U.gen(W.basis_symbol(target, i)).scale(a_ell)
-                    piece = piece - U.gen(W.basis_symbol(target, j)).scale(b_ell)
+                    piece = U.gen(W.basis_symbol(target, i), U.ring.from_fraction(a_ell))
+                    piece = piece - U.gen(W.basis_symbol(target, j), U.ring.from_fraction(b_ell))
                     coef = (-1) ** ell * binom_int(m, ell)
                     rhs = rhs + (U.power(y, m - ell) * piece).scale_int(coef)
                     if ell == m:
@@ -365,47 +368,42 @@ def check_commutation_suite(cfg: Char0Config) -> CheckReport:
             col.record("falling-factorial-coproduct", lhs == rhs, f"r={rr} s={s}")
 
     # interaction with the twist series (shift-past-twist and twistor laws)
-    hopf = char0_general(rm, cap=cfg.cap)
-    Ut = hopf.uea
-    Wt = Ut.alg
-    cap = cfg.cap
-    e_t = hopf.directions[0].e
     tshifts = [0, 1, -1]
     for alpha in alphas[:4]:
         for i in range(1, n + 1):
-            bd = Wt.basis_symbol(alpha, i)
-            x = Ut.gen(bd)
+            bd = W.basis_symbol(alpha, i)
+            x = U.gen(bd)
             N = pairing(rm.d0, alpha) / r
             for a in tshifts:
                 Fa = hopf.build_twist(a).inverse
                 for s in (1, 2):
-                    xs = Ut.power(x, s)
-                    lhs = TensorElement.of(xs, Ut.one()) * Fa
-                    rhs = hopf.build_twist(Fraction(a) - s * N).inverse * TensorElement.of(xs, Ut.one())
+                    xs = U.power(x, s)
+                    lhs = TensorElement.of(xs, U.one()) * Fa
+                    rhs = hopf.build_twist(Fraction(a) - s * N).inverse * TensorElement.of(xs, U.one())
                     col.record("power-slot-past-inverse-twist", lhs == rhs, xs)
 
-                tensor, element = _shift_sums(hopf, a, [hopf.raised(bd, (ell,)) for ell in range(cap)])
-                col.record("right-slot-past-inverse-twist", TensorElement.of(Ut.one(), x) * Fa == tensor, x)
+                tensor, element = _shift_sums(hopf, a, [hopf.raised(bd, (ell,)) for ell in range(hopf.cap)])
+                col.record("right-slot-past-inverse-twist", TensorElement.of(U.one(), x) * Fa == tensor, x)
                 lhs = x * hopf.antipode_twistors(a).u_elem
                 rhs = hopf.antipode_twistors(Fraction(a) + N).u_elem * element
                 col.record("generator-past-antipode-twistor", lhs == rhs, x)
 
                 for s in (1, 2):
-                    xs = Ut.power(x, s)
-                    tensor, element = _shift_sums(hopf, a, [Ut.ad_divided_power(e_t, ell, xs) for ell in range(cap)])
+                    xs = U.power(x, s)
+                    tensor, element = _shift_sums(hopf, a, [U.ad_divided_power(e, ell, xs) for ell in range(hopf.cap)])
                     lhs = xs * hopf.antipode_twistors(a).u_elem
                     rhs = hopf.antipode_twistors(Fraction(a) + s * N).u_elem * element
                     col.record("power-past-antipode-twistor", lhs == rhs, xs)
-                    lhs = TensorElement.of(Ut.one(), xs) * Fa
+                    lhs = TensorElement.of(U.one(), xs) * Fa
                     col.record("power-slot-past-inverse-twist-expansion", lhs == tensor, xs)
 
     # coproduct/antipode of powers against the conjugation oracle
     int_alphas = [al for al in alphas if (pairing(rm.d0, al) / r).denominator == 1]
     for alpha in int_alphas[:3]:
         for i in range(1, n + 1):
-            bd = Wt.basis_symbol(alpha, i)
+            bd = W.basis_symbol(alpha, i)
             for s in (1, 2, 3):
-                xs = Ut.power(Ut.gen(bd), s)
+                xs = U.power(U.gen(bd), s)
                 dc, sc = hopf.conjugation_oracle(xs)
                 coproduct, antipode = _power_formulas(hopf, bd, s)
                 col.record("coproduct-of-powers", dc == coproduct, xs)

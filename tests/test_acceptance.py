@@ -72,7 +72,7 @@ def test_criterion_2_operator_oracle_equivalence():
 
 
 def test_criterion_3_identity_suite():
-    bad = _failures(check_factorial_identities(max_order=8))
+    bad = _failures(check_factorial_identities())
     configs = (
         Char0Config(),
         Char0Config(d0=(1, 0), d0p=(0, 1), gamma=(1, 0), seed=1),

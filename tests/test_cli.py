@@ -422,13 +422,22 @@ def series_without_last_term(monkeypatch):
 
 
 @pytest.mark.usefixtures("series_without_last_term")
-def test_a_broken_twist_law_is_a_failed_check_not_an_error(capsys):
-    code, out, err = run(capsys, "verify", "--p", "3", "--n", "1", "--eta", "1", "--suite", "twist")
+def test_a_broken_twist_law_is_a_failed_check_not_an_error(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    code, out, err = run(
+        capsys, "verify", "--p", "3", "--n", "1", "--eta", "1", "--suite", "twist", "--json-path", str(path)
+    )
     assert (code, err) == (1, "")
     # the inverse laws fail at every shift; the counterexample names the first
     assert "  twist-inverse-law: fail  counterexample: eta=1 a=0\n" in out
     assert "  twistor-inverse-law: fail  counterexample: eta=1 a=0\n" in out
     assert out.rstrip().splitlines()[-1].startswith("RESULT: fail (")
+    # the JSON report carries the same counterexample on the failing row
+    modular_twist = [rep for rep in json.loads(path.read_text()) if rep["params"]["p"] == 3]
+    assert [rep["suite"] for rep in modular_twist] == ["twist"]
+    rows = {row["name"]: row for row in modular_twist[0]["checks"]}
+    assert rows["twist-inverse-law"] == {"name": "twist-inverse-law", "status": "fail", "counterexample": "eta=1 a=0"}
+    assert rows["counit-single-twist"] == {"name": "counit-single-twist", "status": "pass"}
 
 
 @pytest.mark.usefixtures("series_without_last_term")

@@ -91,6 +91,25 @@ def test_syntax_errors_carry_offsets():
         parse_element("x(1)D1 (x) x(1)D1 + x(1)D1", U)  # mixed arity
 
 
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("x(1,)D1", "expected integer, found ')D'", 4),
+        ("x(1)D1^0", "exponent must be >= 1", 0),
+        ("3/ x(1)D1", "expected denominator", 3),
+        ("t^-1", "t-degree must be >= 0", 0),
+        ("x(1)D1 x(0)D1", "expected '+', '-' or end, found 'x('", 7),
+        ("x(1)D1.t", "expected 'x(', found 't'", 7),
+        ("x(1(", "expected ')D', found '('", 3),
+    ],
+)
+def test_each_syntax_error_names_the_expected_text_and_its_offset(text, message, offset):
+    with pytest.raises(ElementSyntaxError) as ex:
+        parse_element(text, u31())
+    assert str(ex.value) == f"{message} (at byte {offset})"
+    assert ex.value.offset == offset
+
+
 @pytest.mark.parametrize("text, offset", [("x(1)D1*", 7), ("2* + x(1)D1", 3), ("x(1)D1* (x) 1", 8)])
 def test_a_dangling_star_is_an_error_at_the_token_after_it(text, offset):
     with pytest.raises(ElementSyntaxError, match="expected a term") as ex:

@@ -47,7 +47,10 @@ quotient ring hands out is the canonical one its memos are keyed by.  The thirte
 reports a module other than ``rings.py`` (in the package, the tests, the demos or the
 benchmark) that names ``tuple.__new__``: ``rings.Canonical.of`` is the one maker of
 basis symbols, monomials and t-ring values, and a tuple subclass built past it is not
-the canonical object its dicts are keyed by.
+the canonical object its dicts are keyed by.  The fourteenth reports a call in ``verify.py``
+to ``EnvelopingAlgebra``, ``WittAlgebra``, ``WPlusAlgebra`` or ``JacobsonWitt``: every
+context a suite checks comes from the factories of ``twist.py``, so ``verify.py`` holds
+no second copy of a construction they own.
 """
 from __future__ import annotations
 
@@ -587,3 +590,36 @@ def test_only_rings_calls_tuple_new():
     sources["rings.py"] = sources.pop("src/wittquant/rings.py")
     assert tuple_new_outside_rings(sources) == []
     assert tuple_new_outside_rings({"rings": sources["rings.py"]})  # the call the scan looks for exists
+
+
+ALGEBRA_CLASSES = {"EnvelopingAlgebra", "WittAlgebra", "WPlusAlgebra", "JacobsonWitt"}
+
+
+def algebra_calls(src: str) -> list:
+    """Line of each call to a Lie or enveloping algebra class, by plain name or as an attribute."""
+    flagged = []
+    for node in ast.walk(ast.parse(src)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ALGEBRA_CLASSES:
+                flagged.append(node.lineno)
+    return sorted(flagged)
+
+
+def test_scan_finds_an_algebra_built_by_hand():
+    src = (
+        "from wittquant.liealg import WittAlgebra\n"
+        "from wittquant import uea\n"
+        "W = WittAlgebra(2)\n"
+        "U = uea.EnvelopingAlgebra(W, QQ)\n"
+        "fine = char0_general(rm, cap=4).uea, WittAlgebra, isinstance(U.alg, JacobsonWitt)\n"
+        "J, P = liealg.JacobsonWitt(1, 3), WPlusAlgebra(1)\n"
+    )
+    assert algebra_calls(src) == [3, 4, 6, 6]
+
+
+def test_verify_builds_no_algebra_of_its_own():
+    package = {p.name: p.read_text() for p in PACKAGE}
+    assert algebra_calls(package["verify.py"]) == []
+    assert algebra_calls(package["twist.py"])  # the factories the scan sends every context to

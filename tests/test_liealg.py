@@ -188,7 +188,7 @@ def reduce_lifted(x: LieElement, p: int) -> UEAElement:
 
 def test_reduce_examples():
     W = WPlusAlgebra(1)
-    x = LieElement.from_basis(W, QQ, W.basis_symbol((2,), 1), Fraction(1, 2))
+    x = LieElement.from_basis(W, QQ, W.basis_symbol((2,), 1)).scale(Fraction(1, 2))
     assert reduce_lifted(x, 3).terms == {monomial(((BasisDeriv(JW, (2,), 1), 1),)): 1}
 
     y = LieElement.from_basis(W, QQ, W.basis_symbol((3,), 1))
@@ -200,7 +200,7 @@ def test_reduce_examples():
 
 def test_reduce_rejects_p_divisible_denominator():
     W = WPlusAlgebra(1)
-    x = LieElement.from_basis(W, QQ, W.basis_symbol((1,), 1), Fraction(1, 3))
+    x = LieElement.from_basis(W, QQ, W.basis_symbol((1,), 1)).scale(Fraction(1, 3))
     with pytest.raises(ReductionError):
         reduce_lifted(x, 3)
 
@@ -288,7 +288,7 @@ def test_scale_prunes_zero_divisor_products():
 
     ring = t_quotient(3, 0)
     alg = JacobsonWitt(1, 3)
-    x = LieElement.from_basis(alg, ring, alg.basis_symbol((1,), 1), ring.t_power(2))
+    x = LieElement.from_basis(alg, ring, alg.basis_symbol((1,), 1)).scale(ring.t_power(2))
     assert not x.scale(ring.t_power(1)).terms  # t^2 * t = q*t^...| q=0 -> 0
 
 

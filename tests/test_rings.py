@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 import random
 import re
@@ -48,6 +49,22 @@ def test_gf_basics():
     assert F.mul(3, 4) == 2
     assert F.inv(2) == 3
     assert F.from_int(-1) == 4
+
+
+def test_gf_accepts_exactly_the_odd_primes_below_3000():
+    # gf(41) runs the squaring loop to its break: 2^5 = 32 and 32^2 = 40 = -1 mod 41
+    for p in range(3, 3000, 2):
+        if all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            assert gf(p).p == p
+        else:
+            with pytest.raises(ValueError, match=f"odd prime >= 3, got {p}$"):
+                gf(p)
+
+
+@pytest.mark.parametrize("n", [2047, 3215031751])  # strong pseudoprimes to base 2, and to bases 2, 3, 5, 7
+def test_gf_rejects_strong_pseudoprimes(n):
+    with pytest.raises(ValueError, match=f"odd prime >= 3, got {n}$"):
+        gf(n)
 
 
 def test_p_equal_2_rejected():

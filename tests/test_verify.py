@@ -24,7 +24,7 @@ from wittquant.verify import (
 
 
 def test_factorial_suite_passes():
-    rep = check_factorial_identities(max_order=6)
+    rep = check_factorial_identities()
     assert rep.passed and len(rep.checks) == 5
 
 
@@ -305,6 +305,12 @@ def test_report_passed_logic():
     assert rep.passed
     rep.checks.append(CheckResult("c", "fail", "x"))
     assert not rep.passed
+
+
+def test_run_suites_twist_with_no_config_runs_the_char0_twist_laws():
+    reports = run_suites("twist")
+    assert [(rep.suite, rep.config) for rep in reports] == [("twist", Char0Config().as_dict())]
+    assert reports[0].passed
 
 
 def test_run_suites_selection_and_unknown():
