@@ -353,11 +353,13 @@ class _TRingBase:
     def _fill(self, memo: dict, op, a, b):
         """op(a, b) through memo, keyed and answered by canonical values.
 
-        A plain operand goes through ``from_fraction`` first, so the value table
-        only ever holds coefficients the base ring made: ``(Fraction(2),)`` equals
-        ``(2,)`` and hashes alike, and interned as given it would stand for the
-        integral value everywhere after.
+        A plain tuple operand goes through ``from_fraction`` first, so the value table only
+        ever holds coefficients the base ring made: ``(Fraction(2),)`` equals ``(2,)`` and
+        hashes alike, and interned as given it would stand for the integral value everywhere
+        after.  Any other operand, a bare int or ``Fraction`` say, raises ValueError.
         """
+        if not (isinstance(a, tuple) and isinstance(b, tuple)):
+            raise ValueError(f"t-ring operands are tuples of coefficients, got {a!r} and {b!r}")
         if type(a) is not _TValue:
             a = self.from_fraction(a)
         if type(b) is not _TValue:

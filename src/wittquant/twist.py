@@ -69,7 +69,7 @@ from .liealg import (
     pairing,
 )
 from .rings import QQ, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
-from .uea import EnvelopingAlgebra, TensorElement, UEAElement, cached_walk, drop_last
+from .uea import UNIT, EnvelopingAlgebra, TensorElement, UEAElement, cached_walk, drop_last
 
 
 class NonIntegralExponentError(ValueError):
@@ -187,7 +187,7 @@ class QuantizedHopf:
         self.eta = None if None in ks else tuple(int(k in ks) for k in range(1, uea.alg.n + 1))
         self.name = "r-matrix twist" if self.eta is None else "eta=" + "".join(map(str, self.eta))
         self._memos: dict = {}  # (method name, *arguments) -> value
-        self._delta_mono_cache: dict = {(): TensorElement.unit(uea)}
+        self._delta_mono_cache: dict = {UNIT: TensorElement.unit(uea)}
 
     # -- direction data -------------------------------------------------------------
 
@@ -311,7 +311,7 @@ class QuantizedHopf:
     def counit(self, x: UEAElement):
         """The deformed counit, which is eps0: the coefficient of the empty monomial."""
         self.uea.check(x)
-        return x.terms.get((), self.uea.ring.zero)
+        return x.terms.get(UNIT, self.uea.ring.zero)
 
     # -- twists and twistors --------------------------------------------------------------
 

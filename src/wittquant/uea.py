@@ -7,9 +7,9 @@ order (exponent vector lexicographically, then derivation index).
 A normal monomial is a tuple of (symbol, exponent) pairs, a
 :class:`~wittquant.rings.Canonical` like the basis symbols, so a dict keyed by
 monomials (or by tensor keys, plain tuples of them) never rehashes the pairs.
-:func:`monomial` is its one constructor; the unit monomial is the plain empty
-tuple ``()``.  An equal plain tuple is not interchangeable with the monomial: it
-hashes differently and misses every dict keyed by monomials.
+:func:`monomial` is its one constructor, and the unit ``UNIT`` is canonical like
+every other monomial.  An equal plain tuple, ``()`` too, is not interchangeable
+with a monomial: it hashes differently and misses every dict keyed by monomials.
 
 Straightening is memoized left insertion.  The context caches b * mono for a
 basis symbol b and a normal monomial mono = b1^e1 ... (first symbol b1):
@@ -142,16 +142,13 @@ def cached_walk(cache: dict, key, shorten, step):
 
 
 class _Monomial(Canonical):
-    """A canonical normal PBW monomial; only :func:`monomial` makes one."""
+    """A canonical normal PBW monomial; only ``monomial``, its ``of``, makes one."""
 
     __slots__ = ()
 
 
-def monomial(pairs):
-    """The canonical monomial with these (symbol, exponent) pairs, in normal order;
-    ``()`` for none.  A canonical monomial is returned as it is, without a lookup."""
-    key = pairs if type(pairs) is _Monomial else tuple(pairs)
-    return _Monomial.of(key) if key else ()
+monomial = _Monomial.of
+UNIT = monomial(())
 
 
 def _drop_first(mono):
@@ -192,7 +189,7 @@ class EnvelopingAlgebra:
         self._mono_mul_rows: dict = {}
         self._units: dict = {}
         self._vanished: dict = {}
-        self._delta0_cache: dict = {(): {((), ()): ring.one}}
+        self._delta0_cache: dict = {UNIT: {(UNIT, UNIT): ring.one}}
 
     # -- element constructors -------------------------------------------------
 
@@ -200,7 +197,7 @@ class EnvelopingAlgebra:
         return UEAElement(self, {})
 
     def one(self) -> "UEAElement":
-        return UEAElement(self, {(): self.ring.one})
+        return UEAElement(self, {UNIT: self.ring.one})
 
     def gen(self, b: BasisDeriv, coeff=None) -> "UEAElement":
         self.alg.validate(b)
@@ -208,9 +205,9 @@ class EnvelopingAlgebra:
         return UEAElement(self, {monomial(((b, 1),)): c} if c else {})
 
     def element(self, terms: dict) -> "UEAElement":
-        """The element with these terms; a key may be a plain tuple of (symbol, exponent) pairs,
-        and must be a normal monomial of this context (``_normal_key``)."""
-        return UEAElement(self, {self._normal_key(m): c for m, c in terms.items() if c})
+        """The sum of these terms, each keyed by a normal monomial or its pairs (``_normal_key``)."""
+        pairs = ((self._normal_key(m), c) for m, c in terms.items())
+        return UEAElement(self, accumulate(self.ring.add, {}, pairs))
 
     def _normal_key(self, key):
         """The canonical monomial of key; ValueError naming key unless its symbols belong to
@@ -237,7 +234,7 @@ class EnvelopingAlgebra:
         return UEAElement(self, {monomial(((b, 1),)): c for b, c in x.terms.items()})
 
     def scalar(self, c) -> "UEAElement":
-        return UEAElement(self, {(): c} if c else {})
+        return UEAElement(self, {UNIT: c} if c else {})
 
     # -- normalization core ----------------------------------------------------
 
@@ -319,7 +316,7 @@ class EnvelopingAlgebra:
         """Normal form of a product of basis symbols: dict mono -> int coeff, a residue
         in 1..p-1 in characteristic p.  The result may be a cached insertion and
         must not be mutated."""
-        return self._left_multiply(reversed(tuple(word)), {(): 1})
+        return self._left_multiply(reversed(tuple(word)), {UNIT: 1})
 
     def mono_mul(self, m1, m2) -> dict:
         """Normalized product of two PBW monomials: dict mono -> int coeff, a residue
@@ -337,7 +334,7 @@ class EnvelopingAlgebra:
             return {m1: 1}
         row = self._mono_mul_rows.get(m2)
         if row is None:
-            row = self._mono_mul_rows[m2] = {(): self._unit(m2)}
+            row = self._mono_mul_rows[m2] = {UNIT: self._unit(m2)}
         hit = row.get(m1)
         if hit is None:
             hit = cached_walk(row, m1, _drop_first, lambda s, m: self._shared(self._left_multiply((m[0][0],), s)))
@@ -420,7 +417,7 @@ class EnvelopingAlgebra:
             for m, acc in levels.pop(degree).items():
                 items = itertools.chain(acc.items(), seeds.get(m, ()))
                 accumulate(radd, up.setdefault(shorten(m), {}), times(m, items))
-        return accumulate(radd, levels.get(0, {}).get((), {}), seeds.get((), ()))
+        return accumulate(radd, levels.get(0, {}).get(UNIT, {}), seeds.get(UNIT, ()))
 
     def _blocks(self, x: dict, y: dict, depth: int):
         """Pairs (left items, right items) that hold every pair of items whose coefficient
@@ -601,7 +598,7 @@ class TensorElement(SparseElement):
     def unit(cls, uea, arity=2):
         if arity < 0:
             raise ValueError("a tensor has a nonnegative number of slots")
-        return cls(uea, arity, {((),) * arity: uea.ring.one})
+        return cls(uea, arity, {(UNIT,) * arity: uea.ring.one})
 
     @classmethod
     def of(cls, *factors: UEAElement):
@@ -662,7 +659,7 @@ class TensorElement(SparseElement):
         """Tensor with unit slots added on the left/right (e.g. F (x) 1)."""
         if left < 0 or right < 0:
             raise ValueError("a tensor is padded by a nonnegative number of slots")
-        lk, rk = ((),) * left, ((),) * right
+        lk, rk = (UNIT,) * left, (UNIT,) * right
         return TensorElement(
             self.uea, self.arity + left + right, {lk + k + rk: c for k, c in self.terms.items()}
         )

@@ -128,7 +128,7 @@ def keywise_multiply_out(x: TensorElement) -> UEAElement:
 
     def products():
         for key, c in x.terms.items():
-            acc = {(): 1}
+            acc = {monomial(()): 1}
             for m in key:
                 terms = ((mm, k * k2) for cur, k in acc.items() for mm, k2 in uea.mono_mul(cur, m).items())
                 acc = accumulate(operator.add, {}, terms)
@@ -152,7 +152,7 @@ def binary_power(x, k: int, one, mul):
 
 def binomial_coproduct0(uea, mono) -> TensorElement:
     """Delta0 of a PBW monomial: each factor b^e splits as sum_j binom(e, j) b^j (x) b^(e-j)."""
-    terms = {((), ()): 1}
+    terms = {(monomial(()), monomial(())): 1}
     for bd, e in mono:
         terms = {
             (a + ((bd, j),) if j else a, b + ((bd, e - j),) if e - j else b): c * binom_int(e, j)

@@ -50,7 +50,12 @@ basis symbols, monomials and t-ring values, and a tuple subclass built past it i
 the canonical object its dicts are keyed by.  The fourteenth reports a call in ``verify.py``
 to ``EnvelopingAlgebra``, ``WittAlgebra``, ``WPlusAlgebra`` or ``JacobsonWitt``: every
 context a suite checks comes from the factories of ``twist.py``, so ``verify.py`` holds
-no second copy of a construction they own.
+no second copy of a construction they own.  The fifteenth reports a plain ``()`` that the
+package writes where a monomial goes: a dict display key, the key of a ``.get`` or a
+subscript, or the items of a tuple display of nothing but ``()``.  The unit monomial is
+``uea.UNIT``, canonical like every other, and an equal plain tuple misses every dict keyed
+by monomials.  An arity-0 tensor key is a plain ``()`` too, so ``((), one)`` and a default
+such as ``seeds.get(m, ())`` are not flagged.
 """
 from __future__ import annotations
 
@@ -623,3 +628,43 @@ def test_verify_builds_no_algebra_of_its_own():
     package = {p.name: p.read_text() for p in PACKAGE}
     assert algebra_calls(package["verify.py"]) == []
     assert algebra_calls(package["twist.py"])  # the factories the scan sends every context to
+
+
+def _empty_tuple(node) -> bool:
+    return isinstance(node, ast.Tuple) and not node.elts
+
+
+def plain_unit_monomials(sources: dict) -> list:
+    """(module, line) of each plain ``()`` written where a monomial goes: a dict display
+    key, the key of a ``.get`` or a subscript, or a tuple display of nothing but ``()``."""
+    flagged = []
+    for module, src in sources.items():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Dict):
+                keys = node.keys
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get":
+                keys = node.args[:1]
+            elif isinstance(node, ast.Subscript):
+                keys = [node.slice]
+            elif isinstance(node, ast.Tuple) and node.elts:
+                keys = node.elts if all(map(_empty_tuple, node.elts)) else []
+            else:
+                continue
+            if any(map(_empty_tuple, keys)):
+                flagged.append((module, node.lineno))
+    return sorted(flagged)
+
+
+def test_scan_finds_a_plain_unit_monomial():
+    a = (
+        "terms = {(): 1}\n"
+        "c = x.terms.get((), 0)\n"
+        "key = ((),) * 2\n"
+        "v = row[()], {m: {((), ()): 1}}\n"
+        "fine = seeds.get(m, ()), [((), one)], {UNIT: 1}, (UNIT,) * 2, row[UNIT], ()\n"
+    )
+    assert plain_unit_monomials({"a.py": a}) == [("a.py", 1), ("a.py", 2), ("a.py", 3), ("a.py", 4), ("a.py", 4)]
+
+
+def test_no_plain_unit_monomial_in_the_package():
+    assert plain_unit_monomials({p.name: p.read_text() for p in PACKAGE}) == []

@@ -648,3 +648,17 @@ def test_a_series_product_vanishes_exactly_when_the_orders_reach_keep(R, data):
     assert (not R.mul(a, b)) == (R.order(a) + R.order(b) >= R.keep)
     if R.mul(a, b):
         assert R.order(R.mul(a, b)) == R.order(a) + R.order(b)
+
+
+@pytest.mark.parametrize(
+    "ring, op",
+    [(t_series(QQ, 4), "mul"), (t_series(gf(5), 3), "mul"), (t_quotient(3, 1), "mul"), (t_quotient(3, 1), "add")],
+    ids=["series-qq-mul", "series-gf5-mul", "quotient-mul", "quotient-add"],
+)
+def test_a_bare_scalar_is_no_t_ring_operand(ring, op):
+    f = getattr(ring, op)
+    for bare in (2, Fraction(1, 2)):
+        for operands in ((ring.one, bare), (bare, ring.one)):
+            with pytest.raises(ValueError, match="t-ring operands are tuples of coefficients"):
+                f(*operands)
+    assert f(ring.one, tuple(ring.one)) is f(ring.one, ring.one)  # a plain tuple stays an operand

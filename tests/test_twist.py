@@ -425,7 +425,7 @@ def test_monomial_extensions_of_degree_1000():
     D = H.uea.alg.basis_symbol((0,), 1)
 
     def power(k):
-        return monomial(((D, k),)) if k else ()
+        return monomial(((D, k),) if k else ())
 
     want = {(power(k), power(1000 - k)): (c,) for k in range(1001) if (c := math.comb(1000, k) % 3)}
     assert H.delta_mono(power(1000)).terms == want

@@ -1388,10 +1388,10 @@ def test_a_monomial_survives_copy_and_pickle():
     # an element pickles from protocol 2 on (its class has __slots__)
     for y in [copy.deepcopy(x), *(pickle.loads(pickle.dumps(x, k)) for k in protocols if k >= 2)]:
         assert y.terms == x.terms and all(map(_canonical, y.terms))
-    # the tuple's order, equality and repr; the unit monomial is the empty tuple
+    # the tuple's order, equality and repr; the unit monomial is a monomial like m
     plain = tuple(m)
     assert m == plain and repr(m) == repr(plain) and not m < plain and hash(m) != hash(plain)
-    assert monomial(()) == () and type(monomial([])) is tuple
+    assert monomial(()) == () and monomial([]) is monomial(()) and type(monomial(())) is type(m)
 
 
 def test_a_plain_key_names_the_engine_monomial():
@@ -1402,6 +1402,49 @@ def test_a_plain_key_names_the_engine_monomial():
     given = U.element({tuple(m): U.ring.one})
     assert given == built and next(iter(given.terms)) is m
     assert U.element({tuple(m): U.ring.one, (): U.ring.one}) == built + U.one()
+
+
+def test_keys_that_name_one_monomial_have_their_values_summed():
+    U = modular(3, 1, (1,), 1).uea
+    b = U.alg.basis_symbol((0,), 1)
+    one, two = U.ring.one, U.ring.from_int(2)
+    m = monomial(((b, 1),))
+    assert U.element({((b, 1),): one, m: one}).terms == {m: two}
+    assert U.element({(): one, monomial(()): one}) == U.scalar(two)
+    assert not U.element({((b, 1),): one, m: U.ring.from_int(-1)})
+
+
+def _empty_keys(x) -> list:
+    """The empty monomials among the keys of x, an element or a tensor."""
+    monos = itertools.chain.from_iterable(x.terms) if isinstance(x, TensorElement) else x.terms
+    return [m for m in monos if not m]
+
+
+def test_every_unit_key_handed_out_is_the_unit_monomial():
+    from wittquant.grammar import parse_element
+    from wittquant.uea import reduce_element_mod_p
+
+    hopf = modular(3, 1, (1,), 1)
+    U = hopf.uea
+    b = U.alg.basis()[0]
+    reduced = EnvelopingAlgebra(JacobsonWitt(1, 3), gf(3), restricted=True)
+    handed_out = {
+        "one": U.one(),
+        "scalar": U.scalar(U.ring.from_int(2)),
+        "pbw_normalize": U.pbw_normalize([]),
+        "TensorElement.unit": TensorElement.unit(U, 3),
+        "pad": TensorElement.of(U.gen(b)).pad(1, 1),
+        "delta": hopf.delta(U.one()),
+        "antipode": hopf.antipode(U.one()),
+        "coproduct0": U.coproduct0(U.one()),
+        "reduce_element_mod_p": reduce_element_mod_p(uw_plus().one(), reduced),
+        "parse_element": parse_element("1", U),
+    }
+    # the type check is the one a plain () fails: it equals the unit monomial
+    unit, kind = monomial(()), type(monomial(((b, 1),)))
+    for name, x in handed_out.items():
+        keys = _empty_keys(x)
+        assert keys and all(k is unit and type(k) is kind for k in keys), name
 
 
 def _w11_element(key):
@@ -1439,4 +1482,4 @@ def test_an_element_key_with_exponent_below_one_is_refused():
     for e in (0, -1):
         with pytest.raises(ValueError, match=rf"monomial key .* exponent {e}, not that of a normal monomial"):
             _w11_element(((d, e),))
-    assert _w11_element(()).terms == {(): (1,)}  # the unit key stays valid
+    assert _w11_element(()).terms == {monomial(()): (1,)}  # the unit key stays valid
