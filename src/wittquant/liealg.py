@@ -85,6 +85,8 @@ class LieAlgebra:
     symbol = None  # how messages name the algebra: W(n), W+(n)
 
     def __init__(self, n: int):
+        if not isinstance(n, int):
+            raise ValueError(f"n must be an int, got {n!r}")
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n

@@ -29,32 +29,27 @@ quotient ring folds t^p = q t from the top degree down.
 
 Every t-ring hands out one :class:`Canonical` object per value, made only by
 ``_t_value``; basis symbols and PBW monomials follow the same rule.  ``zero``,
-``one``, ``from_int``, ``from_fraction``, ``t_power`` and ``mul`` all return it,
-and so does the quotient ring's ``add``.  Each descriptor memoizes ``mul`` by
-operand, ``memo[a][b]``, so a hit on canonical operands is two identity-hashed
-dict lookups: no pair is built and no coefficient hashed.  A miss (``_fill``)
-makes both operands canonical, computes through the shared t-ring arithmetic
-and keeps the canonical result.  An equal plain tuple is still a valid operand:
-it hashes by content, so its lookup misses (or meets an entry of equal content)
-and the miss path answers it, without keying a memo by it.  A plain operand goes
-through ``from_fraction`` before it is interned (``_fill`` says why).  Values
-are immutable, so sharing a cached result is safe and fill order changes
-nothing.
+``one``, ``from_int``, ``from_fraction``, ``t_power``, ``add`` and ``mul`` all
+return it.  Each descriptor memoizes ``add`` and ``mul`` by operand,
+``memo[a][b]``, so a hit on canonical operands is two identity-hashed dict
+lookups: no pair is built and no coefficient hashed.  A miss (``_fill``) makes
+both operands canonical, computes through the shared t-ring arithmetic and keeps
+the canonical result.  An equal plain tuple is still a valid operand: it hashes
+by content, so its lookup misses (or meets an entry of equal content) and the
+miss path answers it, without keying a memo by it.  A plain operand goes through
+``from_fraction`` before it is interned (``_fill`` says why).  Values are
+immutable, so sharing a cached result is safe and fill order changes nothing.
 
-The quotient ring GF(p)[t]/(t^p - q t) is finite, with p^p values, so it
-memoizes ``add`` the same way.  A series ring's ``add`` is not memoized and
-returns a plain tuple.  In a char-0 verdict (``char0-identities``, seed 1) the
-series rings take 375,995 products on 15,405 distinct operand pairs and 157,255
-sums on 17,246 pairs, and meet 4,073 distinct values: the product memo answers
-96% of products, and raises that verdict's peak RSS by about 3% (26.3 to 27.1
-MiB).  A sum memo as well would answer 89% of sums, but raised peak RSS by
-about 9% in all.
+In a char-0 verdict (``char0-identities``, seed 1) the series rings take 417,674
+products on 16,691 distinct operand pairs and 168,204 sums on 18,960 pairs, and
+meet 4,635 distinct values: the memos answer 96% of products and 89% of sums.
+The sum memo raises that verdict's peak RSS by about 6% (27.2 to 28.7 MiB).
 
 A t-ring product with a constant (length-1) operand is the other operand
 scaled by that constant, one base ``mul`` per nonzero coefficient.  Both bases
 (QQ, GF(p)) are fields and operands are reduced, so the scaled value is
 trimmed and no longer than the cap already, exactly what the convolution
-would give.  In a char-0 verdict 322,912 of 375,995 series products have a
+would give.  In a char-0 verdict 364,591 of 417,674 series products have a
 constant operand.
 
 Every descriptor states its truncation as ``keep``: the series cap, below
@@ -110,7 +105,13 @@ def inverse_factorial(ring, r: int):
     return ring.from_fraction(Fraction(1, math.factorial(r)))
 
 
+def _check_int(name: str, x) -> None:
+    if not isinstance(x, int):
+        raise ValueError(f"{name} must be an int, got {x!r}")
+
+
 def _check_odd_prime(p: int) -> None:
+    _check_int("p", p)
     if p == 2:
         raise ValueError(
             "p = 2 is not supported: the distinguished element 2*x^(2e_k)D_k "
@@ -228,8 +229,14 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-@lru_cache(maxsize=None)
 def gf(p: int) -> PrimeField:
+    """The one descriptor of GF(p); a p that is not an int raises ValueError."""
+    _check_int("p", p)
+    return _gf(p)
+
+
+@lru_cache(maxsize=None)
+def _gf(p: int) -> PrimeField:
     return PrimeField(p)
 
 
@@ -294,8 +301,8 @@ class _TRingBase:
     """Shared arithmetic for truncated t-polynomial rings.
 
     Values are zero-trimmed tuples of base-ring scalars indexed by t-degree, and
-    every value a t-ring returns, but a series sum, is the canonical object of its
-    content, a tuple hashed by identity.  ``mul`` is memoized as ``memo[a][b]``, keyed by
+    every value a t-ring returns is the canonical object of its content, a tuple
+    hashed by identity.  ``add`` and ``mul`` are memoized as ``memo[a][b]``, keyed by
     canonical values only, so a hit hashes no tuple; an equal plain tuple operand
     misses and is answered by content through ``_fill``.  Subclasses fix
     ``keep``, the number of low degrees a product forms (None: every degree),
@@ -315,6 +322,7 @@ class _TRingBase:
         self.zero = _t_value(())
         self.one = _t_value((base.one,))
         self._mul_memo: dict = {}
+        self._add_memo: dict = {}
 
     def from_int(self, n: int):
         c = self.base.from_int(n)
@@ -373,6 +381,12 @@ class _TRingBase:
         return out
 
     def add(self, a, b):
+        try:
+            return self._add_memo[a][b]
+        except KeyError:
+            return self._fill(self._add_memo, _TRingBase._sum, a, b)
+
+    def _sum(self, a, b):
         if len(a) < len(b):
             a, b = b, a
         if not b:
@@ -417,8 +431,7 @@ class _TRingBase:
 
 
 def _check_cap(cap) -> None:
-    if not isinstance(cap, int):
-        raise ValueError(f"series cap must be an int, got {cap!r}")
+    _check_int("series cap", cap)
     if cap < 1:
         raise ValueError(f"series cap must be >= 1, got {cap}")
 
@@ -444,32 +457,16 @@ class TSeriesRing(_TRingBase):
         return f"{self.base}[t]/t^{self.cap}"
 
 
-def _check_q(q) -> None:
-    if not isinstance(q, int):
-        raise ValueError(f"q must be an int, got {q!r}")
-
-
 class TQuotientRing(_TRingBase):
-    """GF(p)[t] modulo t^p - q*t; every value has t-degree < p.
-
-    The ring is finite, with p^p values, so ``add`` is memoized as well, the
-    way ``mul`` is: ``memo[a][b]`` keyed by canonical values only.
-    """
+    """GF(p)[t] modulo t^p - q*t; every value has t-degree < p."""
 
     def __init__(self, p: int, q: int):
         base = gf(p)
-        _check_q(q)
+        _check_int("q", q)
         super().__init__(base)
         self.p = p
         self.q = q % p
         self.cap = p
-        self._add_memo: dict = {}
-
-    def add(self, a, b):
-        try:
-            return self._add_memo[a][b]
-        except KeyError:
-            return self._fill(self._add_memo, _TRingBase.add, a, b)
 
     def t_power(self, r: int):
         _check_t_exponent(r)
@@ -506,7 +503,7 @@ def _t_series(base, cap: int) -> TSeriesRing:
 def t_quotient(p: int, q: int) -> TQuotientRing:
     """The one descriptor of GF(p)[t]/(t^p - q t); every q of one residue mod p names it."""
     gf(p)  # validates the prime before q is reduced mod it
-    _check_q(q)
+    _check_int("q", q)
     return _t_quotient(p, q % p)
 
 

@@ -55,7 +55,11 @@ package writes where a monomial goes: a dict display key, the key of a ``.get`` 
 subscript, or the items of a tuple display of nothing but ``()``.  The unit monomial is
 ``uea.UNIT``, canonical like every other, and an equal plain tuple misses every dict keyed
 by monomials.  An arity-0 tensor key is a plain ``()`` too, so ``((), one)`` and a default
-such as ``seeds.get(m, ())`` are not flagged.
+such as ``seeds.get(m, ())`` are not flagged.  The sixteenth reports a subclass of
+``rings._TRingBase``, directly or through another, that defines or assigns ``add``, ``mul``,
+``_fill``, ``_sum`` or ``_product``: every t-ring adds and multiplies through the one memoized
+rule of the base class, and a subclass differs only in its mathematics (``_reduce``,
+``t_power``, its truncation, validation and ``repr``).
 """
 from __future__ import annotations
 
@@ -668,3 +672,49 @@ def test_scan_finds_a_plain_unit_monomial():
 
 def test_no_plain_unit_monomial_in_the_package():
     assert plain_unit_monomials({p.name: p.read_text() for p in PACKAGE}) == []
+
+
+T_RING_ARITHMETIC = {"add", "mul", "_fill", "_sum", "_product"}
+
+
+def t_ring_overrides(src: str) -> list:
+    """(class, name) of each t-ring arithmetic method that a subclass of ``_TRingBase``
+    defines or assigns in its body."""
+    t_rings, flagged = {"_TRingBase"}, []
+    for node in ast.parse(src).body:
+        if not (isinstance(node, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id in t_rings for b in node.bases)):
+            continue
+        t_rings.add(node.name)
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [t.id for t in item.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            flagged += [(node.name, name) for name in names if name in T_RING_ARITHMETIC]
+    return sorted(flagged)
+
+
+def test_scan_finds_a_t_ring_that_defines_its_own_arithmetic():
+    src = (
+        "class _TRingBase:\n"
+        "    def add(self, a, b): pass\n"
+        "    def mul(self, a, b): pass\n"
+        "class Series(_TRingBase):\n"
+        "    def add(self, a, b): pass\n"
+        "    def t_power(self, r): pass\n"
+        "class Quotient(Series):\n"
+        "    mul = _TRingBase.mul\n"
+        "    def _fill(self, memo, op, a, b): pass\n"
+        "class Field:\n"
+        "    def add(self, a, b): pass\n"
+    )
+    assert t_ring_overrides(src) == [("Quotient", "_fill"), ("Quotient", "mul"), ("Series", "add")]
+
+
+def test_no_t_ring_defines_its_own_arithmetic():
+    src = (ROOT / "src" / "wittquant" / "rings.py").read_text()
+    assert t_ring_overrides(src) == []
+    base = next(n for n in ast.parse(src).body if isinstance(n, ast.ClassDef) and n.name == "_TRingBase")
+    assert T_RING_ARITHMETIC <= {f.name for f in base.body if isinstance(f, ast.FunctionDef)}  # the rule the scan guards

@@ -11,7 +11,9 @@ from hypothesis import given, strategies as st
 
 from oracles import quotient_add, quotient_mul, series_mul
 import wittquant.rings as rings
+from wittquant.liealg import WittAlgebra
 from wittquant.rings import QQ, ReductionError, TQuotientRing, TSeriesRing, accumulate, binom_int, gf, inverse_factorial, t_quotient, t_series
+from wittquant.twist import integral_eta, modular
 
 
 def test_binom_int_examples():
@@ -65,6 +67,28 @@ def test_gf_accepts_exactly_the_odd_primes_below_3000():
 def test_gf_rejects_strong_pseudoprimes(n):
     with pytest.raises(ValueError, match=f"odd prime >= 3, got {n}$"):
         gf(n)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: gf(3.0), "p must be an int, got 3.0"),
+        (lambda: gf(Fraction(5)), "p must be an int, got Fraction(5, 1)"),
+        (lambda: rings.PrimeField(3.0), "p must be an int, got 3.0"),
+        (lambda: t_quotient(3.0, 1), "p must be an int, got 3.0"),
+        (lambda: WittAlgebra(1.5), "n must be an int, got 1.5"),
+        (lambda: modular(3, 2.0, (1, 1), 1), "n must be an int, got 2.0"),
+        (lambda: integral_eta((1,), 1.0, 3), "n must be an int, got 1.0"),
+    ],
+    ids=["gf-float", "gf-fraction", "prime-field-float", "t-quotient-float-p", "witt-float-n", "modular-float-n", "integral-float-n"],
+)
+def test_a_p_or_n_that_is_not_an_int_is_refused(make, message):
+    F = gf(3)
+    built = rings._gf.cache_info().currsize
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+    assert rings._gf.cache_info().currsize == built  # nothing cached
+    assert gf(3) is F and type(F.p) is int and F.from_int(5) == 2
 
 
 def test_p_equal_2_rejected():
@@ -249,9 +273,9 @@ def test_a_quotient_ring_hands_out_one_object_per_value(p, q):
 
 @pytest.mark.parametrize("R", [*(t_series(QQ, cap) for cap in range(1, 7)), t_series(gf(5), 3)], ids=repr)
 def test_a_series_ring_hands_out_one_object_per_value(R):
-    # the cached descriptor and a fresh one; a sum is a plain tuple, so only products count
+    # the cached descriptor and a fresh one: equal content is one object across both
     rings_ = (R, TSeriesRing(R.base, R.cap))
-    canonical = _one_object_per_content([v for S in rings_ for v in _handed_out(S, (S.mul,))])
+    canonical = _one_object_per_content([v for S in rings_ for v in _handed_out(S, (S.mul, S.add))])
     assert len(canonical) > 4 * R.cap
     for v in canonical.values():  # an integral rational is held as an int
         assert len(v) <= R.cap and (not v or v[-1]), v
@@ -260,8 +284,8 @@ def test_a_series_ring_hands_out_one_object_per_value(R):
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 4, 5, 6])
 def test_a_fresh_series_ring_matches_a_fraction_only_reference(cap):
-    # a fresh descriptor, so no memo entry stands in for a product; each pair is first asked
-    # with plain all-Fraction operands, then with the canonical values of the same content
+    # a fresh descriptor, so no memo entry stands in for a product or a sum; each pair is first
+    # asked with plain all-Fraction operands, then with the canonical values of the same content
     R, cached = TSeriesRing(QQ, cap), t_series(QQ, cap)
     rnd = random.Random(200 + cap)
 
@@ -272,16 +296,18 @@ def test_a_fresh_series_ring_matches_a_fraction_only_reference(cap):
     values = [plain(rnd.randint(0, cap)) for _ in range(30)] + [(Fraction(2),), (Fraction(0),) * (cap - 1) + (Fraction(1),)]
     assert any(c.denominator == 1 for v in values for c in v)
     for fa, fb in itertools.product(values, values):
-        product = R.mul(fa, fb)
+        product, total = R.mul(fa, fb), R.add(fa, fb)
         a, b = R.from_fraction(fa), R.from_fraction(fb)
         assert all(R.mul(x, y) is product for x, y in [(a, b), (tuple(a), b), (a, fb)]), (fa, fb)
+        assert all(R.add(x, y) is total for x, y in [(a, b), (tuple(a), b), (a, fb)]), (fa, fb)
         assert product is cached.from_fraction(series_mul(cap, fa, fb)), (fa, fb)
         width = max(len(fa), len(fb))
         padded = [fa + (Fraction(0),) * (width - len(fa)), fb + (Fraction(0),) * (width - len(fb))]
         sums = [x + y for x, y in zip(*padded)]
         while sums and not sums[-1]:
             sums.pop()
-        for got, want in ((a, fa), (b, fb), (product, series_mul(cap, fa, fb)), (R.add(a, b), tuple(sums))):
+        assert total is cached.from_fraction(tuple(sums)), (fa, fb)
+        for got, want in ((a, fa), (b, fb), (product, series_mul(cap, fa, fb)), (total, tuple(sums))):
             assert len(got) == len(want)
             for c, w in zip(got, want):
                 assert_rational(c, Fraction(w))
@@ -293,11 +319,11 @@ def test_a_plain_fraction_operand_leaves_an_integral_value_an_int():
     n = 10**12 + 39
     for k, R in enumerate((TSeriesRing(QQ, 3), TSeriesRing(QQ, 4))):
         plain = (Fraction(n + k), Fraction(0), Fraction(2 * n + k))
-        for got in (R.mul(plain, R.one), R.mul(R.one, plain[:1])):
+        for got in (R.mul(plain, R.one), R.mul(R.one, plain[:1]), R.add(plain, R.zero)):
             assert all(type(c) is int for c in got), got
         assert type(R.from_int(n + k)[0]) is int
         assert all(type(c) is int for c in R.from_fraction((n + k, 0, 2 * n + k)))
-        assert R.mul(plain, R.one) is R.from_fraction(plain) is t_series(QQ, R.cap).from_fraction((n + k, 0, 2 * n + k))
+        assert R.mul(plain, R.one) is R.add(plain, R.zero) is R.from_fraction(plain) is t_series(QQ, R.cap).from_fraction((n + k, 0, 2 * n + k))
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
@@ -652,8 +678,15 @@ def test_a_series_product_vanishes_exactly_when_the_orders_reach_keep(R, data):
 
 @pytest.mark.parametrize(
     "ring, op",
-    [(t_series(QQ, 4), "mul"), (t_series(gf(5), 3), "mul"), (t_quotient(3, 1), "mul"), (t_quotient(3, 1), "add")],
-    ids=["series-qq-mul", "series-gf5-mul", "quotient-mul", "quotient-add"],
+    [
+        (t_series(QQ, 4), "mul"),
+        (t_series(gf(5), 3), "mul"),
+        (t_quotient(3, 1), "mul"),
+        (t_quotient(3, 1), "add"),
+        (t_series(QQ, 4), "add"),
+        (t_series(gf(5), 3), "add"),
+    ],
+    ids=["series-qq-mul", "series-gf5-mul", "quotient-mul", "quotient-add", "series-qq-add", "series-gf5-add"],
 )
 def test_a_bare_scalar_is_no_t_ring_operand(ring, op):
     f = getattr(ring, op)
